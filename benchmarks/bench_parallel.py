@@ -7,9 +7,10 @@ Times the full fig-10 sweep (every Table 2 cell) three ways:
 * ``serial_warm`` — one process with the warm-start compile cache kept
   across rounds: round 0 compiles, later rounds fork cached problems.
   Min over the *warm* rounds.
-* ``parallel_warm`` — N worker processes with a persistent pool:
-  deterministic sharding pins each cell to one worker, so per-worker
-  caches are warm from round 1 on.  Min over the warm rounds.
+* ``parallel_warm`` — N worker processes under one persistent
+  :class:`~repro.parallel.Supervisor`: deterministic sharding pins each
+  cell to one worker, so per-worker caches are warm from round 1 on.
+  Min over the warm rounds.
 
 The headline number is ``serial_cold / parallel_warm`` — the steady-state
 speedup a repeated sweep (a watch loop, a tuning sweep, a CI matrix)
@@ -52,7 +53,7 @@ from repro.experiments.harness import (  # noqa: E402
 )
 from repro.network import chain_network  # noqa: E402
 from repro.obs import Telemetry  # noqa: E402
-from repro.parallel import CompileCache, WorkerPool  # noqa: E402
+from repro.parallel import CompileCache, Supervisor  # noqa: E402
 from repro.simulate import LinkChange  # noqa: E402
 from repro.simulate.runner import Simulation  # noqa: E402
 
@@ -101,11 +102,11 @@ def bench_sweep(networks, scenarios, rounds: int, workers: int) -> dict:
     # leaks into the timings it is meant to explain.
     parallel_warm: list[float] = []
     telemetry = Telemetry()
-    with WorkerPool(workers) as pool:
+    with Supervisor(workers) as sup:
         note(
             _run_table2_parallel(  # cold: fills the per-worker caches
                 networks, scenarios, workers, telemetry=telemetry,
-                compile_cache=cache, pool=pool,
+                compile_cache=cache, pool=sup,
             )
         )
         for _ in range(rounds):
@@ -115,14 +116,14 @@ def bench_sweep(networks, scenarios, rounds: int, workers: int) -> dict:
                 scenarios,
                 workers,
                 compile_cache=cache,  # flag only: workers use their own
-                pool=pool,
+                pool=sup,
             )
             parallel_warm.append(time.perf_counter() - t0)
             note(rows)
         note(
             _run_table2_parallel(  # steady state: every compile is a hit
                 networks, scenarios, workers, telemetry=telemetry,
-                compile_cache=cache, pool=pool,
+                compile_cache=cache, pool=sup,
             )
         )
     print(f"parallel_warm rounds: {[f'{s:.3f}' for s in parallel_warm]}", flush=True)

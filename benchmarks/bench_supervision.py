@@ -1,25 +1,21 @@
-"""Supervision overhead and recovery-cost benchmark.
+"""Supervision recovery-cost benchmark.
 
-Runs the same seeded fault-campaign workload four ways and reports what
-the self-healing layer costs (docs/ROBUSTNESS.md, "Supervised
+Runs the same seeded fault-campaign workload three ways and reports what
+recovering from a worker death costs (docs/ROBUSTNESS.md, "Supervised
 execution"):
 
 * ``serial`` — the reference: every campaign run in-process, no workers.
-* ``pool`` — the raw :class:`~repro.parallel.WorkerPool` (the loud,
-  unsupervised contract).
-* ``supervised`` — :class:`~repro.parallel.Supervisor` over the same
-  worker processes, nothing failing: the steady-state overhead of the
-  eager per-task protocol plus coordinator bookkeeping.
+* ``supervised`` — :class:`~repro.parallel.Supervisor` workers, nothing
+  failing: the steady-state fan-out.
 * ``supervised_kill`` — one worker SIGKILLed mid-run via the
   supervisor's fault-injection hook: the wall-clock cost of detecting a
   death, respawning the worker, and retrying its in-flight task.
 
-Equivalence is asserted, not assumed: all four modes must produce
+Equivalence is asserted, not assumed: all three modes must produce
 byte-identical campaign records (the supervision determinism contract —
-worker deaths change wall clock and nothing else).  The headline
-numbers are ``overhead_pct`` (supervised vs raw pool, best round each;
-structural, not a CI gate) and ``recovery_s`` (extra wall clock paid
-for one kill+respawn+retry).
+worker deaths change wall clock and nothing else).  The headline number
+is ``recovery_s`` (extra wall clock paid for one kill+respawn+retry,
+best round each).
 
 Not collected by pytest (no ``test_`` prefix); run directly:
 
@@ -44,7 +40,6 @@ from repro.network import chain_network  # noqa: E402
 from repro.parallel import (  # noqa: E402
     CampaignTask,
     Supervisor,
-    WorkerPool,
     run_campaign_task,
 )
 
@@ -112,12 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         args.rounds, lambda: records_of(run_campaign_task(t) for t in tasks)
     )
 
-    print("pool:", flush=True)
-    with WorkerPool(args.workers) as pool:
-        records["pool"], modes["pool"] = bench_rounds(
-            args.rounds, lambda: records_of(pool.map(run_campaign_task, tasks))
-        )
-
     print("supervised:", flush=True)
     with Supervisor(args.workers) as sup:
         records["supervised"], modes["supervised"] = bench_rounds(
@@ -150,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         if recs != reference:
             raise SystemExit(f"campaign records diverged in mode {name!r}")
 
-    pool_best = modes["pool"]["best_s"]
     sup_best = modes["supervised"]["best_s"]
     kill_best = modes["supervised_kill"]["best_s"]
     result = {
@@ -163,16 +151,13 @@ def main(argv: list[str] | None = None) -> int:
         "events": args.events,
         "rounds": args.rounds,
         "modes": modes,
-        "overhead_pct": round((sup_best / max(pool_best, 1e-9) - 1.0) * 100.0, 1),
         "recovery_s": round(kill_best - sup_best, 3),
         "equivalent": True,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(
-        f"\nsupervision overhead {result['overhead_pct']:+.1f}% vs raw pool; "
-        f"one kill costs {result['recovery_s']:.3f}s "
-        f"(pool {pool_best:.3f}s, supervised {sup_best:.3f}s, "
-        f"killed {kill_best:.3f}s); wrote {args.out}"
+        f"\none kill costs {result['recovery_s']:.3f}s "
+        f"(supervised {sup_best:.3f}s, killed {kill_best:.3f}s); wrote {args.out}"
     )
     return 0
 

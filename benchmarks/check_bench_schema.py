@@ -407,14 +407,17 @@ _SUPERVISION_TOP_KEYS = {
     "events": int,
     "rounds": int,
     "modes": dict,
-    "overhead_pct": (int, float),
     "recovery_s": (int, float),
     "equivalent": bool,
 }
 
 
 def check_bench_supervision(path: Path, data: dict) -> list[str]:
-    """Validate a supervision overhead/recovery benchmark file (BENCH_pr9)."""
+    """Validate a supervision recovery benchmark file (BENCH_pr9).
+
+    Files from before the raw worker pool was removed also carry a
+    ``pool`` mode and ``overhead_pct``; extra keys are allowed.
+    """
     errors: list[str] = []
     for key, typ in _SUPERVISION_TOP_KEYS.items():
         if key not in data:
@@ -424,7 +427,7 @@ def check_bench_supervision(path: Path, data: dict) -> list[str]:
         ):
             errors.append(f"{path}: {key!r} should be {typ}")
     modes = data.get("modes", {})
-    for mode in ("serial", "pool", "supervised", "supervised_kill"):
+    for mode in ("serial", "supervised", "supervised_kill"):
         entry = modes.get(mode)
         if not isinstance(entry, dict):
             errors.append(f"{path}: modes.{mode} missing or not an object")

@@ -821,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --fallback: race the ladder rungs in N processes, each "
         "with the whole time budget; the best rung that succeeds wins "
-        "(docs/PERFORMANCE.md). No effect on a plain solve.",
+        "(docs/ROBUSTNESS.md). No effect on a plain solve.",
     )
     p_plan.add_argument(
         "--profile-out",

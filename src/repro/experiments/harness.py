@@ -288,9 +288,9 @@ def _run_table2_parallel(
     """One Table-2 cell per pool task; results reassembled in cell order.
 
     ``pool`` lets a caller (the benchmark harness) keep one warm
-    pool-compatible executor across repeated sweeps so the per-worker
-    compile caches persist; by default a
-    :class:`~repro.parallel.Supervisor` is created and torn down around
+    :class:`~repro.parallel.Supervisor` across repeated sweeps so the
+    per-worker compile caches persist; by default a supervisor is
+    created and torn down around
     this one sweep, so a worker death mid-sweep respawns and retries
     instead of aborting.  ``compile_cache`` only gates whether workers
     use *their own* process-global cache (it cannot cross the process

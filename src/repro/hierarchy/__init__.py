@@ -14,7 +14,7 @@ the transit-stub structure the generator emits (and real WANs exhibit):
    per-domain boundary contracts from the abstract plan's exact
    execution (:mod:`repro.hierarchy.contracts`);
 4. **fan out** the concrete per-domain subproblems (over the
-   :class:`~repro.parallel.WorkerPool` when asked) and **stitch** the
+   :class:`~repro.parallel.Supervisor` when asked) and **stitch** the
    sub-plans back into one sequence, validated action-by-action with the
    exact :class:`~repro.planner.PlanExecutor`
    (:mod:`repro.hierarchy.stitch`);

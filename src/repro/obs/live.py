@@ -1,7 +1,7 @@
 """The ``--live`` terminal progress view over a streaming fleet.
 
 :class:`LiveMonitor` is the glue between a frame stream (worker pushes
-multiplexed by ``WorkerPool.map(..., on_frame=...)``, or synthetic
+multiplexed by ``Supervisor.run(..., on_frame=...)``, or synthetic
 frames from a serial driver) and a terminal: it folds frames into a
 :class:`~repro.obs.StreamAggregator` and repaints a compact table — one
 row per worker, tasks done/total, the task each worker is on, and the
@@ -40,7 +40,7 @@ class LiveMonitor:
     """Render a live fleet table from telemetry frames.
 
     Pass :meth:`on_frame` as the ``on_frame`` callback of
-    ``WorkerPool.map``; serial drivers call it directly with worker 0
+    ``Supervisor.run``; serial drivers call it directly with worker 0
     frames.  Call :meth:`finish` when the run completes to paint the
     final state and release the terminal.
     """

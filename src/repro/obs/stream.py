@@ -1,6 +1,6 @@
 """Live telemetry streaming between workers and their coordinator.
 
-While a :class:`~repro.parallel.WorkerPool` shard runs, the worker can
+While a :class:`~repro.parallel.Supervisor` shard runs, the worker can
 push small incremental *frames* back over its existing command pipe —
 interleaved with, and distinct from, the final results message — so the
 coordinator can watch the fleet instead of staring at a silent
@@ -24,8 +24,9 @@ Kinds:
   the live registry can fold in cache hit rates and repair TTR as they
   happen.
 * ``heartbeat`` — periodic liveness ping carrying the current task.
-* ``heartbeat_missed`` — synthesized *coordinator-side* by the pool when
-  a streaming worker goes quiet (see ``WorkerPool.map``); counted as
+* ``heartbeat_missed`` — synthesized *coordinator-side* by the
+  supervisor when a streaming worker goes quiet (see
+  ``Supervisor.run``); counted as
   ``pool.heartbeat.missed`` in the live registry.
 * ``heartbeat_recovered`` — synthesized coordinator-side when a stalled
   worker speaks again (e.g. after SIGCONT); clears the view's missed

@@ -2,14 +2,13 @@
 
 Spawn-safe building blocks for running planner work across processes:
 
-* :class:`WorkerPool` — persistent spawn-started workers with
-  deterministic task→worker sharding and loud failures
-  (:class:`TaskFailed`, :class:`WorkerCrashed`).
-* :class:`Supervisor` (:mod:`repro.parallel.supervisor`) — the
-  self-healing layer on the same workers: death detection, respawn,
-  retry with a budget, poison quarantine
-  (:class:`TaskQuarantined`), and in-process fallback, reported via
-  :class:`SupervisionReport` (docs/ROBUSTNESS.md).
+* :class:`Supervisor` (:mod:`repro.parallel.supervisor`) — the one
+  process manager: persistent spawn-started workers running either a
+  deterministically sharded batch (``run``/``map``) or a priority race
+  (``race``), with death detection, respawn, retry with a budget,
+  poison quarantine (:class:`TaskQuarantined`), and in-process
+  fallback, reported via :class:`SupervisionReport`; task exceptions
+  surface as :class:`TaskFailed` (docs/ROBUSTNESS.md).
 * Envelopes (:mod:`repro.parallel.envelope`) — the pickleable contract
   between parent and workers; :func:`check_picklable` names the exact
   offending field when something unpicklable sneaks in.
@@ -17,10 +16,9 @@ Spawn-safe building blocks for running planner work across processes:
   compile cache keyed by content fingerprints
   (:mod:`repro.parallel.fingerprint`), one per worker process.
 * Worker task functions (:mod:`repro.parallel.workers`) — the
-  module-level entry points the pool actually runs (Table-2 cells,
-  fault-campaign runs).
-* Portfolio racing (:mod:`repro.parallel.race`) — the process-parallel
-  mode of :func:`repro.planner.solve_robust`.
+  module-level entry points the supervisor actually runs (Table-2
+  cells, fault-campaign runs, fleet repairs, hierarchy domains, and
+  the racing degradation ladder's rungs).
 
 Consumers: ``run_table2(workers=N)``, ``run_campaign(workers=N)``,
 ``solve_robust(workers=N)``, and the ``--workers`` CLI flags on
@@ -44,14 +42,15 @@ from .fingerprint import (
     network_delta,
     network_fingerprint,
 )
-from .pool import START_METHOD, TaskFailed, WorkerCrashed, WorkerPool, resolve_workers
-from .race import RungJob, RungOutcome, race_rungs
 from .supervisor import (
+    START_METHOD,
     SupervisionReport,
     SupervisionStats,
     Supervisor,
     SupervisorConfig,
+    TaskFailed,
     TaskQuarantined,
+    resolve_workers,
 )
 from .workers import (
     CampaignResult,
@@ -62,16 +61,17 @@ from .workers import (
     DomainTask,
     RepairOutcome,
     RepairTask,
+    RungJob,
+    RungOutcome,
     run_campaign_task,
     run_cell_task,
     run_domain_task,
     run_repair_task,
+    run_rung_task,
 )
 
 __all__ = [
     "START_METHOD",
-    "WorkerPool",
-    "WorkerCrashed",
     "TaskFailed",
     "resolve_workers",
     "Supervisor",
@@ -95,7 +95,7 @@ __all__ = [
     "network_delta",
     "RungJob",
     "RungOutcome",
-    "race_rungs",
+    "run_rung_task",
     "CellTask",
     "CellResult",
     "run_cell_task",

@@ -1,4 +1,4 @@
-"""Pickleable task/result envelopes for the process pool.
+"""Pickleable task/result envelopes for supervised worker processes.
 
 Worker processes receive *inputs* (specs, networks, levelings, planner
 configuration) and return *summaries* (plans by action name, stats
@@ -20,7 +20,7 @@ Every envelope passes :func:`check_picklable` at construction in debug
 contexts and in the round-trip test-suite; on failure the offending
 attribute path is named (``EnvelopeError: ... at plan.stats``), so an
 accidentally-introduced closure or open file dies loudly at the
-boundary instead of as an opaque ``PicklingError`` inside the pool.
+boundary instead of as an opaque ``PicklingError`` inside a worker.
 """
 
 from __future__ import annotations

@@ -1,19 +1,4 @@
-"""A spawn-safe process pool with deterministic sharding.
-
-Why not :class:`concurrent.futures.ProcessPoolExecutor`?  Two reasons,
-both load-bearing for this codebase:
-
-* **Deterministic task→worker affinity.**  Tasks are sharded statically
-  (task ``i`` goes to worker ``i % workers``), so a task set replayed
-  against a persistent pool lands on the *same* workers every time.
-  That makes results reproducible metric-for-metric and lets each
-  worker's warm-start compile cache (:mod:`repro.parallel.cache`) hit
-  reliably on repeated workloads — a shared work queue would scatter
-  repeat cells across workers at the scheduler's whim.
-* **Loud failures.**  A worker that dies (OOM, segfault, unpicklable
-  result) surfaces as :class:`WorkerCrashed` naming the worker and its
-  shard; a task that raises surfaces as :class:`TaskFailed` carrying the
-  remote traceback text, re-raised in deterministic task order.
+"""The worker side of :class:`~repro.parallel.Supervisor`.
 
 Workers are started with the ``spawn`` method unconditionally — no
 inherited state, no fork-only assumptions — so behavior is identical on
@@ -25,80 +10,9 @@ module-level importables and payloads must survive pickling
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import signal
-import time
 import traceback
-from multiprocessing import connection as mp_connection
-from typing import Callable, Sequence
-
-__all__ = ["WorkerPool", "WorkerCrashed", "TaskFailed", "resolve_workers"]
-
-STALL_INTERVALS = 4
-"""A streaming worker silent for this many heartbeat periods is stalled."""
-
-START_METHOD = "spawn"
-
-
-class WorkerCrashed(RuntimeError):
-    """A worker process died before returning its shard's results."""
-
-
-class TaskFailed(RuntimeError):
-    """One or more tasks raised in workers; carries remote tracebacks.
-
-    ``index``/``remote_traceback`` describe the lowest failing task (the
-    deterministic primary); ``failures`` maps *every* failed task index
-    to its ``(message, remote_traceback)`` pair so multi-failure runs are
-    debuggable in one pass, and ``indices`` lists them sorted.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        message: str,
-        remote_traceback: str,
-        failures: dict[int, tuple[str, str]] | None = None,
-    ):
-        self.index = index
-        self.remote_traceback = remote_traceback
-        self.failures = dict(failures) if failures else {index: (message, remote_traceback)}
-        self.indices = sorted(self.failures)
-        text = (
-            f"task {index} failed in worker: {message}\n"
-            f"--- remote traceback ---\n{remote_traceback}"
-        )
-        others = [i for i in self.indices if i != index]
-        if others:
-            text += f"\n({len(self.indices)} tasks failed in total: {self.indices})"
-            for i in others:
-                other_message, _tb = self.failures[i]
-                text += f"\ntask {i} failed in worker: {other_message}"
-        super().__init__(text)
-
-
-def resolve_workers(workers: int | None, tasks: int) -> int:
-    """Clamp a worker-count request to something sensible."""
-    if workers is None or workers <= 1:
-        return 1
-    return max(1, min(workers, tasks))
-
-
-def _synth_frame(kind: str, pid: int, **extra) -> dict:
-    """A coordinator-side frame (stall/recovery/respawn bookkeeping)."""
-    frame = {
-        "kind": kind,
-        "pid": pid,
-        "seq": 0,
-        "ts_s": time.time(),
-        "task": None,
-        "label": "",
-        "done": 0,
-        "total": 0,
-    }
-    frame.update(extra)
-    return frame
 
 
 def _run_one(fn, payload) -> tuple[bool, object, str | None]:
@@ -110,39 +24,32 @@ def _run_one(fn, payload) -> tuple[bool, object, str | None]:
 
 
 def _worker_main(conn) -> None:
-    """Worker loop: receive (fn, shard, interval), run, reply; repeat.
+    """Worker loop: receive a shard, run it, reply; repeat until ``stop``.
 
-    Two dispatch forms:
-
-    * ``("run", fn, shard, interval)`` — the classic batch contract: one
-      final ``("done", results)`` message carries the whole shard.
-    * ``("run_each", fn, shard, interval, kill_before)`` — the supervised
-      contract (:class:`~repro.parallel.Supervisor`): each task's result
-      is sent eagerly as ``("result", (index, ok, value, remote_tb))``,
-      so the coordinator knows exactly which tasks completed if this
-      process dies mid-shard; an empty ``("done", [])`` marks the shard's
-      end.  ``kill_before`` is the fault-injection hook: the worker
-      SIGKILLs *itself* immediately before running any task listed there
-      (tests and the supervision-smoke CI job inject crashes this way).
+    A shard arrives as ``("run_each", fn, shard, interval, kill_before)``.
+    Each task's result is sent eagerly as ``("result", (index, ok,
+    value, remote_tb))``, so the coordinator knows exactly which tasks
+    completed if this process dies mid-shard; an empty ``("done", [])``
+    marks the shard's end.  ``kill_before`` is the fault-injection hook:
+    the worker SIGKILLs *itself* immediately before running any task
+    listed there (tests and the supervision-smoke CI job inject crashes
+    this way).
 
     With a stream interval set, zero or more ``("frame", dict)`` messages
     precede the final ``("done", ...)`` — the heartbeat thread is joined
-    before the done send, so no frame ever trails the results.
+    before the done send, so no frame ever trails the shard.
     """
     try:
         while True:
             message = conn.recv()
             if message[0] == "stop":
                 break
-            eager = message[0] == "run_each"
-            kill_before = frozenset(message[4]) if eager else frozenset()
-            _, fn, shard, interval_s = message[:4]
+            _, fn, shard, interval_s, kill_before = message
             sender = None
             if interval_s is not None:
                 from ..obs.stream import FrameSender
 
                 sender = FrameSender(conn, interval_s, total=len(shard))
-            results = []
             for index, payload in shard:
                 if index in kill_before:
                     if sender is not None:
@@ -153,208 +60,26 @@ def _worker_main(conn) -> None:
                 ok, value, remote_tb = _run_one(fn, payload)
                 if sender is not None:
                     sender.task_end(index, ok, value if ok else None)
-                if eager:
-                    try:
-                        conn.send(("result", (index, ok, value, remote_tb)))
-                    except (BrokenPipeError, EOFError, OSError):
-                        raise
-                    except Exception as exc:  # unpicklable result value
-                        conn.send(
+                try:
+                    conn.send(("result", (index, ok, value, remote_tb)))
+                except (BrokenPipeError, EOFError, OSError):
+                    raise
+                except Exception as exc:  # unpicklable result value
+                    conn.send(
+                        (
+                            "result",
                             (
-                                "result",
-                                (
-                                    index,
-                                    False,
-                                    f"result not picklable: {type(exc).__name__}: {exc}",
-                                    traceback.format_exc(),
-                                ),
-                            )
+                                index,
+                                False,
+                                f"result not picklable: {type(exc).__name__}: {exc}",
+                                traceback.format_exc(),
+                            ),
                         )
-                else:
-                    results.append((index, ok, value, remote_tb))
+                    )
             if sender is not None:
                 sender.close()
-            conn.send(("done", results))
+            conn.send(("done", []))
     except (EOFError, KeyboardInterrupt):  # parent went away / interrupt
         pass
     finally:
         conn.close()
-
-
-class WorkerPool:
-    """Persistent spawn-started workers with per-worker command pipes.
-
-    Use as a context manager::
-
-        with WorkerPool(4) as pool:
-            rows = pool.map(run_cell_task, tasks)
-
-    ``map`` may be called repeatedly; workers persist between calls, so
-    per-process state (module import cost, compile caches) is paid once.
-    """
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        ctx = mp.get_context(START_METHOD)
-        self._procs = []
-        self._conns = []
-        for i in range(workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn,),
-                name=f"repro-worker-{i}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
-    @property
-    def workers(self) -> int:
-        return len(self._procs)
-
-    @property
-    def pids(self) -> list[int]:
-        """The worker process ids, in worker order."""
-        return [proc.pid or 0 for proc in self._procs]
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def map(
-        self,
-        fn: Callable,
-        payloads: Sequence,
-        on_frame: Callable[[int, dict], None] | None = None,
-        stream_interval_s: float | None = None,
-    ) -> list:
-        """Run ``fn`` over ``payloads``; results in payload order.
-
-        ``fn`` must be a module-level callable (pickled by reference).
-        Task ``i`` always runs on worker ``i % workers``; within one
-        worker, its shard runs in ascending task order.  The first
-        failing task (lowest index) is re-raised as :class:`TaskFailed`.
-
-        With ``on_frame`` set, workers stream telemetry frames (see
-        :mod:`repro.obs.stream`) interleaved with their results;
-        ``on_frame(worker_id, frame)`` is invoked for each, on this
-        thread, in arrival order.  A streaming worker that stays silent
-        for ``STALL_INTERVALS`` heartbeat periods gets a synthesized
-        ``heartbeat_missed`` frame per further silent period — detection
-        only; the pool keeps waiting for its results.  Without
-        ``on_frame``, no frames are requested and workers send exactly
-        one results message, as before.
-        """
-        if not self._procs:
-            raise RuntimeError("pool is closed")
-        if on_frame is not None and stream_interval_s is None:
-            from ..obs.stream import DEFAULT_STREAM_INTERVAL_S
-
-            stream_interval_s = DEFAULT_STREAM_INTERVAL_S
-        interval = stream_interval_s if on_frame is not None else None
-
-        shards: list[list[tuple[int, object]]] = [[] for _ in self._procs]
-        for index, payload in enumerate(payloads):
-            shards[index % len(self._procs)].append((index, payload))
-
-        busy = []
-        for worker_id, shard in enumerate(shards):
-            if shard:
-                self._conns[worker_id].send(("run", fn, shard, interval))
-                busy.append(worker_id)
-
-        results: dict[int, object] = {}
-        failures: dict[int, tuple[str, str]] = {}
-        pending = set(busy)
-        by_conn = {self._conns[worker_id]: worker_id for worker_id in busy}
-        last_seen = {worker_id: time.monotonic() for worker_id in busy}
-        stalled: set[int] = set()
-        stall_after = (interval or 0.0) * STALL_INTERVALS
-        while pending:
-            conns = [self._conns[worker_id] for worker_id in sorted(pending)]
-            # Wake at heartbeat granularity when streaming, so one silent
-            # worker is flagged on time even while its siblings chatter.
-            ready = mp_connection.wait(
-                conns, timeout=interval if interval is not None else None
-            )
-            if interval is not None:
-                now = time.monotonic()
-                for worker_id in sorted(pending):
-                    if (
-                        self._conns[worker_id] not in (ready or ())
-                        and now - last_seen[worker_id] >= stall_after
-                    ):
-                        # One synthesized frame per further silent period.
-                        last_seen[worker_id] = now
-                        stalled.add(worker_id)
-                        on_frame(
-                            worker_id,
-                            _synth_frame(
-                                "heartbeat_missed", self._procs[worker_id].pid or 0
-                            ),
-                        )
-            if not ready:
-                continue
-            for conn in ready:
-                worker_id = by_conn[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, ConnectionResetError) as exc:
-                    shard_ids = [i for i, _ in shards[worker_id]]
-                    raise WorkerCrashed(
-                        f"worker {worker_id} died while running tasks {shard_ids} "
-                        f"({type(exc).__name__}); its results are lost"
-                    ) from exc
-                last_seen[worker_id] = time.monotonic()
-                if worker_id in stalled:
-                    # The worker resumed (e.g. SIGCONT): synthesize an
-                    # explicit recovery frame so live views clear the
-                    # STALLED row instead of sticking stale.
-                    stalled.discard(worker_id)
-                    if on_frame is not None:
-                        on_frame(
-                            worker_id,
-                            _synth_frame(
-                                "heartbeat_recovered", self._procs[worker_id].pid or 0
-                            ),
-                        )
-                tag = message[0]
-                if tag == "frame":
-                    if on_frame is not None:
-                        on_frame(worker_id, message[1])
-                    continue
-                pending.discard(worker_id)
-                for index, ok, value, remote_tb in message[1]:
-                    if ok:
-                        results[index] = value
-                    else:
-                        failures[index] = (value, remote_tb)
-
-        if failures:
-            first = min(failures)
-            message, remote_tb = failures[first]
-            raise TaskFailed(first, message, remote_tb, failures=failures)
-        return [results[i] for i in range(len(payloads))]
-
-    def close(self) -> None:
-        """Stop all workers (idempotent)."""
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
-        self._procs = []
-        self._conns = []

@@ -1,20 +1,27 @@
 """Self-healing worker supervision (docs/ROBUSTNESS.md, "Supervised execution").
 
-:class:`~repro.parallel.WorkerPool` is deliberately *loud*: a worker
-that dies mid-shard aborts the whole map with
-:class:`~repro.parallel.WorkerCrashed`, losing every sibling task's
-work.  That is the right contract for a benchmark harness and exactly
-the wrong one for long campaigns and controller runs, where ``--workers
-4`` must never be *less* reliable than ``--workers 1``.
-:class:`Supervisor` is the self-healing layer on top of the same worker
-processes:
+:class:`Supervisor` owns every worker process :mod:`repro.parallel`
+starts.  It runs work two ways:
 
-* **Death detection** — workers run the eager ``run_each`` protocol
-  (each task's result is sent the moment it finishes), and the
-  coordinator waits on pipes *and* process sentinels, so a SIGKILL, OOM,
-  or segfault is detected immediately and the coordinator knows exactly
-  which tasks the dead worker still owed: the in-flight task (head of
-  its queue) and its unstarted tail.
+* :meth:`Supervisor.run` / :meth:`Supervisor.map` — a batch fan-out with
+  deterministic sharding: task ``i`` starts on worker ``i % workers``,
+  so a task set replayed against a persistent supervisor lands on the
+  same workers every time and per-worker compile caches hit reliably.
+* :meth:`Supervisor.race` — a priority race: payloads start in priority
+  order, at most one per worker, each on the first worker that goes
+  idle; the race stops once a caller-supplied callback accepts the
+  report so far or a wall deadline passes, and workers still running a
+  payload are SIGKILLed.  The racing degradation ladder
+  (:func:`repro.planner.solve_robust` with ``workers > 1``) runs on it.
+
+Both share the recovery machinery, so ``--workers 4`` is never *less*
+reliable than ``--workers 1``:
+
+* **Death detection** — workers send each task's result the moment it
+  finishes, and the coordinator waits on pipes *and* process sentinels,
+  so a SIGKILL, OOM, or segfault is detected immediately and the
+  coordinator knows exactly which tasks the dead worker still owed: the
+  in-flight task (head of its queue) and its unstarted tail.
 * **Kill-and-respawn on stall** — with heartbeats flowing, a worker
   silent past the flag threshold (``STALL_INTERVALS`` periods) emits
   synthesized ``heartbeat_missed`` frames, and one silent past the
@@ -52,27 +59,92 @@ survives worker deaths returns **byte-identical** results to an
 undisturbed serial run (``tests/parallel/test_determinism.py`` kills a
 worker mid-campaign and diffs).
 
-Fault injection for tests and CI: ``run(..., inject_kill={k})`` makes
-the worker assigned task ``k`` SIGKILL *itself* immediately before
-running it, once — the requeued attempt runs clean.
+Fault injection for tests and CI: ``run(..., inject_kill={k})`` (and
+``race``) makes the worker assigned task ``k`` SIGKILL *itself*
+immediately before running it, once — the requeued attempt runs clean.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Callable, Sequence
 
-from .pool import STALL_INTERVALS, TaskFailed, _run_one, _synth_frame, _worker_main
+from .pool import _run_one, _worker_main
 
 __all__ = [
+    "START_METHOD",
     "Supervisor",
     "SupervisorConfig",
     "SupervisionReport",
     "SupervisionStats",
+    "TaskFailed",
     "TaskQuarantined",
+    "resolve_workers",
 ]
+
+START_METHOD = "spawn"
+
+STALL_INTERVALS = 4
+"""A streaming worker silent for this many heartbeat periods is stalled."""
+
+
+class TaskFailed(RuntimeError):
+    """One or more tasks raised in workers; carries remote tracebacks.
+
+    ``index``/``remote_traceback`` describe the lowest failing task (the
+    deterministic primary); ``failures`` maps *every* failed task index
+    to its ``(message, remote_traceback)`` pair so multi-failure runs are
+    debuggable in one pass, and ``indices`` lists them sorted.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        message: str,
+        remote_traceback: str,
+        failures: dict[int, tuple[str, str]] | None = None,
+    ):
+        self.index = index
+        self.remote_traceback = remote_traceback
+        self.failures = dict(failures) if failures else {index: (message, remote_traceback)}
+        self.indices = sorted(self.failures)
+        text = (
+            f"task {index} failed in worker: {message}\n"
+            f"--- remote traceback ---\n{remote_traceback}"
+        )
+        others = [i for i in self.indices if i != index]
+        if others:
+            text += f"\n({len(self.indices)} tasks failed in total: {self.indices})"
+            for i in others:
+                other_message, _tb = self.failures[i]
+                text += f"\ntask {i} failed in worker: {other_message}"
+        super().__init__(text)
+
+
+def resolve_workers(workers: int | None, tasks: int) -> int:
+    """Clamp a worker-count request to something sensible."""
+    if workers is None or workers <= 1:
+        return 1
+    return max(1, min(workers, tasks))
+
+
+def _synth_frame(kind: str, pid: int, **extra) -> dict:
+    """A coordinator-side frame (stall/recovery/respawn bookkeeping)."""
+    frame = {
+        "kind": kind,
+        "pid": pid,
+        "seq": 0,
+        "ts_s": time.time(),
+        "task": None,
+        "label": "",
+        "done": 0,
+        "total": 0,
+    }
+    frame.update(extra)
+    return frame
 
 
 @dataclass(frozen=True)
@@ -100,7 +172,7 @@ class SupervisorConfig:
     heartbeat_interval_s: float | None = None
     """Force worker heartbeats at this period even without a live frame
     consumer, enabling stall escalation on quiet runs.  ``None`` keeps
-    the pool contract: no frames unless a stream is attached."""
+    the default: no frames unless a stream is attached."""
 
 
 @dataclass(frozen=True)
@@ -142,18 +214,27 @@ class SupervisionReport:
     """The outcome of one supervised run.
 
     ``values[i]`` is task ``i``'s result, or ``None`` where the task
-    failed or was quarantined (look it up in ``failures`` /
-    ``quarantined``).
+    failed, was quarantined, or was cancelled (look it up in
+    ``failures`` / ``quarantined`` / ``cancelled``).
     """
 
     values: list
     failures: dict[int, tuple[str, str]] = field(default_factory=dict)
     quarantined: list[TaskQuarantined] = field(default_factory=list)
     stats: SupervisionStats = field(default_factory=SupervisionStats)
+    cancelled: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures and not self.quarantined
+
+    def settled(self, index: int) -> bool:
+        """Task ``index`` has a result, a failure, or a quarantine entry."""
+        return (
+            self.values[index] is not None
+            or index in self.failures
+            or any(q.index == index for q in self.quarantined)
+        )
 
     def raise_on_failure(self) -> list:
         """``values`` if everything succeeded, else :class:`TaskFailed`.
@@ -191,15 +272,17 @@ class _Slot:
 
 
 class Supervisor:
-    """Respawning, retrying, quarantining wrapper around worker processes.
+    """Persistent spawn-started workers with respawn, retry and quarantine.
 
-    Drop-in superset of :class:`~repro.parallel.WorkerPool`: ``map``
-    keeps the strict raise-on-failure contract (after recovery has been
-    attempted), ``run`` returns the full :class:`SupervisionReport`.
-    Workers persist across calls like the pool's, and tasks shard
-    deterministically (task ``i`` starts on worker ``i % workers``), so
-    warm per-worker compile caches behave identically — supervision only
-    changes what happens when a worker dies.
+    Use as a context manager::
+
+        with Supervisor(4) as sup:
+            rows = sup.map(run_cell_task, tasks)
+
+    ``map`` keeps the strict raise-on-failure contract (after recovery
+    has been attempted); ``run`` and ``race`` return the full
+    :class:`SupervisionReport`.  Workers persist across calls, so
+    per-process state (module import cost, compile caches) is paid once.
     """
 
     def __init__(
@@ -211,10 +294,6 @@ class Supervisor:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        import multiprocessing as mp
-
-        from .pool import START_METHOD
-
         self.config = config or SupervisorConfig()
         retry = self.config.retry
         if retry is None:
@@ -295,7 +374,7 @@ class Supervisor:
                 slot.conn = None
             slot.dead = True
 
-    # -- the pool-compatible strict surface ---------------------------------------
+    # -- the strict surface -------------------------------------------------------
 
     def map(
         self,
@@ -304,8 +383,8 @@ class Supervisor:
         on_frame: Callable[[int, dict], None] | None = None,
         stream_interval_s: float | None = None,
     ) -> list:
-        """Supervised ``WorkerPool.map``: recover first, raise only if a
-        task (not a worker) is beyond saving."""
+        """Results in payload order: recover first, raise
+        :class:`TaskFailed` only if a task (not a worker) is beyond saving."""
         return self.run(
             fn, payloads, on_frame=on_frame, stream_interval_s=stream_interval_s
         ).raise_on_failure()
@@ -329,34 +408,66 @@ class Supervisor:
         whose assigned worker SIGKILLs itself right before running them,
         once each — the fault-injection hook for tests and CI.
         """
-        if self._closed:
-            raise RuntimeError("supervisor is closed")
-        payload_list = list(payloads)
-        total = len(payload_list)
-        report = SupervisionReport(values=[None] * total)
-        if not total:
-            return report
-
         if on_frame is not None and stream_interval_s is None:
             from ..obs.stream import DEFAULT_STREAM_INTERVAL_S
 
             stream_interval_s = DEFAULT_STREAM_INTERVAL_S
-        interval = (
-            stream_interval_s
-            if on_frame is not None
-            else self.config.heartbeat_interval_s
-        )
-
-        state = _RunState(
-            supervisor=self,
-            fn=fn,
-            payloads=payload_list,
-            report=report,
+        return self._execute(
+            fn,
+            payloads,
+            inject_kill,
+            interval=(
+                stream_interval_s
+                if on_frame is not None
+                else self.config.heartbeat_interval_s
+            ),
             on_frame=on_frame,
             on_result=on_result,
-            interval=interval,
-            kill_pending=set(inject_kill),
         )
+
+    def race(
+        self,
+        fn: Callable,
+        payloads: Sequence,
+        accept: Callable[[SupervisionReport], bool],
+        deadline_s: float | None = None,
+        inject_kill: Sequence[int] = (),
+    ) -> SupervisionReport:
+        """Race ``payloads`` in priority order (index 0 is best).
+
+        At most one payload runs per worker, and the next unstarted
+        payload starts on the first worker that goes idle — no static
+        sharding.  ``accept(report)`` is consulted each time a payload
+        settles (result, failure, or quarantine); the race stops when it
+        returns true, when every payload has settled, or ``deadline_s``
+        seconds after the call.  Stopping SIGKILLs the workers still
+        running a payload (they are respawned lazily, by the next call)
+        and lists every unsettled payload in ``report.cancelled``.
+        Crashed payloads get the same retry, poison quarantine and
+        respawn treatment as in :meth:`run`.
+        """
+        return self._execute(
+            fn,
+            payloads,
+            inject_kill,
+            interval=self.config.heartbeat_interval_s,
+            accept=accept,
+            deadline=None if deadline_s is None else time.monotonic() + deadline_s,
+        )
+
+    def _execute(
+        self, fn: Callable, payloads: Sequence, inject_kill: Sequence[int], **options
+    ) -> SupervisionReport:
+        if self._closed:
+            raise RuntimeError("supervisor is closed")
+        payload_list = list(payloads)
+        report = SupervisionReport(values=[None] * len(payload_list))
+        if not payload_list:
+            return report
+        for slot_id, slot in enumerate(self._slots):
+            if slot.proc is None and not slot.dead:
+                self._spawn(slot_id)  # killed as a race loser
+        state = _RunState(self, fn, payload_list, report, set(inject_kill), **options)
         state.dispatch_initial()
         state.loop()
         return report
@@ -375,11 +486,13 @@ class Supervisor:
 
 
 class _RunState:
-    """The per-``run()`` recovery state machine.
+    """The per-``run()``/``race()`` recovery state machine.
 
     Kept separate from :class:`Supervisor` so a supervisor reused across
     batches (the controller) never leaks one run's task bookkeeping into
-    the next.
+    the next.  With ``accept`` set it runs a race: ``pending`` holds the
+    unstarted task indices in priority order, handed out one per idle
+    worker.
     """
 
     def __init__(
@@ -388,10 +501,12 @@ class _RunState:
         fn,
         payloads: list,
         report: SupervisionReport,
-        on_frame,
-        on_result,
-        interval: float | None,
         kill_pending: set[int],
+        interval: float | None,
+        on_frame=None,
+        on_result=None,
+        accept=None,
+        deadline: float | None = None,
     ):
         self.sup = supervisor
         self.fn = fn
@@ -401,6 +516,10 @@ class _RunState:
         self.on_result = on_result
         self.interval = interval
         self.kill_pending = kill_pending
+        self.accept = accept
+        self.deadline = deadline
+        self.pending = list(range(len(payloads))) if accept is not None else None
+        self.stopped = False
         self.attempts: dict[int, int] = {}
         self.kills: dict[int, int] = {}
         self.stall_after = (interval or 0.0) * STALL_INTERVALS
@@ -427,6 +546,8 @@ class _RunState:
         if not live:
             self._run_inprocess(list(range(len(self.payloads))))
             return
+        if self.pending is not None:
+            return  # a race: the loop hands payloads to idle workers
         shards: dict[int, list[int]] = {}
         width = self.sup.workers
         for index in range(len(self.payloads)):
@@ -456,6 +577,31 @@ class _RunState:
         slot.queued.extend(indices)
         slot.last_seen = time.monotonic()
 
+    def _fill_idle(self) -> None:
+        """Race: start the best unstarted payloads on idle workers."""
+        for slot_id in self.sup.live_slots():
+            if self.pending and not self.sup._slots[slot_id].queued:
+                self._send(slot_id, [self.pending.pop(0)])
+
+    def _check_accept(self) -> None:
+        if self.accept is not None and not self.stopped and self.accept(self.report):
+            self._stop()
+
+    def _stop(self) -> None:
+        """Race: kill workers still running a payload, cancel the rest."""
+        self.stopped = True
+        self.pending = []
+        for slot in self.sup._slots:
+            if slot.queued and slot.proc is not None:
+                slot.proc.kill()
+                slot.proc.join()
+                slot.conn.close()
+                slot.proc = slot.conn = None
+            slot.queued = []
+        self.report.cancelled = [
+            i for i in range(len(self.payloads)) if not self.report.settled(i)
+        ]
+
     # -- completion bookkeeping ------------------------------------------------------
 
     def _settled(self) -> int:
@@ -472,6 +618,7 @@ class _RunState:
                 self.on_result(index, value)
         else:
             self.report.failures[index] = (value, remote_tb)
+        self._check_accept()
 
     def _quarantine(self, index: int, reason: str) -> None:
         entry = TaskQuarantined(
@@ -485,12 +632,15 @@ class _RunState:
         self.report.stats.quarantined += 1
         self.sup._inc("pool.task.quarantined")
         self._frame("task_quarantined", 0, task=index, label=entry.label)
+        self._check_accept()
 
     # -- the event loop ----------------------------------------------------------------
 
     def loop(self) -> None:
         total = len(self.payloads)
-        while self._settled() < total:
+        while self._settled() < total and not self.stopped:
+            if self.pending:
+                self._fill_idle()
             busy = [
                 slot_id
                 for slot_id, slot in enumerate(self.sup._slots)
@@ -499,28 +649,28 @@ class _RunState:
             if not busy:
                 # Nothing in flight but tasks unsettled: every owner died
                 # without a live successor — run the remainder here.
-                remaining = [
-                    i
-                    for i in range(total)
-                    if self.report.values[i] is None
-                    and i not in self.report.failures
-                    and not any(q.index == i for q in self.report.quarantined)
-                ]
-                self._run_inprocess(remaining)
+                self._run_inprocess(
+                    [i for i in range(total) if not self.report.settled(i)]
+                )
                 return
             waitables: dict[object, tuple[str, int]] = {}
             for slot_id in busy:
                 slot = self.sup._slots[slot_id]
                 waitables[slot.conn] = ("conn", slot_id)
                 waitables[slot.proc.sentinel] = ("sentinel", slot_id)
-            ready = mp_connection.wait(
-                list(waitables), timeout=self.interval if self.interval else None
-            )
+            timeout = self.interval or None
+            if self.deadline is not None:
+                left = self.deadline - time.monotonic()
+                if left <= 0:
+                    self._stop()
+                    return
+                timeout = left if timeout is None else min(timeout, left)
+            ready = mp_connection.wait(list(waitables), timeout=timeout)
             self._check_stalls(busy, ready or ())
             handled_death: set[int] = set()
             for obj in ready or ():
                 kind, slot_id = waitables[obj]
-                if slot_id in handled_death:
+                if slot_id in handled_death or self.stopped:
                     continue
                 slot = self.sup._slots[slot_id]
                 if kind == "sentinel" or slot.conn is not obj:
@@ -599,7 +749,7 @@ class _RunState:
         """
         slot = self.sup._slots[slot_id]
         try:
-            while slot.conn.poll():
+            while slot.conn is not None and slot.conn.poll():
                 self._on_message(slot_id, slot.conn.recv())
         except (EOFError, ConnectionResetError, OSError):
             pass
@@ -647,6 +797,13 @@ class _RunState:
                 )
                 remaining.insert(0, head)
 
+        if self.stopped:
+            return  # the race is over; the slot respawns on the next call
+        if self.pending is not None:
+            # Race: requeued payloads wait their turn by priority; the
+            # loop hands them to the next idle worker.
+            self.pending = sorted(self.pending + remaining)
+            remaining = []
         if sup._respawn_budget_left():
             sup._take_respawn()
             telemetry = sup._telemetry
@@ -702,6 +859,8 @@ class _RunState:
         quarantined rather than risked inside the coordinator.
         """
         for index in indices:
+            if self.stopped:
+                return
             if self.kills.get(index, 0) > 0:
                 self._quarantine(
                     index, "killed a worker; refusing in-process retry"

@@ -1,7 +1,7 @@
-"""Module-level worker task functions for the process pool.
+"""Module-level worker task functions for supervised worker processes.
 
 Spawn-started workers pickle task functions *by reference*, so
-everything a :class:`~repro.parallel.WorkerPool` runs lives here as a
+everything a :class:`~repro.parallel.Supervisor` runs lives here as a
 plain module-level function taking one pickleable payload dataclass and
 returning one pickleable result dataclass.  Each task builds its own
 :class:`~repro.obs.Telemetry` (when asked) and returns a
@@ -18,6 +18,7 @@ counters ride home in the snapshot.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext as _noop
 from dataclasses import dataclass, field, replace
 
@@ -39,6 +40,9 @@ __all__ = [
     "DomainTask",
     "DomainResult",
     "run_domain_task",
+    "RungJob",
+    "RungOutcome",
+    "run_rung_task",
 ]
 
 
@@ -319,3 +323,63 @@ def run_repair_task(task: RepairTask) -> RepairOutcome:
         compile_cache=default_compile_cache() if task.use_cache else None,
     )
     return replace(outcome, metrics=MetricsSnapshot.from_telemetry(telemetry))
+
+
+# -- degradation-ladder rungs (solve_robust racing) -----------------------------
+
+
+@dataclass(frozen=True)
+class RungJob:
+    """One racing rung: its name, leveling, and planner configuration."""
+
+    rung: str
+    app: AppSpec
+    network: Network
+    leveling: Leveling | None
+    config: object  # PlannerConfig with telemetry stripped
+    with_metrics: bool = False
+    trace: TraceContext | None = None
+
+
+@dataclass(frozen=True)
+class RungOutcome:
+    """One rung's solve: a plan, or the planner error that ended it."""
+
+    rung: str
+    plan: PlanEnvelope | None = None
+    error_type: str = ""
+    detail: str = ""
+    elapsed_s: float = 0.0
+    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
+
+
+def run_rung_task(job: RungJob) -> RungOutcome:
+    """Solve one ladder rung in this worker; planner errors come back as data."""
+    from ..obs import Telemetry
+    from ..planner import Planner, ResourceInfeasible, SearchBudgetExceeded, Unsolvable
+
+    telemetry = Telemetry(context=job.trace) if job.with_metrics else None
+    config = replace(job.config, leveling=job.leveling, telemetry=telemetry)
+    if config.hierarchy is not None:
+        # Supervisor workers are daemonic and cannot start a nested
+        # supervisor; domain plans are byte-identical at any width.
+        config = replace(config, hierarchy=replace(config.hierarchy, workers=1))
+    t0 = time.perf_counter()
+    try:
+        plan = Planner(config).solve(job.app, job.network)
+    except (SearchBudgetExceeded, Unsolvable, ResourceInfeasible) as exc:
+        return RungOutcome(
+            rung=job.rung,
+            error_type=type(exc).__name__,
+            detail=str(exc).splitlines()[0],
+            elapsed_s=time.perf_counter() - t0,
+            metrics=MetricsSnapshot.from_telemetry(telemetry),
+        )
+    return RungOutcome(
+        rung=job.rung,
+        plan=PlanEnvelope.from_plan(plan),
+        detail=f"{len(plan.actions)} actions, cost lower bound {plan.cost_lb:g}"
+        + (" (incumbent)" if plan.incumbent else ""),
+        elapsed_s=time.perf_counter() - t0,
+        metrics=MetricsSnapshot.from_telemetry(telemetry),
+    )

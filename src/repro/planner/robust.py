@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 from ..model import AppSpec, Leveling, LevelSpec
 from ..network import Network
-from ..obs import Telemetry
+from ..obs import Telemetry, maybe_span
 from .errors import ResourceInfeasible, SearchBudgetExceeded, Unsolvable
 from .plan import Plan
 from .planner import Planner, PlannerConfig
@@ -160,11 +160,12 @@ def solve_robust(
         ``config.telemetry``).
     workers:
         ``1`` (the default) walks the ladder sequentially exactly as
-        before.  ``> 1`` races the rungs in that many processes instead
-        (:mod:`repro.parallel.race`): every rung gets the *whole* time
-        budget, the best rung that succeeds wins, and the losers are
-        cancelled.  Same acceptance semantics — a lower rung's plan is
-        only taken once every higher rung has failed — so the two modes
+        before.  ``> 1`` races the rungs on that many supervised worker
+        processes instead (:meth:`repro.parallel.Supervisor.race`): every
+        rung gets the *whole* time budget, the best rung that succeeds
+        wins, and the losers are killed.  Same acceptance semantics — a
+        lower rung's plan is only taken once every higher rung has
+        failed — so the two modes
         differ only in wall clock and, under deadline pressure, in which
         rung wins (always recorded in ``SolveOutcome.rung``).
 
@@ -275,6 +276,36 @@ class _LadderStop(Exception):
     """Internal: a rung failed in a way no lower rung can fix."""
 
 
+_FATAL = ("Unsolvable", "ResourceInfeasible")
+_RACE_GRACE_S = 2.0  # race wall clock past the budget, for rung self-deadlines
+
+
+def _fatal_rung(report):
+    """The first rung outcome that proves no rung can succeed, if any."""
+    return next(
+        (r for r in report.values if r is not None and r.error_type in _FATAL), None
+    )
+
+
+def _race_decided(report) -> bool:
+    """The racing ladder's acceptance policy (a ``Supervisor.race`` callback).
+
+    Stop as soon as any rung proves that no rung can succeed
+    (``Unsolvable``/``ResourceInfeasible``, as in the sequential walk) or
+    raises.  Otherwise a rung's plan is accepted only once every better
+    rung has failed — a greedy plan arriving first never preempts a full
+    solve that is still running.
+    """
+    if report.failures or _fatal_rung(report) is not None:
+        return True
+    for index, res in enumerate(report.values):
+        if not report.settled(index):
+            return False
+        if res is not None and res.plan is not None:
+            return True
+    return False
+
+
 def _solve_robust_racing(
     app: AppSpec,
     network: Network,
@@ -284,19 +315,25 @@ def _solve_robust_racing(
     telemetry: Telemetry | None,
     workers: int,
 ) -> SolveOutcome:
-    """Race the ladder rungs across processes (``solve_robust(workers>1)``).
+    """Race the ladder rungs on a supervisor (``solve_robust(workers>1)``).
 
-    Each rung runs in its own process with the whole time budget; the
-    race accepts the best rung that succeeds (see
-    :func:`repro.parallel.race.race_rungs` for the acceptance policy).
-    The winner's plan travels home as a :class:`~repro.parallel.PlanEnvelope`
-    and is rebound to a problem compiled in the parent through the
-    warm-start cache; only the winner's worker metrics are merged (the
-    losers' work was cancelled, so counting it would misstate the cost
-    of the returned plan).
+    Each rung is one payload of :meth:`~repro.parallel.Supervisor.race`,
+    in priority order, with the whole time budget; :func:`_race_decided`
+    is the acceptance policy, and the race gives up ``_RACE_GRACE_S``
+    past the budget.  A crashing rung is retried and, as poison,
+    quarantined by the supervisor.  The winner's plan travels home as a
+    :class:`~repro.parallel.PlanEnvelope` and is rebound to a problem
+    compiled in the parent through the warm-start cache; only the
+    winner's worker metrics are merged (the losers' work was cancelled,
+    so counting it would misstate the cost of the returned plan).
     """
-    from ..parallel.cache import default_compile_cache
-    from ..parallel.race import RungJob, race_rungs
+    from ..parallel import (
+        RungJob,
+        Supervisor,
+        default_compile_cache,
+        resolve_workers,
+        run_rung_task,
+    )
 
     metrics = telemetry.metrics if telemetry is not None else None
     # Each racing rung gets the whole budget and runs in anytime mode, so
@@ -304,86 +341,78 @@ def _solve_robust_racing(
     child_config = replace(
         base, time_limit_s=time_limit_s, anytime=True, telemetry=None
     )
-    jobs = [
-        RungJob(
-            rung="full",
-            app=app,
-            network=network,
-            leveling=leveling,
-            config=child_config,
-            with_metrics=metrics is not None,
-        )
-    ]
+    rungs = [("full", leveling)]
     coarse = coarsen_leveling(leveling) if leveling is not None else None
     if coarse is not None:
-        jobs.append(
+        rungs.append(("coarsened", coarse))
+    rungs.append(("greedy", Leveling({}, name="greedy-trivial")))
+
+    # Dispatch span: racing rungs inherit its context, so the winner's
+    # remote spans stitch under it in the merged trace.
+    with maybe_span(telemetry, "robust.race", workers=workers, rungs=len(rungs)):
+        trace = telemetry.current_context() if telemetry is not None else None
+        jobs = [
             RungJob(
-                rung="coarsened",
+                rung=rung,
                 app=app,
                 network=network,
-                leveling=coarse,
+                leveling=lev,
                 config=child_config,
                 with_metrics=metrics is not None,
+                trace=trace,
             )
-        )
-    jobs.append(
-        RungJob(
-            rung="greedy",
-            app=app,
-            network=network,
-            leveling=Leveling({}, name="greedy-trivial"),
-            config=child_config,
-            with_metrics=metrics is not None,
-        )
+            for rung, lev in rungs
+        ]
+        with Supervisor(
+            resolve_workers(workers, len(jobs)), telemetry=telemetry
+        ) as sup:
+            report = sup.race(
+                run_rung_task,
+                jobs,
+                accept=_race_decided,
+                deadline_s=(
+                    time_limit_s + _RACE_GRACE_S if time_limit_s is not None else None
+                ),
+            )
+    if report.failures:  # a rung raised: a bug, not a planner verdict
+        report.raise_on_failure()
+
+    fatal = _fatal_rung(report)
+    winner = None if fatal else next(
+        (r for r in report.values if r is not None and r.plan is not None), None
     )
-    leveling_of = {job.rung: job.leveling for job in jobs}
-
-    if telemetry is not None:
-        # Dispatch span: racing rungs inherit its context, so the
-        # winner's remote spans stitch under it in the merged trace.
-        with telemetry.span("robust.race", workers=workers, rungs=len(jobs)):
-            ctx = telemetry.current_context()
-            jobs = [replace(job, trace=ctx) for job in jobs]
-            winner, raced = race_rungs(jobs, workers=workers, time_limit_s=time_limit_s)
+    if winner is not None:
+        cancelled = f"lost race to {winner.rung}"
+    elif fatal is not None:
+        cancelled = f"aborted: {fatal.rung} is {fatal.error_type}"
     else:
-        winner, raced = race_rungs(jobs, workers=workers, time_limit_s=time_limit_s)
-
+        cancelled = "race deadline expired"
+    quarantined = {q.index: q.reason for q in report.quarantined}
     outcome = SolveOutcome(plan=None)
-    for res in raced:
-        if res.status == "ok":
+    for index, job in enumerate(jobs):
+        res = report.values[index]
+        if res is not None:
+            counter = "attempt"
             attempt = RungAttempt(
-                rung=res.rung, succeeded=True, detail=res.detail,
-                elapsed_s=res.elapsed_s,
+                job.rung, res.plan is not None, res.detail, res.error_type, res.elapsed_s
             )
-        elif res.status == "error":
-            attempt = RungAttempt(
-                rung=res.rung, succeeded=False, detail=res.detail,
-                error_type=res.error_type, elapsed_s=res.elapsed_s,
-            )
-        elif res.status == "crashed":
-            attempt = RungAttempt(
-                rung=res.rung, succeeded=False, detail=res.detail,
-                error_type="WorkerCrashed", elapsed_s=res.elapsed_s,
-            )
-        else:  # cancelled (race lost / aborted / never started)
-            attempt = RungAttempt(
-                rung=res.rung, succeeded=False, detail=res.detail,
-                error_type="Cancelled", elapsed_s=res.elapsed_s,
-            )
+        elif index in quarantined:
+            counter = ""
+            attempt = RungAttempt(job.rung, False, quarantined[index], "Quarantined")
+        else:
+            counter = "cancelled"
+            attempt = RungAttempt(job.rung, False, cancelled, "Cancelled")
         outcome.attempts.append(attempt)
-        if metrics is not None:
-            if res.status in ("ok", "error"):
-                metrics.inc(f"robust.attempt.{res.rung}")
-            elif res.status == "cancelled":
-                metrics.inc(f"robust.cancelled.{res.rung}")
+        if metrics is not None and counter:
+            metrics.inc(f"robust.{counter}.{job.rung}")
 
-    if winner is None or winner.plan is None:
+    if winner is None:
         if metrics is not None:
             metrics.inc("robust.failed")
         return outcome
 
     problem = default_compile_cache().compile(
-        app, network, leveling_of[winner.rung], metrics=metrics
+        app, network, dict(rungs)[winner.rung], metrics=metrics
     )
     plan = winner.plan.restore(problem)
     outcome.plan = plan
@@ -392,7 +421,6 @@ def _solve_robust_racing(
     )
     if metrics is not None:
         metrics.inc(f"robust.fallback.{outcome.rung}")
-        if winner.metrics is not None:
-            telemetry.stitch_snapshot(winner.metrics)
-            winner.metrics.merge_into(metrics)
+        telemetry.stitch_snapshot(winner.metrics)
+        winner.metrics.merge_into(metrics)
     return outcome

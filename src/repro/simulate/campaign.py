@@ -6,7 +6,7 @@ same logic serves three callers identically:
 
 * the CLI (single run, stdout record),
 * :func:`run_campaign` (multi-seed sweeps, serial or fanned out over a
-  :class:`~repro.parallel.WorkerPool`, one run per task),
+  :class:`~repro.parallel.Supervisor`, one run per task),
 * :func:`repro.parallel.workers.run_campaign_task` (the worker-side
   entry point of that fan-out).
 

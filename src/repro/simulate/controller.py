@@ -11,7 +11,7 @@ controller takes to get a member from "broken" back to "running".
 application instances (:func:`replicate_apps`).  After each event, every
 member is repaired — through :func:`repro.planner.repair_by_names`, so a
 member's deployment travels as a tuple of ground-action names — either
-inline or fanned out over a :class:`~repro.parallel.WorkerPool` as
+inline or fanned out over a :class:`~repro.parallel.Supervisor` as
 :class:`~repro.parallel.RepairTask` payloads.  Deterministic task→worker
 sharding pins each member to one worker, so that worker's compile cache
 always holds the member's previous network state: exactly the base the

@@ -18,7 +18,7 @@ import pytest
 from repro.experiments.harness import run_table2
 from repro.obs import StreamAggregator, Telemetry, export_trace, load_trace
 from repro.obs.context import REMOTE_ID_BASE
-from repro.parallel import CellTask, WorkerPool, run_cell_task
+from repro.parallel import CellTask, Supervisor, run_cell_task
 
 pytestmark = pytest.mark.slow  # spawns real worker processes
 
@@ -52,7 +52,7 @@ class TestStitchedSweep:
     def test_worker_lanes_cover_real_child_pids(self, traced_sweep):
         telemetry, _ = traced_sweep
         pids = {sp.pid for sp in telemetry.remote_spans}
-        assert 1 <= len(pids) <= 2  # 2 workers requested; pool may balance
+        assert 1 <= len(pids) <= 2  # 2 workers requested; sharding may balance
         assert os.getpid() not in pids
 
     def test_chrome_round_trip_preserves_lanes_and_parenting(
@@ -133,8 +133,8 @@ def _freeze(_payload) -> str:
 class TestPoolStreaming:
     def test_frames_arrive_and_fold(self):
         agg = StreamAggregator()
-        with WorkerPool(2) as pool:
-            results = pool.map(
+        with Supervisor(2) as sup:
+            results = sup.map(
                 _sleepy, [0.01, 0.01, 0.01, 0.01],
                 on_frame=agg.on_frame, stream_interval_s=0.05,
             )
@@ -143,8 +143,8 @@ class TestPoolStreaming:
         assert len(agg.workers) >= 1  # at least one worker reported
 
     def test_no_on_frame_means_no_streaming(self):
-        with WorkerPool(2) as pool:
-            results = pool.map(_sleepy, [0.0, 0.0])
+        with Supervisor(2) as sup:
+            results = sup.map(_sleepy, [0.0, 0.0])
         assert results == [0.0, 0.0]
 
     def test_stalled_worker_synthesizes_heartbeat_missed(self):
@@ -157,8 +157,8 @@ class TestPoolStreaming:
             if frame["kind"] == "heartbeat_missed" and frame["pid"]:
                 os.kill(frame["pid"], signal.SIGCONT)
 
-        with WorkerPool(1) as pool:
-            results = pool.map(
+        with Supervisor(1) as sup:
+            results = sup.map(
                 _freeze, [None], on_frame=on_frame, stream_interval_s=0.05
             )
         assert results == ["thawed"]

@@ -1,99 +1,33 @@
-"""Tests for the spawn-safe worker pool.
+"""The original worker-pool contract, held by :meth:`Supervisor.map`.
 
-Task functions live at module level (spawn pickles them by reference),
-so the helpers here double as a check that the test package itself is
-importable from a cold worker process — exactly what real task functions
-must guarantee.
+``Supervisor.map`` is the strict, pool-shaped surface: results in
+payload order, an empty payload list is fine, and a closed manager
+refuses work.  Task functions live at module level (spawn pickles them
+by reference), so the helpers here double as a check that the test
+package itself is importable from a cold worker process.
 """
-
-import os
 
 import pytest
 
-from repro.parallel import TaskFailed, WorkerCrashed, WorkerPool, resolve_workers
+from repro.parallel import Supervisor
 
-
-# -- module-level task functions (spawn requirement) ---------------------------
 
 def square(x):
     return x * x
 
 
-def whoami(x):
-    return (x, os.getpid())
-
-
-def fail_on_odd(x):
-    if x % 2 == 1:
-        raise ValueError(f"odd input {x}")
-    return x
-
-
-def boom(_x):
-    os._exit(13)  # simulate a hard crash (no exception, no reply)
-
-
-class TestResolveWorkers:
-    def test_serial_requests_stay_serial(self):
-        assert resolve_workers(None, 10) == 1
-        assert resolve_workers(1, 10) == 1
-        assert resolve_workers(0, 10) == 1
-        assert resolve_workers(-3, 10) == 1
-
-    def test_clamped_to_task_count(self):
-        assert resolve_workers(8, 3) == 3
-        assert resolve_workers(2, 3) == 2
-
-
 class TestWorkerPool:
     def test_map_preserves_payload_order(self):
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             assert pool.map(square, list(range(10))) == [x * x for x in range(10)]
 
-    def test_deterministic_sharding(self):
-        """Task i runs on worker i % W — the same worker every time."""
-        with WorkerPool(2) as pool:
-            first = pool.map(whoami, list(range(6)))
-            second = pool.map(whoami, list(range(6)))
-        pids = {pid for _, pid in first}
-        assert len(pids) == 2
-        # identical task->pid assignment across repeated maps
-        assert first == second
-        # the i % W rule itself
-        by_worker = {}
-        for i, pid in first:
-            by_worker.setdefault(i % 2, set()).add(pid)
-        assert all(len(s) == 1 for s in by_worker.values())
-
-    def test_task_failure_carries_remote_traceback(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(TaskFailed) as err:
-                pool.map(fail_on_odd, [0, 2, 3, 5])
-            # lowest-index failure wins deterministically
-            assert err.value.index == 2
-            assert "odd input 3" in str(err.value)
-            assert "remote traceback" in str(err.value)
-            assert "ValueError" in err.value.remote_traceback
-            # the pool survives a task failure
-            assert pool.map(square, [4]) == [16]
-
-    def test_worker_crash_is_loud(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(WorkerCrashed) as err:
-                pool.map(boom, [0])
-            assert "worker 0" in str(err.value)
-
     def test_closed_pool_refuses_work(self):
-        pool = WorkerPool(1)
+        pool = Supervisor(1)
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(square, [1])
 
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0)
-
     def test_empty_payload_list(self):
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             assert pool.map(square, []) == []

@@ -1,9 +1,12 @@
-"""Supervisor behavior: death detection, respawn, retry, quarantine, fallback.
+"""Supervisor behavior: sharding, death detection, respawn, retry,
+quarantine, fallback, and the priority race.
 
 These tests spawn real worker processes and really SIGKILL them, so the
 module is marked slow like the rest of the parallel suite.  Task
 functions live at module level (spawn workers import this module by
-name, like ``test_pool``).
+name), which doubles as a check that the test package itself is
+importable from a cold worker process — exactly what real task
+functions must guarantee.
 """
 
 import os
@@ -18,6 +21,7 @@ from repro.parallel import (
     SupervisorConfig,
     TaskFailed,
     TaskQuarantined,
+    resolve_workers,
 )
 from repro.simulate import RetryPolicy
 
@@ -55,6 +59,54 @@ def slow_echo(x):
     return x
 
 
+def whoami(x):
+    return (x, os.getpid())
+
+
+def sleep_then(payload):
+    """Sleep, then report (value, worker pid, wall-clock finish time)."""
+    seconds, value = payload
+    time.sleep(seconds)
+    return (value, os.getpid(), time.time())
+
+
+def pid_then_sleep(payload):
+    """Record this worker's pid in a file, then sleep."""
+    path, seconds = payload
+    with open(path, "w") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(seconds)
+    return seconds
+
+
+def die_on_zero(x):
+    if x == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def best_first(report):
+    """Accept the best settled result once every better payload failed."""
+    for index, value in enumerate(report.values):
+        if not report.settled(index):
+            return False
+        if value is not None:
+            return True
+    return False
+
+
+class TestResolveWorkers:
+    def test_serial_requests_stay_serial(self):
+        assert resolve_workers(None, 10) == 1
+        assert resolve_workers(1, 10) == 1
+        assert resolve_workers(0, 10) == 1
+        assert resolve_workers(-3, 10) == 1
+
+    def test_clamped_to_task_count(self):
+        assert resolve_workers(8, 3) == 3
+        assert resolve_workers(2, 3) == 2
+
+
 class TestHealthyRuns:
     def test_run_returns_values_in_task_order(self):
         with Supervisor(3) as sup:
@@ -79,6 +131,29 @@ class TestHealthyRuns:
     def test_empty_payloads(self):
         with Supervisor(2) as sup:
             assert sup.run(square, []).values == []
+
+    def test_deterministic_sharding(self):
+        """Task i runs on worker i % W — the same worker pid every run."""
+        with Supervisor(2) as sup:
+            first = sup.map(whoami, list(range(6)))
+            second = sup.map(whoami, list(range(6)))
+        assert len({pid for _, pid in first}) == 2
+        assert first == second
+        by_worker = {}
+        for i, pid in first:
+            by_worker.setdefault(i % 2, set()).add(pid)
+        assert all(len(pids) == 1 for pids in by_worker.values())
+
+    def test_task_failure_carries_remote_traceback(self):
+        with Supervisor(2) as sup:
+            with pytest.raises(TaskFailed) as err:
+                sup.map(boom_on_odd, [0, 2, 3, 5])
+            assert err.value.index == 2
+            assert "remote traceback" in str(err.value)
+            assert "ValueError" in err.value.remote_traceback
+            # a task failure is not a worker failure
+            assert sup.map(square, [4]) == [16]
+            assert sup.run(square, [1]).stats.respawns == 0
 
 
 class TestKillAndRespawn:
@@ -230,3 +305,79 @@ class TestLifecycle:
         with Supervisor(2) as sup:
             pids = sup.pids
             assert len(pids) == 2 and all(p > 0 for p in pids)
+
+    def test_invalid_worker_count(self):
+        with pytest.raises(ValueError):
+            Supervisor(0)
+
+
+class TestRace:
+    def test_lower_priority_result_waits_for_the_better_payload(self):
+        seen = []
+
+        def accept(report):
+            seen.append(list(report.values))
+            return best_first(report)
+
+        with Supervisor(2) as sup:
+            report = sup.race(sleep_then, [(1.0, "best"), (0.0, "worse")], accept)
+        assert report.values[0][0] == "best"
+        assert report.cancelled == []
+        # "worse" settled first and was not accepted on its own.
+        assert seen[0][0] is None and seen[0][1][0] == "worse"
+
+    def test_running_loser_is_killed_at_acceptance(self, tmp_path):
+        loser = tmp_path / "loser.pid"
+        t0 = time.monotonic()
+        with Supervisor(2) as sup:
+            report = sup.race(
+                pid_then_sleep,
+                [(str(tmp_path / "winner.pid"), 1.0), (str(loser), 30.0)],
+                best_first,
+            )
+            assert report.values[0] == 1.0
+            assert report.cancelled == [1]
+        assert time.monotonic() - t0 < 5.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(loser.read_text()), 0)
+
+    def test_killed_loser_slot_serves_the_next_call(self):
+        with Supervisor(2) as sup:
+            first = sup.race(sleep_then, [(0.0, "a"), (30.0, "b")], best_first)
+            assert first.cancelled == [1]
+            assert sup.map(square, [1, 2, 3, 4]) == [1, 4, 9, 16]
+            assert all(pid > 0 for pid in sup.pids)
+
+    def test_deadline_cancels_everything_in_flight(self):
+        with Supervisor(2) as sup:
+            t0 = time.monotonic()
+            report = sup.race(
+                sleep_then, [(30.0, 0), (30.0, 1), (30.0, 2)], best_first,
+                deadline_s=0.5,
+            )
+        assert time.monotonic() - t0 < 5.0  # in-flight workers were killed
+        assert report.cancelled == [0, 1, 2]
+        assert report.values == [None, None, None]
+
+    def test_poison_payload_is_quarantined_and_next_result_wins(self):
+        telemetry = Telemetry()
+        with Supervisor(2, telemetry=telemetry) as sup:
+            report = sup.race(die_on_zero, [0, 1, 2], best_first)
+        assert [q.index for q in report.quarantined] == [0]
+        assert report.quarantined[0].workers_killed == 2
+        assert report.values[1] == 1
+        assert telemetry.metrics.counter("pool.task.retried").value == 1
+        assert telemetry.metrics.counter("pool.task.quarantined").value == 1
+
+    def test_next_payload_starts_on_the_first_idle_worker(self):
+        with Supervisor(2) as sup:
+            report = sup.race(
+                sleep_then,
+                [(2.0, "slow"), (0.0, "fast"), (0.0, "third")],
+                lambda report: False,
+            )
+        slow, fast, third = report.values
+        # Not queued behind the busy worker (static sharding would put
+        # payload 2 on worker 0, after the slow one).
+        assert third[1] == fast[1] != slow[1]
+        assert third[2] < slow[2]
