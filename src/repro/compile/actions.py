@@ -6,7 +6,7 @@ mentions (paper §3.1 "leveled actions").  Besides the logical precondition
 / add-effect sets (interned proposition ids), each action carries its
 *replay program*: the optimistic-interval seeds, conditions, and effect
 assignments needed to re-execute a plan tail inside a resource map
-(paper §3.2.3, Fig. 8).
+(paper §3.2.3, Fig. 8), compiled into closures on the action's first replay.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from ..expr import (
     Assign,
@@ -57,7 +56,8 @@ def set_replay_backend(mode: str) -> str:
     """Select how replay and execution evaluate formulas; returns the
     previous mode.
 
-    ``compiled`` (the default) uses the closures built at grounding time;
+    ``compiled`` (the default) uses each action's compiled closures (built
+    on its first replay);
     ``interpreted`` walks the ASTs through :mod:`repro.expr.evaluator` —
     the reference semantics, kept selectable for differential testing and
     benchmarking.
@@ -154,30 +154,74 @@ class GroundAction:
     effects: tuple[Assign, ...] = ()
     effect_targets: tuple[tuple[str, EffectKind], ...] = ()
     committed: dict[str, Interval] = field(default_factory=dict)  # spec var -> level interval
-    # Replay program precomputed at grounding time: closures compiled once
-    # (expr.compile memoizes per distinct formula, so structurally equal
-    # actions share them) and zipped with their AST/target so the replay
-    # loop iterates one flat tuple instead of re-zipping per call.
-    _cond_prog: tuple[tuple[Node, Callable], ...] = field(default=(), repr=False)
-    _effect_prog: tuple[tuple[Callable, str, "EffectKind"], ...] = field(
-        default=(), repr=False
+    # Replay program (see :meth:`_build_program`), built on first replay and
+    # shared with clones: a one-slot cell holding ``None`` until then, so a
+    # clone forked before the first replay sees the program built after it.
+    # Most ground actions are never replayed, so grounding builds none.
+    _program: list = field(
+        default_factory=lambda: [None], init=False, repr=False, compare=False
     )
-    _var_items: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
-    def __post_init__(self) -> None:
-        # Compiled closures are built over *ground*-substituted copies of
-        # the formulas, so replay can hand them the resource map's backing
-        # dict as the environment directly — no per-action spec-var env to
-        # assemble.  The original ASTs are kept alongside for failure
-        # messages (spec-var text) and the interpreted reference backend.
-        # expr.compile memoizes per distinct AST, so actions sharing a
-        # formula *and* a variable mapping share one closure.
+    def __str__(self) -> str:
+        return self.name
+
+    # -- pickling / cloning ---------------------------------------------------
+
+    def __getstate__(self):
+        """Pickle without the replay program (it is rebuilt on first replay).
+
+        The replay program's closures close over ground-substituted ASTs
+        and are not picklable; everything needed to rebuild them travels in
+        the declarative fields, so a worker process can receive a compiled
+        problem and replay it.
+        """
+        return {
+            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_program"
+        }
+
+    def __setstate__(self, state) -> None:
+        for slot, value in state.items():
+            object.__setattr__(self, slot, value)
+        self._program = [None]
+
+    def clone(self) -> "GroundAction":
+        """A mutable copy sharing the replay program.
+
+        Unlike ``copy.copy`` — which round-trips through
+        :meth:`__getstate__` and drops the replay program — this copies
+        every slot directly, so the copy shares the program cell: whichever
+        of the two replays first builds the program for both.  The program
+        depends only on ``var_map``, ``conditions``, ``effects`` and
+        ``effect_targets``, which nothing changes after grounding; the
+        mutable containers (``var_map``, ``committed``) are still copied so
+        callers may edit a copy's in place.
+        """
+        dup = object.__new__(GroundAction)
+        for slot in self.__slots__:
+            object.__setattr__(dup, slot, getattr(self, slot))
+        dup.var_map = dict(self.var_map)
+        dup.committed = dict(self.committed)
+        return dup
+
+    def _build_program(self) -> tuple:
+        """Build, store and return ``(cond_prog, effect_prog, var_items)``.
+
+        Compiled closures are built over *ground*-substituted copies of
+        the formulas, so replay can hand them the resource map's backing
+        dict as the environment directly — no per-action spec-var env to
+        assemble.  The original ASTs are kept alongside for failure
+        messages (spec-var text) and the interpreted reference backend.
+        expr.compile memoizes per distinct AST, so actions sharing a
+        formula *and* a variable mapping share one closure.  Each part is
+        zipped with its AST/target so the replay loop iterates one flat
+        tuple instead of re-zipping per call.
+        """
         sub = self.var_map
-        self._cond_prog = tuple(
+        cond_prog = tuple(
             (c, compile_condition_satisfiable(substitute(c, sub)))
             for c in self.conditions
         )
-        self._effect_prog = tuple(
+        effect_prog = tuple(
             (compile_assign_interval(substitute(a, sub)), gvar, ekind)
             for a, (gvar, ekind) in zip(self.effects, self.effect_targets)
         )
@@ -191,54 +235,11 @@ class GroundAction:
             read_vars |= variables(a.expr)
             if a.op != ":=":
                 read_vars.add(a.target.name)
-        self._var_items = tuple(
+        var_items = tuple(
             (sv, gv) for sv, gv in self.var_map.items() if sv in read_vars
         )
-
-    def __str__(self) -> str:
-        return self.name
-
-    # -- pickling / cloning ---------------------------------------------------
-
-    _DERIVED_SLOTS = ("_cond_prog", "_effect_prog", "_var_items")
-
-    def __getstate__(self):
-        """Pickle without the compiled closures (they are rebuilt on load).
-
-        The replay program's closures close over ground-substituted ASTs
-        and are not picklable; everything needed to rebuild them travels in
-        the declarative fields, so a worker process can receive a compiled
-        problem and :meth:`__setstate__` restores full replay capability.
-        """
-        state = {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in self._DERIVED_SLOTS
-        }
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-        self.__post_init__()
-
-    def clone(self) -> "GroundAction":
-        """A mutable copy sharing the (immutable) replay program.
-
-        Unlike ``copy.copy`` — which round-trips through
-        :meth:`__getstate__` and re-derives the compiled closures — this
-        copies every slot directly, so forking a compiled problem with
-        thousands of actions costs microseconds per action, not a formula
-        recompilation.  The closure tuples are immutable and safely shared;
-        mutable containers that callers overwrite in place (``var_map``,
-        ``committed``) are copied.
-        """
-        dup = object.__new__(GroundAction)
-        for slot in self.__slots__:
-            object.__setattr__(dup, slot, getattr(self, slot))
-        dup.var_map = dict(self.var_map)
-        dup.committed = dict(self.committed)
-        return dup
+        program = self._program[0] = (cond_prog, effect_prog, var_items)
+        return program
 
     # -- replay ---------------------------------------------------------------
 
@@ -261,22 +262,23 @@ class GroundAction:
 
         # Simultaneous effect semantics: all right-hand sides read the
         # pre-state, then targets are written.
+        cond_prog, effect_prog, var_items = self._program[0] or self._build_program()
         staged: list[tuple[str, EffectKind, Interval]]
         if _backend == "compiled":
             # Ground-substituted closures read the map's backing dict
             # directly; staging keeps every read ahead of the write-back.
             env = rmap._vars
-            for cond, cond_fn in self._cond_prog:
+            for cond, cond_fn in cond_prog:
                 if not cond_fn(env):
                     raise ReplayFailure(self, f"condition {cond.unparse()} unsatisfiable")
             staged = [
                 (gvar, ekind, effect_fn(env))
-                for effect_fn, gvar, ekind in self._effect_prog
+                for effect_fn, gvar, ekind in effect_prog
             ]
         else:
             env = {}
             rmap_get = rmap._vars.get
-            for spec_var, ground_var in self._var_items:
+            for spec_var, ground_var in var_items:
                 got = rmap_get(ground_var)
                 if got is not None:
                     env[spec_var] = got

@@ -181,10 +181,6 @@ class Grounder:
                         f"interface {iface.name}: cross effects on own properties must "
                         f"target the primed (post-crossing) variable ({assign.unparse()})"
                     )
-                rhs_primed = [
-                    v for v in variables(assign.expr) if v not in own_props and "." not in v
-                ]
-                del rhs_primed  # rhs primed use is impossible: parser strips primes on name
 
     def _iface_prop_vars(self, ifaces: tuple[str, ...]) -> set[str]:
         out: set[str] = set()

@@ -23,14 +23,22 @@ values are upper bounds, and all specification functions are monotone.
 from __future__ import annotations
 
 import math
+from collections import deque
+from typing import Callable
 
-from ..expr import EvalError, condition_satisfiable, eval_interval
+from ..expr import EvalError, compile_condition_satisfiable, compile_interval
 from ..intervals import Interval
 from .actions import EffectKind, GroundAction
 
 __all__ = ["prune_unreachable_actions", "logically_reachable"]
 
 _MAX_PASSES = 50
+
+_PRODUCE_KINDS = (
+    EffectKind.PRODUCE,
+    EffectKind.PRODUCE_DEGRADABLE,
+    EffectKind.PRODUCE_UPGRADABLE,
+)
 
 
 def _input_vars(action: GroundAction) -> list[tuple[str, str, Interval]]:
@@ -44,12 +52,40 @@ def _input_vars(action: GroundAction) -> list[tuple[str, str, Interval]]:
     return out
 
 
+def _closure(closures: dict, node, compile_fn: Callable) -> Callable:
+    """``compile_fn(node)``, resolved once per formula object.
+
+    Ground actions share their spec's condition and effect ASTs by
+    reference, so keying on ``id(node)`` skips rehashing the frozen AST
+    through the compile memo on every evaluation.  (A formula is either a
+    condition or an effect right-hand side, never both, so one key space
+    serves both kinds.)  Grounding has already compiled each of these
+    formulas, so compilation cannot fail here.
+    """
+    fn = closures.get(id(node))
+    if fn is None:
+        fn = closures[id(node)] = compile_fn(node)
+    return fn
+
+
 def _try_action(
-    action: GroundAction, best: dict[str, float]
+    action: GroundAction,
+    best: dict[str, float],
+    inputs: list[tuple[str, str, Interval]] | None = None,
+    closures: dict | None = None,
 ) -> dict[str, float] | None:
-    """Best output values of ``action`` under ``best``; None if infeasible."""
+    """Best output values of ``action`` under ``best``; None if infeasible.
+
+    ``inputs`` is ``_input_vars(action)`` when the caller already has it;
+    ``closures`` is a dict the caller keeps across calls (see
+    :func:`_closure`).
+    """
+    if inputs is None:
+        inputs = _input_vars(action)
+    if closures is None:
+        closures = {}
     env: dict[str, Interval] = {}
-    for spec_var, gvar, committed in _input_vars(action):
+    for spec_var, gvar, committed in inputs:
         avail = best.get(gvar)
         if avail is None:
             return None  # input stream not (yet) reachable here
@@ -66,25 +102,15 @@ def _try_action(
 
     try:
         for cond in action.conditions:
-            if not condition_satisfiable(cond, env):
+            if not _closure(closures, cond, compile_condition_satisfiable)(env):
                 return None
+        produced: dict[str, float] = {}
+        for assign, (gvar, kind) in zip(action.effects, action.effect_targets):
+            if kind in _PRODUCE_KINDS:
+                produced[gvar] = _closure(closures, assign.expr, compile_interval)(env).hi
+        return produced
     except EvalError:
         return None  # unresolvable (e.g. unregistered function): keep out
-
-    produced: dict[str, float] = {}
-    for assign, (gvar, kind) in zip(action.effects, action.effect_targets):
-        if kind not in (
-            EffectKind.PRODUCE,
-            EffectKind.PRODUCE_DEGRADABLE,
-            EffectKind.PRODUCE_UPGRADABLE,
-        ):
-            continue
-        try:
-            iv = eval_interval(assign.expr, env)
-        except EvalError:
-            return None
-        produced[gvar] = iv.hi
-    return produced
 
 
 def prune_unreachable_actions(
@@ -99,18 +125,22 @@ def prune_unreachable_actions(
     Implemented as a worklist: an action is (re-)evaluated only when the
     best value of one of its input variables improves, which keeps the
     fixed point near-linear in practice (this is the compile hotspot on
-    the 93-node network).
+    the 93-node network).  Each action's inputs are computed once, and each
+    formula's compiled closure is resolved once per call.
     """
     best: dict[str, float] = dict(initial_stream_values)
     feasible: set[int] = set()
 
-    # Dependents index: input ground var -> actions reading it.
+    # Dependents index: input ground var -> actions reading it.  Only
+    # the inputs are kept per action: every object that lives through the
+    # fixed point is promoted by the garbage collector, and on a large heap
+    # (a compile cache of forked problems) that buys full collections.
+    inputs = {action.index: _input_vars(action) for action in actions}
+    closures: dict = {}
     dependents: dict[str, list[GroundAction]] = {}
     for action in actions:
-        for _spec, gvar, _iv in _input_vars(action):
+        for _spec, gvar, _iv in inputs[action.index]:
             dependents.setdefault(gvar, []).append(action)
-
-    from collections import deque
 
     queue: deque[GroundAction] = deque(actions)
     queued: set[int] = {a.index for a in actions}
@@ -123,7 +153,7 @@ def prune_unreachable_actions(
             break
         action = queue.popleft()
         queued.discard(action.index)
-        outputs = _try_action(action, best)
+        outputs = _try_action(action, best, inputs[action.index], closures)
         if outputs is None:
             continue
         feasible.add(action.index)

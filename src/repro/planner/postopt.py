@@ -68,27 +68,14 @@ def _throttled_actions(actions: list[GroundAction], factor: float) -> list[Groun
 
 
 def replace_action(action: GroundAction, committed: dict[str, Interval]) -> GroundAction:
-    """A shallow copy of a ground action with different committed intervals."""
-    return GroundAction(
-        index=action.index,
-        name=action.name,
-        kind=action.kind,
-        subject=action.subject,
-        node=action.node,
-        src=action.src,
-        dst=action.dst,
-        pre_props=action.pre_props,
-        add_props=action.add_props,
-        primary_adds=action.primary_adds,
-        cost_lb=action.cost_lb,
-        cost_ast=action.cost_ast,
-        var_map=action.var_map,
-        seeds=action.seeds,
-        conditions=action.conditions,
-        effects=action.effects,
-        effect_targets=action.effect_targets,
-        committed=committed,
-    )
+    """A copy of a ground action with different committed intervals.
+
+    The copy shares the action's replay program (see
+    :meth:`GroundAction.clone`).
+    """
+    dup = action.clone()
+    dup.committed = committed
+    return dup
 
 
 def post_optimize(
