@@ -17,6 +17,10 @@ Subcommands
     graceful-degradation ladder (full -> anytime -> coarsened levels ->
     greedy) instead of failing outright; ``--fallback --workers N``
     races the rungs in N processes instead of walking them.
+    ``--hierarchical`` plans by stub-domain decomposition first
+    (hierarchical -> widened -> flat), with ``--workers N`` domain
+    workers; with ``--fallback`` the two ladders compose into one
+    (hierarchical -> widened -> full/anytime -> coarsened -> greedy).
 ``simulate``
     Run a churn/fault campaign: generate a seeded fault timeline (or
     replay an explicit one from a JSON campaign spec), deploy, and repair
@@ -82,7 +86,7 @@ import sys
 
 from .model import AppSpec, Leveling, LevelSpec, SpecError, parse_spec_text
 from .network import TransitStubParams, load_network, network_to_dict, transit_stub_network
-from .planner import Planner, PlannerConfig, PlanningError
+from .planner import PlannerConfig, PlanningError, ladder, run_ladder
 
 __all__ = ["main"]
 
@@ -156,41 +160,33 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         from .obs import PhaseProfiler
 
         telemetry.profiler = PhaseProfiler()
+    from .hierarchy import HierarchyConfig
+
     config = PlannerConfig(
         leveling=leveling,
         strict=args.strict,
         telemetry=telemetry,
         time_limit_s=args.time_limit,
+        anytime=True if args.fallback else None,
+        hierarchy=HierarchyConfig(workers=args.workers) if args.hierarchical else None,
     )
+    rungs = ladder(leveling, hierarchy=args.hierarchical, degrade=args.fallback)
     try:
-        if args.fallback:
-            from .planner import solve_robust
-
-            outcome = solve_robust(app, network, config=config, workers=args.workers)
-            print(outcome.describe())
-            if outcome.plan is None:
-                print("no plan: every ladder rung failed", file=sys.stderr)
-                return 1
-            plan = outcome.plan
-        elif args.hierarchical:
-            from .hierarchy import HierarchyConfig, solve_hierarchical
-
-            h_outcome = solve_hierarchical(
-                app,
-                network,
-                config=HierarchyConfig(workers=args.workers),
-                planner_config=config,
-                telemetry=telemetry,
-            )
-            print(h_outcome.describe())
-            plan = h_outcome.plan
-        else:
-            plan = Planner(config).solve(app, network)
+        workers = args.workers if args.fallback else 1
+        outcome = run_ladder(
+            app, network, rungs, config, workers=workers, reraise=not args.fallback
+        )
     except PlanningError as exc:
         print(f"no plan: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except SpecError as exc:
         print(f"spec failed strict lint: {exc}", file=sys.stderr)
+        return 1
+    if len(rungs) > 1:
+        print(outcome.describe())
+    plan = outcome.plan
+    if plan is None:
+        print("no plan: every ladder rung failed", file=sys.stderr)
         return 1
 
     print(plan.describe())
@@ -812,7 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan by stub-domain decomposition on transit-stub networks "
         "(backbone over an abstracted network, per-domain subproblems in "
         "--workers processes, stitched and exactly validated; falls back "
-        "to flat planning when the network does not decompose)",
+        "to flat planning when the network does not decompose; with "
+        "--fallback the degradation rungs follow)",
     )
     p_plan.add_argument(
         "--workers",
@@ -821,7 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --fallback: race the ladder rungs in N processes, each "
         "with the whole time budget; the best rung that succeeds wins "
-        "(docs/ROBUSTNESS.md). No effect on a plain solve.",
+        "(docs/ROBUSTNESS.md). With --hierarchical alone: solve the stub "
+        "domains in N processes. No effect on a plain solve.",
     )
     p_plan.add_argument(
         "--profile-out",

@@ -19,9 +19,11 @@ the transit-stub structure the generator emits (and real WANs exhibit):
    exact :class:`~repro.planner.PlanExecutor`
    (:mod:`repro.hierarchy.stitch`);
 5. on any miss — unpartitionable network, infeasible subproblem, stitch
-   validation failure — walk the **fallback ladder**: flat planning on
-   the widened union subnetwork, then flat planning on the full network
-   (:mod:`repro.hierarchy.solve`).
+   validation failure — walk down the one solve ladder
+   (:mod:`repro.planner.robust`): the hierarchical rung is followed by
+   flat planning on the widened union subnetwork (after a contract or
+   stitch miss only), then flat planning on the full network, all
+   sharing one partition (:mod:`repro.hierarchy.solve`).
 
 The result is correct by construction (only the exact executor ever
 accepts a plan) and byte-identical across worker counts (domain tasks

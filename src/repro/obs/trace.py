@@ -1,4 +1,4 @@
-"""Structured search traces (migrated from ``repro.planner.trace``).
+"""Structured search traces (re-exported as ``repro.planner.SearchTrace``).
 
 Optional instrumentation of the RG phase: every node creation, pruning
 decision (with its reason), expansion, and the terminal event are

@@ -18,7 +18,6 @@ counters ride home in the snapshot.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext as _noop
 from dataclasses import dataclass, field, replace
 
@@ -325,17 +324,16 @@ def run_repair_task(task: RepairTask) -> RepairOutcome:
     return replace(outcome, metrics=MetricsSnapshot.from_telemetry(telemetry))
 
 
-# -- degradation-ladder rungs (solve_robust racing) -----------------------------
+# -- solve-ladder rungs (repro.planner.robust racing) ---------------------------
 
 
 @dataclass(frozen=True)
 class RungJob:
-    """One racing rung: its name, leveling, and planner configuration."""
+    """One racing rung: the rung record and the instance it plans."""
 
-    rung: str
+    rung: object  # repro.planner.robust.Rung
     app: AppSpec
     network: Network
-    leveling: Leveling | None
     config: object  # PlannerConfig with telemetry stripped
     with_metrics: bool = False
     trace: TraceContext | None = None
@@ -343,43 +341,23 @@ class RungJob:
 
 @dataclass(frozen=True)
 class RungOutcome:
-    """One rung's solve: a plan, or the planner error that ended it."""
+    """One rung's attempt record and, when it succeeded, its plan."""
 
-    rung: str
+    attempt: object  # repro.planner.robust.RungAttempt
     plan: PlanEnvelope | None = None
-    error_type: str = ""
-    detail: str = ""
-    elapsed_s: float = 0.0
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
 
 def run_rung_task(job: RungJob) -> RungOutcome:
-    """Solve one ladder rung in this worker; planner errors come back as data."""
+    """Run one ladder rung in this worker; planner errors come back as data."""
     from ..obs import Telemetry
-    from ..planner import Planner, ResourceInfeasible, SearchBudgetExceeded, Unsolvable
+    from ..planner.robust import attempt_rung
 
     telemetry = Telemetry(context=job.trace) if job.with_metrics else None
-    config = replace(job.config, leveling=job.leveling, telemetry=telemetry)
-    if config.hierarchy is not None:
-        # Supervisor workers are daemonic and cannot start a nested
-        # supervisor; domain plans are byte-identical at any width.
-        config = replace(config, hierarchy=replace(config.hierarchy, workers=1))
-    t0 = time.perf_counter()
-    try:
-        plan = Planner(config).solve(job.app, job.network)
-    except (SearchBudgetExceeded, Unsolvable, ResourceInfeasible) as exc:
-        return RungOutcome(
-            rung=job.rung,
-            error_type=type(exc).__name__,
-            detail=str(exc).splitlines()[0],
-            elapsed_s=time.perf_counter() - t0,
-            metrics=MetricsSnapshot.from_telemetry(telemetry),
-        )
+    config = replace(job.config, telemetry=telemetry)
+    plan, attempt, _error = attempt_rung(job.rung, job.app, job.network, config)
     return RungOutcome(
-        rung=job.rung,
-        plan=PlanEnvelope.from_plan(plan),
-        detail=f"{len(plan.actions)} actions, cost lower bound {plan.cost_lb:g}"
-        + (" (incumbent)" if plan.incumbent else ""),
-        elapsed_s=time.perf_counter() - t0,
+        attempt=attempt,
+        plan=PlanEnvelope.from_plan(plan) if plan is not None else None,
         metrics=MetricsSnapshot.from_telemetry(telemetry),
     )

@@ -1,5 +1,6 @@
 """The leveled Sekitei planner: PLRG, SLRG, RG phases and the facade."""
 
+from ..obs.trace import SearchTrace, TraceEvent
 from .adaptation import (
     Deployment,
     RepairResult,
@@ -29,10 +30,10 @@ from .planner import Heuristic, Planner, PlannerConfig, solve
 from .plrg import PLRG, build_plrg
 from .postopt import PostOptResult, post_optimize
 from .rg import RGResult, regression_search
-from .robust import RUNGS, RungAttempt, SolveOutcome, coarsen_leveling, solve_robust
+from .robust import RUNGS, Rung, RungAttempt, SolveOutcome, coarsen_leveling, ladder, run_ladder
+from .robust import solve_robust
 from .slrg import SLRG
 from .stats import PlannerStats
-from .trace import SearchTrace, TraceEvent
 
 __all__ = [
     "PlanningError",
@@ -70,9 +71,12 @@ __all__ = [
     "PostOptResult",
     "post_optimize",
     "RUNGS",
+    "Rung",
     "RungAttempt",
     "SolveOutcome",
     "coarsen_leveling",
+    "ladder",
+    "run_ladder",
     "solve_robust",
     "SearchTrace",
     "TraceEvent",

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..compile import CompiledProblem, GroundAction
+from ..obs import SearchTrace
 from .executor import ExecutionReport, execute_plan
 from .stats import PlannerStats
-from .trace import SearchTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     pass

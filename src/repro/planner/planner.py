@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 from ..compile import CompiledProblem, compile_problem
 from ..model import AppSpec, Leveling
 from ..network import Network
-from ..obs import Telemetry, maybe_span
+from ..obs import SearchTrace, Telemetry, maybe_span
 from .deadline import Deadline
 from .errors import DeadlineExceeded, ExecutionError, ResourceInfeasible, Unsolvable
 from .executor import execute_plan
@@ -27,7 +27,6 @@ from .plrg import build_plrg
 from .rg import regression_search
 from .slrg import SLRG
 from .stats import PlannerStats
-from .trace import SearchTrace
 
 __all__ = ["Heuristic", "PlannerConfig", "Planner"]
 
@@ -177,15 +176,10 @@ class Planner:
             # Lazy import: repro.hierarchy imports repro.planner.
             from ..hierarchy import solve_hierarchical
 
-            outcome = solve_hierarchical(
-                app,
-                network,
-                config=self.config.hierarchy,
-                planner_config=self.config,
-                telemetry=tele,
-            )
-            assert outcome.plan is not None  # the flat rung raised otherwise
-            return outcome.plan
+            # The flat rung raises when no plan is found.
+            return solve_hierarchical(
+                app, network, config=self.config.hierarchy, planner_config=self.config
+            ).plan
         # The total deadline is anchored at entry, so internal compilation
         # counts against time_limit_s even though only the search loops
         # poll the clock (docs/ROBUSTNESS.md).

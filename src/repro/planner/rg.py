@@ -28,10 +28,9 @@ from typing import Callable
 from typing import TYPE_CHECKING
 
 from ..compile import CompiledProblem, GroundAction, ReplayCounters, ReplayFailure
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, SearchTrace
 from .deadline import Deadline
 from .errors import DeadlineExceeded, ResourceInfeasible, SearchBudgetExceeded
-from .trace import SearchTrace
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids a hard analysis dep
     from ..analysis.symmetry import PruneHints

@@ -1,31 +1,33 @@
-"""The graceful-degradation ladder (docs/ROBUSTNESS.md).
+"""The solve ladder: one rung list, one runner (docs/ROBUSTNESS.md).
 
-:func:`solve_robust` keeps producing deployment plans when the planner is
-under time pressure or its search budgets are too small, by walking a
-ladder of progressively cheaper configurations:
+Every path from a spec to a validated plan that may fall back — the
+graceful-degradation walk of :func:`solve_robust`, its race across worker
+processes, :func:`~repro.hierarchy.solve_hierarchical` and ``repro plan``
+— runs the rung list built by :func:`ladder` through :func:`run_ladder`:
 
-1. **full** — the leveled planner, run to optimality.
-2. **anytime** — the same run's best-so-far *incumbent* complete plan,
-   returned when the deadline or node budget cuts the search short
-   (rungs 1 and 2 share one search; see ``PlannerConfig.anytime``).
-3. **coarsened** — a retry with every level spec halved
-   (:func:`coarsen_leveling`): fewer levels mean fewer ground actions,
-   so compilation and search both shrink, at the price of plan quality.
-4. **greedy** — the original greedy Sekitei (trivial leveling), the
+1. **hierarchical** — domain decomposition (:mod:`repro.hierarchy`);
+2. **widened** — flat planning on the union subnetwork, only after a
+   contract or stitch miss (a partition or planner failure would recur);
+3. **full** — the leveled planner, run to optimality; with ``anytime``
+   on, a search cut short returns its best-so-far *incumbent* plan (the
+   **anytime** tier);
+4. **coarsened** — every level spec halved (:func:`coarsen_leveling`);
+5. **greedy** — the original greedy Sekitei (trivial leveling), the
    paper's Scenario A baseline: fast, worst-case-feasible, never optimal.
 
-Every rung validates its plan with the exact executor (the planner's
-``validate`` default), so whatever the ladder returns is a *correct*
-deployment — only optimality degrades.  Failures that a lower rung cannot
-fix stop the walk early: :class:`Unsolvable` is a logical gap and
-:class:`ResourceInfeasible` only gets worse as levels coarsen (coarser
-intervals raise worst-case consumption), so neither is retried.
+Rungs 1–2 are in the list only when ``PlannerConfig.hierarchy`` is set,
+rungs 4–5 only when the caller degrades.  Every rung validates its plan
+with the exact executor, so only optimality degrades, never correctness.
+One stop policy (:func:`_verdict`) decides the walk and the race alike: a
+rung's plan is taken once every better rung has failed, and
+:class:`Unsolvable` or :class:`ResourceInfeasible` on the whole network
+stops the ladder — a lower rung cannot repair a logical gap, and coarser
+levels only raise worst-case consumption.
 
-The returned :class:`SolveOutcome` names the rung that produced the plan
-and records why every earlier rung failed.  With telemetry attached, the
-walk increments ``robust.attempt.<rung>`` per attempt,
-``robust.fallback.<rung>`` for the winning rung, and ``robust.failed``
-when no rung succeeds.
+With telemetry attached the runner counts ``robust.attempt.<rung>``,
+``robust.fallback.<tier>`` for the plan's tier, ``robust.cancelled.<rung>``
+for race losers, ``robust.failed``, and ``hierarchy.stitch.retries`` for
+every rung walked after the hierarchical one missed.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from ..model import AppSpec, Leveling, LevelSpec
 from ..network import Network
+from ..network.partition import PartitionError
 from ..obs import Telemetry, maybe_span
 from .errors import ResourceInfeasible, SearchBudgetExceeded, Unsolvable
 from .plan import Plan
@@ -42,21 +45,33 @@ from .planner import Planner, PlannerConfig
 
 __all__ = [
     "RUNGS",
+    "Rung",
     "RungAttempt",
     "SolveOutcome",
     "coarsen_leveling",
+    "ladder",
+    "run_ladder",
     "solve_robust",
 ]
 
 RUNGS = ("full", "anytime", "coarsened", "greedy")
-"""Ladder rungs, best to worst (``full``/``anytime`` share one search)."""
+"""Quality tiers of a ladder plan, best to worst (``SolveOutcome.rung``)."""
 
-# Share of the time budget the first (full/anytime) attempt may spend; the
-# coarsened retry gets this share of whatever remains, and the greedy rung
-# everything left.  Unused time rolls down the ladder automatically.
-_FIRST_SHARE = 0.5
-_COARSE_SHARE = 0.6
+_FATAL = ("Unsolvable", "ResourceInfeasible")
 _MIN_SLICE_S = 1e-3
+_RACE_GRACE_S = 2.0  # race wall clock past the budget, for rung self-deadlines
+
+
+@dataclass(frozen=True)
+class Rung:
+    """One rung of the ladder, as plain picklable data."""
+
+    name: str
+    leveling: Leveling | None
+    scope: str = "full"  # or "union": backbone plus the stub domains the app touches
+    decompose: bool = False  # plan by domain decomposition (repro.hierarchy)
+    after: tuple[str, ...] = ()  # if set, applies only right after one of these failures
+    share: float = 1.0  # of the walk's remaining time budget
 
 
 @dataclass
@@ -79,10 +94,11 @@ class RungAttempt:
 
 @dataclass
 class SolveOutcome:
-    """Result of a ladder walk: the plan (if any) and the full history."""
+    """Result of a ladder run: the plan (if any) and the full history."""
 
     plan: Plan | None
-    rung: str = ""
+    winner: str = ""
+    """Name of the rung that produced the plan."""
     attempts: list[RungAttempt] = field(default_factory=list)
 
     @property
@@ -90,15 +106,27 @@ class SolveOutcome:
         return self.plan is not None
 
     @property
+    def rung(self) -> str:
+        """The plan's tier in :data:`RUNGS` (``""`` unsolved): the rungs
+        above ``coarsened`` plan at full leveling, so they rank ``full``,
+        or ``anytime`` when the search returned its incumbent."""
+        if self.plan is None:
+            return ""
+        if self.winner in ("coarsened", "greedy"):
+            return self.winner
+        return "anytime" if self.plan.incumbent else "full"
+
+    @property
     def degraded(self) -> bool:
-        """True when a rung below ``full`` produced the plan."""
+        """True when the plan's tier is below ``full``."""
         return self.solved and self.rung != "full"
 
     def describe(self) -> str:
         lines = [a.describe() for a in self.attempts]
         if self.solved:
+            label = self.rung if self.winner == "full" else self.winner
             lines.append(
-                f"=> plan from rung '{self.rung}': {len(self.plan)} actions, "
+                f"=> plan from rung '{label}': {len(self.plan)} actions, "
                 f"cost lower bound {self.plan.cost_lb:g}"
             )
         else:
@@ -130,6 +158,25 @@ def coarsen_leveling(leveling: Leveling) -> Leveling | None:
     return Leveling(specs, name=f"{leveling.name}-coarse")
 
 
+def ladder(
+    leveling: Leveling | None, *, hierarchy: bool = False, degrade: bool = True
+) -> list[Rung]:
+    """The rung list, best first — the one place a ladder is assembled."""
+    rungs = []
+    if hierarchy:
+        rungs += [
+            Rung("hierarchical", leveling, "union", decompose=True, share=0.5),
+            Rung("widened", leveling, "union", after=("ContractError", "StitchError"), share=0.5),
+        ]
+    rungs.append(Rung("full", leveling, share=0.5 if degrade else 1.0))
+    if degrade:
+        coarse = coarsen_leveling(leveling) if leveling is not None else None
+        if coarse is not None:
+            rungs.append(Rung("coarsened", coarse, share=0.6))
+        rungs.append(Rung("greedy", Leveling({}, name="greedy-trivial")))
+    return rungs
+
+
 def solve_robust(
     app: AppSpec,
     network: Network,
@@ -148,26 +195,24 @@ def solve_robust(
         Base planner configuration; the ladder overrides ``leveling``,
         ``time_limit_s``, ``anytime``, and ``telemetry`` per rung and
         leaves everything else (budgets, heuristic, validation) alone.
+        With ``config.hierarchy`` set the ladder starts with the
+        hierarchical and widened rungs.
     time_limit_s:
         Total wall-clock budget for the *whole walk* (overrides
-        ``config.time_limit_s``).  The first attempt gets half, the
-        coarsened retry most of the remainder, the greedy rung the rest;
-        a rung that finishes early donates its leftover time down the
-        ladder.  ``None`` means no deadline — lower rungs then only fire
+        ``config.time_limit_s``), split by each rung's ``share`` of what
+        remains; ``None`` means no deadline — lower rungs then only fire
         on node-budget exhaustion.
     telemetry:
         Metrics sink for the ``robust.*`` counters (overrides
         ``config.telemetry``).
     workers:
-        ``1`` (the default) walks the ladder sequentially exactly as
-        before.  ``> 1`` races the rungs on that many supervised worker
-        processes instead (:meth:`repro.parallel.Supervisor.race`): every
-        rung gets the *whole* time budget, the best rung that succeeds
-        wins, and the losers are killed.  Same acceptance semantics — a
-        lower rung's plan is only taken once every higher rung has
-        failed — so the two modes
-        differ only in wall clock and, under deadline pressure, in which
-        rung wins (always recorded in ``SolveOutcome.rung``).
+        ``1`` (the default) walks the ladder sequentially.  ``> 1`` races
+        the rungs on that many supervised worker processes instead
+        (:meth:`repro.parallel.Supervisor.race`): every rung gets the
+        *whole* time budget, the best rung that succeeds wins, and the
+        losers are killed.  Same stop policy, so the two modes differ
+        only in wall clock and, under deadline pressure, in which rung
+        wins (always recorded in ``SolveOutcome.winner``).
 
     Never raises :class:`~repro.planner.PlanningError` — an unsolvable
     walk is reported via ``SolveOutcome.plan is None``.  Configuration
@@ -176,251 +221,233 @@ def solve_robust(
     """
     base = config or PlannerConfig()
     leveling = leveling if leveling is not None else base.leveling
-    telemetry = telemetry if telemetry is not None else base.telemetry
-    if time_limit_s is None:
-        time_limit_s = base.time_limit_s
+    base = replace(
+        base,
+        leveling=leveling,
+        anytime=True,
+        telemetry=telemetry if telemetry is not None else base.telemetry,
+        time_limit_s=time_limit_s if time_limit_s is not None else base.time_limit_s,
+    )
+    rungs = ladder(leveling, hierarchy=base.hierarchy is not None)
+    return run_ladder(app, network, rungs, base, workers=workers)
+
+
+def run_ladder(
+    app: AppSpec,
+    network: Network,
+    rungs: list[Rung],
+    config: PlannerConfig,
+    *,
+    workers: int = 1,
+    reraise: bool = False,
+    region=None,
+) -> SolveOutcome:
+    """Run ``rungs`` best first until the stop policy decides.
+
+    ``config.time_limit_s`` budgets the whole walk, ``config.telemetry``
+    gets the counters, and ``config.hierarchy`` sets the hierarchical
+    rung's domain fan-out.  ``workers > 1`` races the rungs instead.
+    ``reraise`` makes a walk that finds no plan raise the last rung's error;
+    ``region`` shares one :class:`repro.hierarchy.solve.Region`.
+    """
     if workers > 1:
-        return _solve_robust_racing(
-            app, network, leveling, base, time_limit_s, telemetry, workers
-        )
-    t_walk = time.perf_counter()
-    walk_end = t_walk + time_limit_s if time_limit_s is not None else None
+        return _race(app, network, rungs, config, workers)
+    telemetry = config.telemetry
     metrics = telemetry.metrics if telemetry is not None else None
-
-    def remaining_s() -> float | None:
-        if walk_end is None:
-            return None
-        return max(walk_end - time.perf_counter(), _MIN_SLICE_S)
-
-    def slice_s(share: float) -> float | None:
-        rem = remaining_s()
-        if rem is None:
-            return None
-        return max(rem * share, _MIN_SLICE_S)
-
+    if region is None:
+        region = _region(app, network, rungs, telemetry)
+    budget = config.time_limit_s
+    walk_end = time.perf_counter() + budget if budget is not None else None
+    attempts: list[RungAttempt | None] = [None] * len(rungs)
     outcome = SolveOutcome(plan=None)
-
-    def attempt(rung: str, lev: Leveling | None, limit: float | None) -> Plan | None:
-        """Run one rung; record the attempt; return its plan or None."""
+    error = None
+    while True:
+        decided, index = _verdict(rungs, attempts)
+        if decided:
+            break
+        rung = rungs[index]
         if metrics is not None:
-            metrics.inc(f"robust.attempt.{rung}")
-        cfg = replace(
-            base,
-            leveling=lev,
-            time_limit_s=limit,
-            anytime=True,
-            telemetry=telemetry,
-        )
-        t0 = time.perf_counter()
-        try:
-            plan = Planner(cfg).solve(app, network)
-        except (SearchBudgetExceeded, Unsolvable, ResourceInfeasible) as exc:
-            outcome.attempts.append(
-                RungAttempt(
-                    rung=rung,
-                    succeeded=False,
-                    detail=str(exc).splitlines()[0],
-                    error_type=type(exc).__name__,
-                    elapsed_s=time.perf_counter() - t0,
-                )
-            )
-            # A lower rung cannot repair a logical gap, and coarser levels
-            # only raise worst-case consumption — stop the walk for both.
-            if isinstance(exc, (Unsolvable, ResourceInfeasible)):
-                raise _LadderStop from exc
-            return None
-        outcome.attempts.append(
-            RungAttempt(
-                rung=rung,
-                succeeded=True,
-                detail=f"{len(plan)} actions, cost lower bound {plan.cost_lb:g}"
-                + (" (incumbent)" if plan.incumbent else ""),
-                elapsed_s=time.perf_counter() - t0,
-            )
-        )
-        return plan
-
-    def finish(rung: str, plan: Plan) -> SolveOutcome:
-        outcome.plan = plan
-        outcome.rung = rung
+            metrics.inc(f"robust.attempt.{rung.name}")
+            if outcome.attempts and rungs[0].decompose:
+                metrics.inc("hierarchy.stitch.retries")
+        rung_config = config
+        if walk_end is not None:
+            remaining = max(walk_end - time.perf_counter(), _MIN_SLICE_S)
+            limit = max(remaining * rung.share, _MIN_SLICE_S)
+            rung_config = replace(config, time_limit_s=limit)
+        plan, attempts[index], error = attempt_rung(rung, app, network, rung_config, region)
+        outcome.attempts.append(attempts[index])
+        if plan is not None:
+            outcome.plan, outcome.winner = plan, rung.name
+    if outcome.plan is None:
         if metrics is not None:
-            metrics.inc(f"robust.fallback.{rung}")
-        return outcome
-
-    try:
-        # Rungs 1+2 — one search: optimal if it finishes, incumbent if cut.
-        plan = attempt("full", leveling, slice_s(_FIRST_SHARE))
-        if plan is not None:
-            return finish("anytime" if plan.incumbent else "full", plan)
-
-        # Rung 3 — coarsened leveling (skipped when nothing to coarsen).
-        coarse = coarsen_leveling(leveling) if leveling is not None else None
-        if coarse is not None:
-            plan = attempt("coarsened", coarse, slice_s(_COARSE_SHARE))
-            if plan is not None:
-                return finish("coarsened", plan)
-
-        # Rung 4 — the original greedy Sekitei (trivial leveling).
-        plan = attempt("greedy", Leveling({}, name="greedy-trivial"), remaining_s())
-        if plan is not None:
-            return finish("greedy", plan)
-    except _LadderStop:
-        pass
-
-    if metrics is not None:
-        metrics.inc("robust.failed")
+            metrics.inc("robust.failed")
+        if reraise and error is not None:
+            raise error
+    elif metrics is not None:
+        metrics.inc(f"robust.fallback.{outcome.rung}")
     return outcome
 
 
-class _LadderStop(Exception):
-    """Internal: a rung failed in a way no lower rung can fix."""
+def attempt_rung(
+    rung: Rung, app: AppSpec, network: Network, config: PlannerConfig, region=None
+) -> tuple[Plan | None, RungAttempt, Exception | None]:
+    """Run one rung, in the walk or a race worker: ``(plan, record, error)``.
 
-
-_FATAL = ("Unsolvable", "ResourceInfeasible")
-_RACE_GRACE_S = 2.0  # race wall clock past the budget, for rung self-deadlines
-
-
-def _fatal_rung(report):
-    """The first rung outcome that proves no rung can succeed, if any."""
-    return next(
-        (r for r in report.values if r is not None and r.error_type in _FATAL), None
-    )
-
-
-def _race_decided(report) -> bool:
-    """The racing ladder's acceptance policy (a ``Supervisor.race`` callback).
-
-    Stop as soon as any rung proves that no rung can succeed
-    (``Unsolvable``/``ResourceInfeasible``, as in the sequential walk) or
-    raises.  Otherwise a rung's plan is accepted only once every better
-    rung has failed — a greedy plan arriving first never preempts a full
-    solve that is still running.
+    Planner verdicts and decomposition misses come back as data; anything
+    else (spec errors, executor bugs) propagates.
     """
-    if report.failures or _fatal_rung(report) is not None:
-        return True
-    for index, res in enumerate(report.values):
-        if not report.settled(index):
-            return False
-        if res is not None and res.plan is not None:
-            return True
-    return False
+    from ..hierarchy.contracts import ContractError
+    from ..hierarchy.stitch import StitchError
+
+    if region is None:
+        region = _region(app, network, [rung], config.telemetry)
+    rung_config = replace(config, leveling=rung.leveling, hierarchy=None)
+    t0 = time.perf_counter()
+    try:
+        if rung.decompose:
+            from ..hierarchy.solve import plan_decomposed
+
+            workers = config.hierarchy.workers if config.hierarchy is not None else 1
+            plan = plan_decomposed(app, network, region, rung_config, workers)
+        else:
+            scope = network if rung.scope == "full" else region.union_network()
+            plan = Planner(rung_config).solve(app, scope)
+    except (
+        SearchBudgetExceeded, Unsolvable, ResourceInfeasible,
+        PartitionError, ContractError, StitchError,
+    ) as exc:
+        detail = str(exc).partition("\n")[0]
+        elapsed = time.perf_counter() - t0
+        return None, RungAttempt(rung.name, False, detail, type(exc).__name__, elapsed), exc
+    detail = f"{len(plan)} actions, cost lower bound {plan.cost_lb:g}"
+    if plan.incumbent:
+        detail += " (incumbent)"
+    return plan, RungAttempt(rung.name, True, detail, "", time.perf_counter() - t0), None
 
 
-def _solve_robust_racing(
-    app: AppSpec,
-    network: Network,
-    leveling: Leveling | None,
-    base: PlannerConfig,
-    time_limit_s: float | None,
-    telemetry: Telemetry | None,
-    workers: int,
+def _region(app, network, rungs, telemetry):
+    """A fresh partition holder when some rung plans on the union scope."""
+    if all(rung.scope == "full" for rung in rungs):
+        return None
+    from ..hierarchy.solve import Region
+
+    return Region(app, network, telemetry)
+
+
+def _verdict(rungs: list[Rung], attempts: list[RungAttempt | None]) -> tuple[bool, int | None]:
+    """The ladder's stop policy, shared by the walk and the race.
+
+    ``attempts[i]`` is rung ``i``'s record, or ``None`` while it has not
+    settled.  Rungs that do not apply after the previous failure are
+    passed over; a rung's plan is accepted only once every better rung
+    has failed — a greedy plan arriving first never preempts a full solve
+    still running — and an ``Unsolvable``/``ResourceInfeasible`` verdict
+    on the whole network decides the ladder with no plan.  Returns
+    ``(True, winner index or None)`` once decided, else ``(False, index
+    of the best rung still awaited)``.
+    """
+    previous = ""
+    for index, (rung, attempt) in enumerate(zip(rungs, attempts)):
+        if rung.after and previous not in rung.after:
+            continue
+        if attempt is None:
+            return False, index
+        if attempt.succeeded:
+            return True, index
+        if rung.scope == "full" and attempt.error_type in _FATAL:
+            return True, None
+        previous = attempt.error_type
+    return True, None
+
+
+def _race_attempts(rungs: list[Rung], report) -> list[RungAttempt | None]:
+    """Each racing rung's record so far (``None`` while it runs)."""
+    quarantined = {q.index: q.reason for q in report.quarantined}
+    return [
+        res.attempt if res is not None
+        else RungAttempt(rung.name, False, quarantined[i], "Quarantined") if i in quarantined
+        else None
+        for i, (rung, res) in enumerate(zip(rungs, report.values))
+    ]
+
+
+def _race(
+    app: AppSpec, network: Network, rungs: list[Rung], config: PlannerConfig, workers: int
 ) -> SolveOutcome:
-    """Race the ladder rungs on a supervisor (``solve_robust(workers>1)``).
+    """Race the rungs on a supervisor (``run_ladder(workers>1)``).
 
     Each rung is one payload of :meth:`~repro.parallel.Supervisor.race`,
-    in priority order, with the whole time budget; :func:`_race_decided`
-    is the acceptance policy, and the race gives up ``_RACE_GRACE_S``
-    past the budget.  A crashing rung is retried and, as poison,
-    quarantined by the supervisor.  The winner's plan travels home as a
+    in priority order, with the whole time budget; :func:`_verdict` is
+    the acceptance policy, and the race gives up ``_RACE_GRACE_S`` past
+    the budget.  The winner's plan travels home as a
     :class:`~repro.parallel.PlanEnvelope` and is rebound to a problem
-    compiled in the parent through the warm-start cache; only the
-    winner's worker metrics are merged (the losers' work was cancelled,
-    so counting it would misstate the cost of the returned plan).
+    compiled in the parent, through the warm-start cache, from the
+    winning rung's inputs: leveling, bound overrides, strictness, scope.
+    Only the winner's worker metrics are merged (the losers' work was
+    cancelled, so counting it would misstate the cost of the plan).
     """
-    from ..parallel import (
-        RungJob,
-        Supervisor,
-        default_compile_cache,
-        resolve_workers,
-        run_rung_task,
-    )
+    from ..parallel import RungJob, Supervisor, default_compile_cache, resolve_workers
+    from ..parallel import run_rung_task
 
+    telemetry = config.telemetry
     metrics = telemetry.metrics if telemetry is not None else None
-    # Each racing rung gets the whole budget and runs in anytime mode, so
-    # the full rung degrades to its own incumbent exactly as rung 2 does.
-    child_config = replace(
-        base, time_limit_s=time_limit_s, anytime=True, telemetry=None
-    )
-    rungs = [("full", leveling)]
-    coarse = coarsen_leveling(leveling) if leveling is not None else None
-    if coarse is not None:
-        rungs.append(("coarsened", coarse))
-    rungs.append(("greedy", Leveling({}, name="greedy-trivial")))
+    budget = config.time_limit_s
+    child = replace(config, telemetry=None)
+    if child.hierarchy is not None:
+        # Supervisor workers are daemonic and cannot start a nested
+        # supervisor; domain plans are byte-identical at any width.
+        child = replace(child, hierarchy=replace(child.hierarchy, workers=1))
 
     # Dispatch span: racing rungs inherit its context, so the winner's
     # remote spans stitch under it in the merged trace.
     with maybe_span(telemetry, "robust.race", workers=workers, rungs=len(rungs)):
         trace = telemetry.current_context() if telemetry is not None else None
-        jobs = [
-            RungJob(
-                rung=rung,
-                app=app,
-                network=network,
-                leveling=lev,
-                config=child_config,
-                with_metrics=metrics is not None,
-                trace=trace,
-            )
-            for rung, lev in rungs
-        ]
-        with Supervisor(
-            resolve_workers(workers, len(jobs)), telemetry=telemetry
-        ) as sup:
+        jobs = [RungJob(rung, app, network, child, metrics is not None, trace) for rung in rungs]
+        with Supervisor(resolve_workers(workers, len(jobs)), telemetry=telemetry) as sup:
             report = sup.race(
                 run_rung_task,
                 jobs,
-                accept=_race_decided,
-                deadline_s=(
-                    time_limit_s + _RACE_GRACE_S if time_limit_s is not None else None
-                ),
+                accept=lambda r: bool(r.failures)
+                or _verdict(rungs, _race_attempts(rungs, r))[0],
+                deadline_s=budget + _RACE_GRACE_S if budget is not None else None,
             )
     if report.failures:  # a rung raised: a bug, not a planner verdict
         report.raise_on_failure()
 
-    fatal = _fatal_rung(report)
-    winner = None if fatal else next(
-        (r for r in report.values if r is not None and r.plan is not None), None
-    )
+    settled = _race_attempts(rungs, report)
+    decided, winner = _verdict(rungs, settled)
     if winner is not None:
-        cancelled = f"lost race to {winner.rung}"
-    elif fatal is not None:
-        cancelled = f"aborted: {fatal.rung} is {fatal.error_type}"
+        cancelled = f"lost race to {rungs[winner].name}"
+    elif decided:
+        cancelled = "aborted: no rung can succeed"
     else:
         cancelled = "race deadline expired"
-    quarantined = {q.index: q.reason for q in report.quarantined}
     outcome = SolveOutcome(plan=None)
-    for index, job in enumerate(jobs):
-        res = report.values[index]
-        if res is not None:
-            counter = "attempt"
-            attempt = RungAttempt(
-                job.rung, res.plan is not None, res.detail, res.error_type, res.elapsed_s
-            )
-        elif index in quarantined:
-            counter = ""
-            attempt = RungAttempt(job.rung, False, quarantined[index], "Quarantined")
-        else:
-            counter = "cancelled"
-            attempt = RungAttempt(job.rung, False, cancelled, "Cancelled")
+    for index, rung in enumerate(rungs):
+        attempt = settled[index]
+        if attempt is None:
+            attempt = RungAttempt(rung.name, False, cancelled, "Cancelled")
         outcome.attempts.append(attempt)
-        if metrics is not None and counter:
-            metrics.inc(f"robust.{counter}.{job.rung}")
+        if metrics is not None and attempt.error_type != "Quarantined":
+            kind = "cancelled" if attempt.error_type == "Cancelled" else "attempt"
+            metrics.inc(f"robust.{kind}.{rung.name}")
 
     if winner is None:
         if metrics is not None:
             metrics.inc("robust.failed")
         return outcome
 
+    rung = rungs[winner]
+    region = _region(app, network, [rung], None)
+    scope = network if region is None else region.union_network()
     problem = default_compile_cache().compile(
-        app, network, dict(rungs)[winner.rung], metrics=metrics
+        app, scope, rung.leveling, config.bound_overrides or None, config.strict, metrics=metrics
     )
-    plan = winner.plan.restore(problem)
-    outcome.plan = plan
-    outcome.rung = (
-        "anytime" if winner.rung == "full" and plan.incumbent else winner.rung
-    )
+    result = report.values[winner]
+    outcome.plan, outcome.winner = result.plan.restore(problem), rung.name
     if metrics is not None:
         metrics.inc(f"robust.fallback.{outcome.rung}")
-        telemetry.stitch_snapshot(winner.metrics)
-        winner.metrics.merge_into(metrics)
+        telemetry.stitch_snapshot(result.metrics)
+        result.metrics.merge_into(metrics)
     return outcome

@@ -5,7 +5,7 @@ import pytest
 from repro.domains.media import build_app
 from repro.experiments import large_case, scenario
 from repro.hierarchy import HierarchyConfig, solve_hierarchical
-from repro.network import PartitionError, chain_network
+from repro.network import chain_network
 from repro.obs import Telemetry
 from repro.planner import Planner, PlannerConfig
 
@@ -69,13 +69,10 @@ class TestFallbackLadder:
     def test_fallback_disabled_raises(self):
         net = chain_network([(150.0, "LAN")] * 3, cpu=1000.0)
         app = build_app("n0", "n3")
-        with pytest.raises(PartitionError):
-            solve_hierarchical(
-                app,
-                net,
-                leveling=scenario("C").leveling(),
-                config=HierarchyConfig(fallback=False),
-            )
+        outcome = solve_hierarchical(app, net, leveling=scenario("C").leveling())
+        first = outcome.attempts[0]
+        assert first.rung == "hierarchical" and not first.succeeded
+        assert first.error_type == "PartitionError"
 
     def test_outcome_describe_mentions_mode(self):
         net, app, leveling = _large()

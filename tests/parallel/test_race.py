@@ -9,6 +9,7 @@ sequential walk returns.
 import pytest
 
 from repro.domains import media
+from repro.experiments import scenario
 from repro.network import chain_network
 from repro.obs import Telemetry
 from repro.planner import PlannerConfig, solve_robust
@@ -108,3 +109,20 @@ class TestRacingUnderDeadline:
         # With a generous deadline on a small instance, some rung wins.
         assert out.solved
         assert out.rung in ("full", "anytime", "coarsened", "greedy")
+
+
+class TestRacingRestoresTheWinningProblem:
+    def test_bound_overrides_survive_the_trip_home(self):
+        # The winner is rebound to a problem compiled from the winning
+        # rung's own inputs, bound overrides included.
+        net = chain_network([(150, "LAN")] * 3, cpu=1000)
+        app = media.build_app("n0", "n3")
+        config = PlannerConfig(bound_overrides={"M.ibw": 120.0})
+        leveling = scenario("C").leveling()
+        seq = solve_robust(app, net, leveling, config=config, workers=1)
+        raced = solve_robust(app, net, leveling, config=config, workers=2)
+        assert seq.plan.problem.bounds["M.ibw"] == 120.0
+        assert raced.plan.problem.bounds == seq.plan.problem.bounds
+        assert [a.name for a in raced.plan.actions] == [
+            a.name for a in seq.plan.actions
+        ]

@@ -1,11 +1,14 @@
 """Unit tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
 from repro.network import pair_network, save_network
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 SPEC = """
 <interface name=M>
@@ -269,6 +272,38 @@ class TestPlanRobustness:
         assert rc == 1
         assert "every ladder rung failed" in captured.err
         assert "failed" in captured.out  # the attempt history is shown
+
+    def _example_args(self, *extra):
+        return [
+            "plan",
+            "--network", str(EXAMPLES / "net.json"),
+            "--spec", str(EXAMPLES / "app.spec"),
+            "--initial", "Server=n0",
+            "--goal", "Client=n1",
+            "--levels", "M.ibw=90,100",
+            *extra,
+        ]
+
+    def test_hierarchical_falls_back_to_flat(self, capsys):
+        # examples/net.json is not transit-stub shaped: the hierarchical
+        # rung misses on the partition and the full network plans.
+        rc = main(self._example_args("--hierarchical"))
+        out = capsys.readouterr().out
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("hierarchical: failed (PartitionError)")
+        assert lines[1].startswith("full: ok")
+        assert "place Client on node n1" in out
+
+    def test_fallback_and_hierarchical_compose(self, capsys):
+        rc = main(self._example_args("--fallback", "--hierarchical"))
+        out = capsys.readouterr().out
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("hierarchical: failed (PartitionError)")
+        assert lines[1].startswith("full: ok")
+        assert "rung 'full'" in out
+        assert "place Client on node n1" in out
 
 
 class TestSimulate:
