@@ -17,8 +17,8 @@ per-phase numbers are read back from the ``planner.*`` metrics-registry
 gauges the planner publishes — no raw clock arithmetic in this module.
 
 :func:`scaling_compare_sweep` runs flat and hierarchical planning side
-by side over the domain-count family; ``benchmarks/bench_hierarchy.py``
-serializes its output into ``BENCH_pr10.json``.
+by side over the domain-count family; ``repro bench --hierarchical``
+prints it as a table (``--json FILE`` writes the points).
 """
 
 from __future__ import annotations

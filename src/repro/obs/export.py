@@ -1,6 +1,9 @@
 """Trace exporters: JSONL event stream, Chrome trace-event JSON, terminal.
 
-Two file formats, one committed schema each (``benchmarks/schemas/``):
+Two file formats, each described by the field tables below
+(``JSONL_RECORD_FIELDS``, ``CHROME_TOP_FIELDS``, ``CHROME_EVENT_FIELDS``,
+``CHROME_PHASES``); :func:`repro.obs.load_trace` checks every file it
+reads against them:
 
 * **JSONL** (``repro plan --trace-out t.jsonl``) — one JSON object per
   line.  The first line is a header record; subsequent records are
@@ -46,6 +49,58 @@ __all__ = [
 JSONL_FORMAT = "repro-trace-jsonl"
 CHROME_FORMAT = "repro-trace-chrome"
 FORMAT_VERSION = 1
+
+# Field tables of both formats as ``(required, optional)`` pairs mapping a
+# field to its allowed types; ``NoneType`` admits null, and a bool never
+# passes for a number.
+_NUMBER = (int, float)
+_NoneType = type(None)
+JSONL_RECORD_FIELDS: dict[str, tuple[dict, dict]] = {
+    "header": (
+        {"format": str, "version": int},
+        {"generator": str, "runs": int, "trace_id": str, "pid": int},
+    ),
+    "span": (
+        {
+            "id": int,
+            "name": str,
+            "parent": (int, _NoneType),
+            "start_us": _NUMBER,
+            "dur_us": _NUMBER,
+            "attrs": dict,
+        },
+        {"pid": int, "worker": int},
+    ),
+    "metric": (
+        {"name": str, "kind": str},
+        {
+            "value": _NUMBER,
+            "count": int,
+            "sum": _NUMBER,
+            "min": _NUMBER,
+            "max": _NUMBER,
+            "buckets": list,
+        },
+    ),
+    "event": (
+        {
+            "kind": str,
+            "detail": str,
+            "depth": int,
+            "action": (str, _NoneType),
+            "reason": (str, _NoneType),
+        },
+        {"seq": int, "ts_us": _NUMBER},
+    ),
+    "trace-summary": ({"counters": dict, "prune_reasons": dict}, {"max_events": int}),
+}
+CHROME_TOP_FIELDS = ({"traceEvents": list, "displayTimeUnit": str}, {"otherData": dict})
+CHROME_EVENT_FIELDS = (
+    {"name": str, "ph": str, "ts": _NUMBER, "pid": int, "tid": int},
+    {"cat": str, "dur": _NUMBER, "args": dict, "s": str},
+)
+# Complete spans ("X", which also need "dur"), instants, counters, metadata.
+CHROME_PHASES = ("X", "i", "C", "M")
 
 
 def _time_base(telemetry: Telemetry) -> float:

@@ -1,10 +1,13 @@
 """Load exported trace files back and summarize them in the terminal.
 
 ``repro trace summarize FILE`` sniffs the format (JSONL event stream or
-Chrome trace-event JSON), normalizes both into one :class:`TraceFile`
-shape, and renders the same search-progress account the live
-``--metrics`` flag prints — so a trace captured on one machine can be
-read on another without the planner objects.
+Chrome trace-event JSON), checks the file against the exporter's field
+tables (a failure is a :class:`TraceFileError`: exit status 1 on the
+CLI), normalizes both formats into one :class:`TraceFile` shape, and
+renders the same search-progress account the live ``--metrics`` flag
+prints — so a trace captured on one machine can be read on another
+without the planner objects.  :func:`load_trace` is the repo's one
+reader of exported trace files.
 
 Multi-process traces (a ``--workers N`` run with ``--trace-out``) group
 per *lane*: spans carrying a worker ``pid`` render under their own
@@ -19,7 +22,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .export import CHROME_FORMAT, JSONL_FORMAT
+from .export import (
+    CHROME_EVENT_FIELDS,
+    CHROME_FORMAT,
+    CHROME_PHASES,
+    CHROME_TOP_FIELDS,
+    FORMAT_VERSION,
+    JSONL_FORMAT,
+    JSONL_RECORD_FIELDS,
+)
 
 __all__ = ["TraceFile", "TraceFileError", "load_trace", "summarize_trace"]
 
@@ -41,7 +52,13 @@ class TraceFile:
 
 
 def load_trace(path: str) -> TraceFile:
-    """Parse an exported trace file of either format."""
+    """Parse and check an exported trace file of either format.
+
+    Raises :class:`TraceFileError` on the first departure from the field
+    tables in :mod:`repro.obs.export`: a missing or mistyped field, a
+    foreign format or version, an unknown Chrome phase, an ``X`` event
+    without ``dur``, or a file with no span at all.
+    """
     try:
         text = open(path).read()
     except OSError as exc:
@@ -49,6 +66,7 @@ def load_trace(path: str) -> TraceFile:
     stripped = text.lstrip()
     if not stripped:
         raise TraceFileError(f"{path}: empty file")
+    trace = None
     if stripped.startswith("{"):
         # A Chrome export is one JSON object with a traceEvents array; a
         # JSONL export is one object *per line*.  Try the whole-file parse
@@ -58,8 +76,37 @@ def load_trace(path: str) -> TraceFile:
         except json.JSONDecodeError:
             payload = None
         if isinstance(payload, dict) and "traceEvents" in payload:
-            return _load_chrome(path, text)
-    return _load_jsonl(path, text)
+            trace = _load_chrome(path, payload)
+    if trace is None:
+        trace = _load_jsonl(path, text)
+    if not trace.spans:
+        raise TraceFileError(f"{path}: no spans (empty telemetry?)")
+    return trace
+
+
+def _check_fields(record: dict, fields: tuple[dict, dict], where: str) -> None:
+    required, optional = fields
+    for name in required:
+        if name not in record:
+            raise TraceFileError(f"{where}: missing required field {name!r}")
+    for name, types in (*required.items(), *optional.items()):
+        if name not in record:
+            continue
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TraceFileError(
+                f"{where}: field {name!r} has type {type(value).__name__}"
+            )
+
+
+def _check_header(header: dict, fmt: str, where: str) -> None:
+    if header.get("format") != fmt:
+        raise TraceFileError(f"{where}: unexpected format {header.get('format')!r}")
+    if header.get("version") != FORMAT_VERSION:
+        raise TraceFileError(
+            f"{where}: unsupported version {header.get('version')!r} "
+            f"(this reader knows version {FORMAT_VERSION})"
+        )
 
 
 def _load_jsonl(path: str, text: str) -> TraceFile:
@@ -67,24 +114,28 @@ def _load_jsonl(path: str, text: str) -> TraceFile:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise TraceFileError(f"{path}:{lineno}: not JSON ({exc})") from exc
+            raise TraceFileError(f"{where}: not JSON ({exc})") from exc
         if not isinstance(record, dict) or "type" not in record:
-            raise TraceFileError(f"{path}:{lineno}: record without a 'type' field")
+            raise TraceFileError(f"{where}: record without a 'type' field")
         rtype = record["type"]
+        if not out.header and rtype != "header":
+            raise TraceFileError(f"{where}: missing header record before {rtype!r}")
+        fields = JSONL_RECORD_FIELDS.get(rtype)
+        if fields is None:
+            raise TraceFileError(f"{where}: unknown record type {rtype!r}")
+        _check_fields(record, fields, where)
         if rtype == "header":
-            if record.get("format") != JSONL_FORMAT:
-                raise TraceFileError(
-                    f"{path}: unexpected format {record.get('format')!r}"
-                )
             if out.header:
                 raise TraceFileError(
-                    f"{path}:{lineno}: second header record — mixed-schema "
+                    f"{where}: second header record — mixed-schema "
                     "input (two exports concatenated into one file?); "
                     "summarize each export separately"
                 )
+            _check_header(record, JSONL_FORMAT, where)
             out.header = record
         elif rtype == "span":
             out.spans.append(record)
@@ -92,30 +143,29 @@ def _load_jsonl(path: str, text: str) -> TraceFile:
             out.metrics.append(record)
         elif rtype == "event":
             out.events.append(record)
-        elif rtype == "trace-summary":
-            out.trace_summary = record
         else:
-            raise TraceFileError(f"{path}:{lineno}: unknown record type {rtype!r}")
-    if not out.header:
-        raise TraceFileError(f"{path}: missing header record")
+            out.trace_summary = record
     return out
 
 
-def _load_chrome(path: str, text: str) -> TraceFile:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TraceFileError(f"{path}: not JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "traceEvents" not in payload:
-        raise TraceFileError(f"{path}: no traceEvents array")
+def _load_chrome(path: str, payload: dict) -> TraceFile:
+    _check_fields(payload, CHROME_TOP_FIELDS, path)
     other = payload.get("otherData", {})
-    if other.get("format") not in (None, CHROME_FORMAT):
-        raise TraceFileError(f"{path}: unexpected format {other.get('format')!r}")
+    if other:
+        _check_header(other, CHROME_FORMAT, f"{path}: otherData")
     out = TraceFile(format="chrome", header=other, metrics=list(other.get("metrics", [])))
     next_id = 0
-    for ev in payload["traceEvents"]:
-        ph = ev.get("ph")
+    for i, ev in enumerate(payload["traceEvents"]):
+        where = f"{path}: traceEvents[{i}]"
+        if not isinstance(ev, dict):
+            raise TraceFileError(f"{where}: not an object")
+        _check_fields(ev, CHROME_EVENT_FIELDS, where)
+        ph = ev["ph"]
+        if ph not in CHROME_PHASES:
+            raise TraceFileError(f"{where}: phase {ph!r} not in {list(CHROME_PHASES)}")
         if ph == "X":
+            if "dur" not in ev:
+                raise TraceFileError(f"{where}: phase 'X' requires 'dur'")
             # Current exports carry explicit span identity in args
             # (span_id / parent_span_id); older files fall back to
             # sequential ids with nesting implied by timestamps only.
@@ -124,20 +174,19 @@ def _load_chrome(path: str, text: str) -> TraceFile:
             parent = args.pop("parent_span_id", None)
             record = {
                 "id": span_id if span_id is not None else next_id,
-                "name": ev.get("name", "?"),
+                "name": ev["name"],
                 "parent": parent,
-                "start_us": ev.get("ts", 0.0),
-                "dur_us": ev.get("dur", 0.0),
+                "start_us": ev["ts"],
+                "dur_us": ev["dur"],
                 "attrs": args,
             }
-            pid = ev.get("pid", 1)
-            if pid != 1:  # pid 1 is the coordinator lane by convention
-                record["pid"] = pid
+            if ev["pid"] != 1:  # pid 1 is the coordinator lane by convention
+                record["pid"] = ev["pid"]
             out.spans.append(record)
             next_id += 1
         elif ph == "i":
             args = ev.get("args", {})
-            name = ev.get("name", "")
+            name = ev["name"]
             out.events.append(
                 {
                     "kind": name.split(".", 1)[1] if "." in name else name,
@@ -145,7 +194,7 @@ def _load_chrome(path: str, text: str) -> TraceFile:
                     "detail": args.get("detail", ""),
                     "depth": args.get("depth", 0),
                     "reason": args.get("reason"),
-                    "ts_us": ev.get("ts", 0.0),
+                    "ts_us": ev["ts"],
                 }
             )
     return out

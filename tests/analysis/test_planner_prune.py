@@ -3,6 +3,7 @@
 import pytest
 
 from repro.domains import media
+from repro.experiments import network_case, scenario
 from repro.obs import Telemetry
 from repro.parallel import CompileCache
 from repro.planner import Planner, PlannerConfig
@@ -45,6 +46,22 @@ def test_symmetry_prune_fires_on_diamond():
     # "dead" mode must not enable the symmetry prune.
     plan_dead = Planner(PlannerConfig(leveling=lev, static_prune="dead")).solve(app, net)
     assert plan_dead.stats.rg_sym_pruned == 0
+
+
+def test_symmetry_prune_on_fig10_route():
+    """A Fig-10 route through verified twin nodes: same cost, smaller RG."""
+    case = network_case("Large")
+    app = media.build_app("t0_0_s0_0", "t0_0_s1_7")
+    lev = scenario("B").leveling()
+    plans = {
+        mode: Planner(
+            PlannerConfig(leveling=lev, rg_node_budget=500_000, static_prune=mode)
+        ).solve(app, case.network)
+        for mode in ("off", "full")
+    }
+    assert plans["off"].cost_lb == plans["full"].cost_lb == pytest.approx(12.0)
+    assert plans["full"].stats.rg_sym_pruned > 0
+    assert plans["full"].stats.rg_nodes < plans["off"].stats.rg_nodes
 
 
 def test_off_mode_costs_nothing():

@@ -9,17 +9,19 @@ check (two runs, same bytes).
 import pytest
 
 from repro.domains.media import build_app
-from repro.experiments import large_case, scenario
+from repro.experiments import large_case, scaling_network_domains, scenario
 from repro.hierarchy import HierarchyConfig, solve_hierarchical
 
 pytestmark = pytest.mark.slow  # spawns real worker processes
 
 
-def _solve(workers: int):
-    case = large_case()
+def _solve(workers: int, network=None, server=None, client=None):
+    if network is None:
+        case = large_case()
+        network, server, client = case.network, case.server, case.client
     outcome = solve_hierarchical(
-        build_app(case.server, case.client),
-        case.network,
+        build_app(server, client),
+        network,
         leveling=scenario("C").leveling(),
         config=HierarchyConfig(workers=workers),
     )
@@ -38,3 +40,9 @@ class TestWorkerCountInvariance:
         assert serial.action_names() == parallel.action_names()
         assert serial.cost_lb == parallel.cost_lb
         assert serial.exact_cost == parallel.exact_cost
+
+    def test_scaling_network_one_vs_two_workers_identical(self):
+        instance = scaling_network_domains(4)
+        serial, parallel = _solve(1, *instance), _solve(2, *instance)
+        assert serial.action_names() == parallel.action_names()
+        assert serial.cost_lb == parallel.cost_lb

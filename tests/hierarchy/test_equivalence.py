@@ -14,7 +14,7 @@ development).
 import pytest
 
 from repro.domains.media import build_app
-from repro.experiments import large_case, scenario
+from repro.experiments import large_case, scaling_network_domains, scenario
 from repro.hierarchy import solve_hierarchical
 from repro.planner import Planner, PlannerConfig, PlanningError
 
@@ -36,8 +36,9 @@ def _hier(app, net, leveling):
         return None
 
 
-def _assert_equivalent(server, client, scenario_key):
-    net = large_case().network
+def _assert_equivalent(server, client, scenario_key, net=None):
+    if net is None:
+        net = large_case().network
     app = build_app(server, client)
     leveling = scenario(scenario_key).leveling()
     flat = _flat(app, net, leveling)
@@ -58,6 +59,12 @@ class TestEquivalenceQuick:
         outcome = _assert_equivalent(server, client, "C")
         # Cross-domain endpoints must exercise the hierarchical path
         # itself, not a silent fallback rung.
+        assert outcome.mode == "hierarchical"
+
+    def test_scaling_network_cross_domain(self):
+        """The 123-node member of the domain-count scaling family."""
+        net, server, client = scaling_network_domains(4)
+        outcome = _assert_equivalent(server, client, "C", net)
         assert outcome.mode == "hierarchical"
 
     def test_same_domain_endpoints(self):

@@ -1,8 +1,8 @@
 """Perf regression pins for large-network generation and path queries.
 
 The hierarchical scaling sweep generates 10k-node transit-stub networks
-(``scaling_network_domains(333)`` is the largest point in
-``BENCH_pr10.json``); before the geometric skip-sampling optimization in
+(``scaling_network_domains(333)`` is its largest point, 9,993 nodes);
+before the geometric skip-sampling optimization in
 ``gtitm._connected_random_graph`` and the adjacency hoist in
 ``paths.k_shortest_paths``, generation and path setup dominated the
 sweep.  These tests pin the fixed behavior with wall-clock budgets that

@@ -1,8 +1,6 @@
-"""Exporter round-trips: JSONL and Chrome files, loaders, and schemas."""
+"""Exporter round-trips: JSONL and Chrome files, and the checking loader."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -32,14 +30,19 @@ def telemetry():
     return tele
 
 
-@pytest.fixture()
-def checker():
-    """The benchmarks/check_bench_schema.py module, loaded from its path."""
-    path = Path(__file__).parents[2] / "benchmarks" / "check_bench_schema.py"
-    spec = importlib.util.spec_from_file_location("check_bench_schema", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _rewrite_jsonl(path, lineno, edit):
+    """Apply ``edit`` to the record on 0-based line ``lineno`` of a JSONL file."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[lineno])
+    edit(record)
+    lines[lineno] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _rewrite_chrome(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
 
 
 class TestJsonlRoundTrip:
@@ -166,45 +169,69 @@ class TestLoaderErrors:
         p.write_text(
             json.dumps({"type": "header", "format": "repro-trace-jsonl", "version": 1})
         )
-        assert load_trace(str(p)).format == "jsonl"
+        # The header parses as JSONL; the file then fails for lack of spans.
+        with pytest.raises(TraceFileError, match="no spans"):
+            load_trace(str(p))
 
 
 class TestSchemaChecker:
-    def test_jsonl_export_passes_schema(self, telemetry, tmp_path, checker):
+    def test_jsonl_export_passes_schema(self, telemetry, tmp_path):
         out = tmp_path / "t.jsonl"
         export_trace(telemetry, str(out), "jsonl")
-        assert checker.check(out) == []
+        assert load_trace(str(out)).spans
 
-    def test_chrome_export_passes_schema(self, telemetry, tmp_path, checker):
+    def test_chrome_export_passes_schema(self, telemetry, tmp_path):
         out = tmp_path / "t.json"
         export_trace(telemetry, str(out), "chrome")
-        assert checker.check(out) == []
+        assert load_trace(str(out)).spans
 
-    def test_corrupt_jsonl_caught(self, telemetry, tmp_path, checker):
+    def test_corrupt_jsonl_caught(self, telemetry, tmp_path):
         out = tmp_path / "t.jsonl"
         export_trace(telemetry, str(out), "jsonl")
-        lines = out.read_text().splitlines()
-        record = json.loads(lines[1])
-        del record["name"]
-        lines[1] = json.dumps(record)
-        out.write_text("\n".join(lines) + "\n")
-        errors = checker.check(out)
-        assert any("missing required field 'name'" in e for e in errors)
+        _rewrite_jsonl(out, 1, lambda record: record.pop("name"))
+        with pytest.raises(TraceFileError, match="missing required field 'name'"):
+            load_trace(str(out))
 
-    def test_corrupt_chrome_caught(self, telemetry, tmp_path, checker):
+    def test_corrupt_chrome_caught(self, telemetry, tmp_path):
         out = tmp_path / "t.json"
         export_trace(telemetry, str(out), "chrome")
-        payload = json.loads(out.read_text())
-        payload["traceEvents"][1]["ph"] = "Z"
-        del payload["traceEvents"][2]["ts"]
-        out.write_text(json.dumps(payload))
-        errors = checker.check(out)
-        assert any("phase 'Z'" in e for e in errors)
-        assert any("'ts'" in e for e in errors)
+        _rewrite_chrome(out, lambda p: p["traceEvents"][1].update(ph="Z"))
+        with pytest.raises(TraceFileError, match="phase 'Z'"):
+            load_trace(str(out))
 
-    def test_bench_files_still_validate(self, checker):
-        bench = Path(__file__).parents[2] / "BENCH_pr2.json"
-        assert checker.check(bench) == []
+    def test_chrome_event_without_ts_caught(self, telemetry, tmp_path):
+        out = tmp_path / "t.json"
+        export_trace(telemetry, str(out), "chrome")
+        _rewrite_chrome(out, lambda p: p["traceEvents"][2].pop("ts"))
+        with pytest.raises(TraceFileError, match="'ts'"):
+            load_trace(str(out))
+
+    def test_bool_span_times_rejected(self, telemetry, tmp_path):
+        # bool is an int subclass; it must not pass for a number.
+        out = tmp_path / "t.jsonl"
+        export_trace(telemetry, str(out), "jsonl")
+        _rewrite_jsonl(out, 1, lambda record: record.update(start_us=True, dur_us=False))
+        with pytest.raises(TraceFileError, match="'start_us' has type bool"):
+            load_trace(str(out))
+
+    def test_unknown_header_version_rejected(self, telemetry, tmp_path):
+        out = tmp_path / "t.jsonl"
+        export_trace(telemetry, str(out), "jsonl")
+        _rewrite_jsonl(out, 0, lambda record: record.update(version=99))
+        with pytest.raises(TraceFileError, match="unsupported version 99"):
+            load_trace(str(out))
+
+    def test_chrome_span_without_dur_rejected(self, telemetry, tmp_path):
+        out = tmp_path / "t.json"
+        export_trace(telemetry, str(out), "chrome")
+
+        def drop_first_dur(payload):
+            span = next(ev for ev in payload["traceEvents"] if ev["ph"] == "X")
+            del span["dur"]
+
+        _rewrite_chrome(out, drop_first_dur)
+        with pytest.raises(TraceFileError, match="phase 'X' requires 'dur'"):
+            load_trace(str(out))
 
 
 class TestPhaseReport:

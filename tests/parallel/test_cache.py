@@ -200,3 +200,16 @@ class TestRepairThroughCache:
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 7
         assert stats["hits"] >= 4
+
+    def test_table2_rows_identical_through_a_warm_cache(self):
+        from repro.experiments import run_table2
+
+        grid = (("Tiny", "Small"), ("B", "C", "D", "E"))
+        uncached = [row.to_record() for row in run_table2(*grid)]
+        cache = CompileCache()
+        cold = [row.to_record() for row in run_table2(*grid, compile_cache=cache)]
+        warm = [row.to_record() for row in run_table2(*grid, compile_cache=cache)]
+        assert cold == uncached
+        assert warm == uncached
+        # Round two is served entirely from the cache.
+        assert cache.stats()["hits"] == len(uncached) == 8

@@ -457,3 +457,15 @@ class TestBench:
         assert payload["cache"]["hits"] >= 2
         assert [c["scenario"] for c in payload["cells"]] == ["B", "C"]
         assert all(c["solved"] for c in payload["cells"])
+
+    def test_profile_out_writes_merged_pstats(self, tmp_path, capsys):
+        import pstats
+
+        prefix = tmp_path / "prof.bench"
+        rc = main([
+            "bench", "--networks", "Tiny", "--scenarios", "B",
+            "--profile-out", str(prefix),
+        ])
+        assert rc == 0
+        assert "wrote 1 profile file(s)" in capsys.readouterr().err
+        assert pstats.Stats(str(prefix)).total_calls > 0

@@ -122,14 +122,19 @@ class TestRunController:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_delta_and_full_records_identical(self):
+        # A longer timeline than SPEC's: it repairs, redeploys and loses
+        # members, and the patcher serves most repair compiles.
+        spec = {"fleet": 3, "faults": {"seed": 13, "events": 8}, "rg_node_budget": 20_000}
         app, net = media.build_app("n0", "n2"), fleet_net()
+        uncached = run_controller(app, net, LEV, spec, compile_cache=None)
         full = run_controller(
-            app, net, LEV, SPEC, compile_cache=CompileCache(max_entries=32)
+            app, net, LEV, spec, compile_cache=CompileCache(max_entries=32)
         )
         delta = run_controller(
-            app, net, LEV, dict(SPEC, delta_replanning=True),
+            app, net, LEV, dict(spec, delta_replanning=True),
             compile_cache=CompileCache(max_entries=32),
         )
+        assert strip_provenance(uncached) == strip_provenance(full)
         assert strip_provenance(full) == strip_provenance(delta)
         # The delta run served at least as many repairs warm.
         assert delta["summary"]["delta_hits"] >= full["summary"]["delta_hits"]
