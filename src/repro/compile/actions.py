@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 from ..expr import (
     Assign,
@@ -39,6 +40,7 @@ __all__ = [
     "iface_prop_var",
     "node_res_var",
     "link_res_var",
+    "link_site",
 ]
 
 _EPS = 1e-9
@@ -106,8 +108,13 @@ def node_res_var(res: str, node: str) -> str:
 
 def link_res_var(res: str, a: str, b: str) -> str:
     """Ground variable for a link resource (canonical endpoint order)."""
+    return node_res_var(res, link_site(a, b))
+
+
+def link_site(a: str, b: str) -> str:
+    """The site name link resources are ground at: ``lo~hi`` endpoints."""
     lo, hi = (a, b) if a <= b else (b, a)
-    return f"{res}@{lo}~{hi}"
+    return f"{lo}~{hi}"
 
 
 class EffectKind(Enum):
@@ -185,22 +192,25 @@ class GroundAction:
         self._program = [None]
 
     def clone(self) -> "GroundAction":
-        """A mutable copy sharing the replay program.
+        """A copy sharing the replay program and every container.
 
         Unlike ``copy.copy`` — which round-trips through
-        :meth:`__getstate__` and drops the replay program — this copies
-        every slot directly, so the copy shares the program cell: whichever
-        of the two replays first builds the program for both.  The program
-        depends only on ``var_map``, ``conditions``, ``effects`` and
-        ``effect_targets``, which nothing changes after grounding; the
-        mutable containers (``var_map``, ``committed``) are still copied so
-        callers may edit a copy's in place.
+        :meth:`__getstate__` and drops the replay program — this passes
+        every field to the constructor and then shares the program cell:
+        whichever of the two replays first builds the program for both.
+        The program depends only on ``var_map``, ``conditions``,
+        ``effects`` and ``effect_targets``, which nothing changes after
+        grounding.
+
+        The copy also shares the ``var_map`` and ``committed`` dicts (as
+        every action of one grounding template already shares its
+        ``committed``), so a clone costs one object.  Fields may be
+        reassigned on a copy — ``index`` when renumbering, ``committed``
+        in :func:`repro.planner.postopt.replace_action` — but neither
+        dict may be edited in place: replace it instead.
         """
-        dup = object.__new__(GroundAction)
-        for slot in self.__slots__:
-            object.__setattr__(dup, slot, getattr(self, slot))
-        dup.var_map = dict(self.var_map)
-        dup.committed = dict(self.committed)
+        dup = GroundAction(*_init_fields(self))
+        dup._program = self._program
         return dup
 
     def _build_program(self) -> tuple:
@@ -317,3 +327,7 @@ class GroundAction:
                 if iv.is_empty():
                     raise ReplayFailure(self, f"effect on {gvar} produced empty interval")
                 rmap.set(gvar, iv)
+
+
+# Every constructor field of a GroundAction, read as one tuple (clone()).
+_init_fields = attrgetter(*(f.name for f in fields(GroundAction) if f.init))

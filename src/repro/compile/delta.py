@@ -190,6 +190,7 @@ def patch_problem(
         initial_values=initial_values,
         logically_solvable=logically_solvable,
         reachability_pruned=len(removed_actions),
+        ground_templates=grounder.templates,
         compile_seconds=time.perf_counter() - t0,
         compile_source="delta",
     )

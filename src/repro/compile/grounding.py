@@ -16,6 +16,13 @@ are pruned statically:
   input level (the same output is reachable by committing the lower level
   directly, with no larger resource demand — the paper's "actions for
   crossing the link with the M stream with levels above 1 are pruned").
+
+Static evaluation depends only on the level combo and the capacities of
+the node or link, and networks have few distinct capacity profiles.  So
+each (component or interface, level combo, capacity class) that survives
+is evaluated once into a :class:`_Template` holding everything its
+actions share; binding it to a node or directed edge only formats names
+and looks up interned proposition sets shared by equal keys.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from typing import Iterator
 
 from ..expr import Node as ExprNode
 from ..expr import (
+    Assign,
     EvalError,
+    Num,
     compile_condition_satisfiable,
     compile_interval,
     variables,
@@ -35,11 +44,12 @@ from ..expr import (
 from ..intervals import Interval
 from ..model import AppSpec, ComponentSpec, InterfaceType, Leveling, LevelSpec, SpecError
 from ..network import Network, ResourceScope
+from ..network.resources import ResourceDecl
 from .actions import (
     EffectKind,
     GroundAction,
     iface_prop_var,
-    link_res_var,
+    link_site,
     node_res_var,
 )
 from .propositions import AvailProp, PlacedProp, Prop, dominated_level_tuples
@@ -47,6 +57,11 @@ from .propositions import AvailProp, PlacedProp, Prop, dominated_level_tuples
 __all__ = ["Grounder", "PropTable"]
 
 _EPS = 1e-9
+_UNIT_COST = Num(1.0)
+
+# Binding sites a template's ground variables end in: a place binds one
+# site, its node (_SRC); a cross binds (src, dst, link site).
+_SRC, _DST, _LINK = 0, 1, 2
 
 
 class PropTable:
@@ -85,6 +100,31 @@ class _IfaceLevelInfo:
     counts: tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True)
+class _Template:
+    """One surviving (subject, level combo, capacity class): everything
+    its ground actions hold that does not depend on their node or link.
+
+    Every ground variable name ends in its site (see
+    :func:`~repro.compile.actions.iface_prop_var`, ``node_res_var`` and
+    ``link_res_var``), so a variable is stored as ``(prefix, site)`` and
+    bound as ``prefix + sites[site]``.
+    """
+
+    suffix: str  # "[var=level,...]" action-name suffix, or ""
+    cost_lb: float
+    cost_ast: ExprNode
+    committed: dict[str, Interval]  # shared by every action of the template
+    var_map: tuple[tuple[str, str, int], ...]  # (spec var, prefix, site)
+    seeds: tuple[tuple[str, int, Interval], ...]  # (prefix, site, interval)
+    conditions: tuple[ExprNode, ...]
+    effects: tuple[Assign, ...]
+    targets: tuple[tuple[str, int, EffectKind], ...]  # (prefix, site, kind)
+    pre: tuple[tuple[str, tuple[int, ...]], ...]  # (interface, levels) required
+    # (interface, levels, implied level tuples) made available
+    adds: tuple[tuple[str, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+
+
 class Grounder:
     """Grounds one (app, network, leveling) triple into leveled actions."""
 
@@ -102,6 +142,9 @@ class Grounder:
         self.bounds = bounds
         self.props = props
         self.actions: list[GroundAction] = []
+        self.templates = 0  # (subject, level combo, capacity class) templates built
+        self._pre_sets: dict[tuple, frozenset[int]] = {}
+        self._add_sets: dict[tuple, tuple] = {}
         self._iface_info: dict[str, _IfaceLevelInfo] = {
             name: self._build_iface_info(iface) for name, iface in app.interfaces.items()
         }
@@ -291,26 +334,23 @@ class Grounder:
         base_env, input_axes = self._input_env_and_axes(comp.requires)
 
         # Static results depend only on (level combo, node capacities); most
-        # networks have a handful of distinct capacity profiles, so memoize.
-        memo: dict[tuple, tuple | None] = {}
-
+        # networks have a handful of distinct capacity profiles, so each
+        # profile's surviving combos are evaluated and templated once.
+        classes: dict[tuple, list[_Template]] = {}
         for node_id in nodes:
             node = self.network.node(node_id)
             caps = {r.name: node.capacity(r.name) for r in self.app.node_resources()}
-            res_env, res_axes = self._resource_axes(ResourceScope.NODE, mentioned, caps)
             cap_key = tuple(sorted(caps.items()))
-            for combo in self._combos(input_axes + res_axes):
-                combo_key = (cap_key, tuple(sorted((v, i) for v, (i, _) in combo.items())))
-                cached = memo.get(combo_key, _MISSING)
-                if cached is None:
-                    continue  # statically pruned for this capacity profile
-                if cached is _MISSING:
-                    cached = self._evaluate_place_combo(comp, base_env, res_env, combo, caps)
-                    memo[combo_key] = cached
-                    if cached is None:
-                        continue
-                derived_levels, cost_lb, committed = cached
-                self._emit_place(comp, node_id, combo, derived_levels, cost_lb, committed)
+            templates = classes.get(cap_key)
+            if templates is None:
+                res_env, res_axes = self._resource_axes(ResourceScope.NODE, mentioned, caps)
+                templates = classes[cap_key] = []
+                for combo in self._combos(input_axes + res_axes):
+                    evaluated = self._evaluate_place_combo(comp, base_env, res_env, combo, caps)
+                    if evaluated is not None:
+                        templates.append(self._place_template(comp, combo, *evaluated))
+                self.templates += len(templates)
+            self._emit_place(comp, node_id, templates)
 
     def _evaluate_place_combo(
         self,
@@ -365,105 +405,91 @@ class Grounder:
         committed = dict(env)
         return derived_levels, cost_lb, committed
 
-    def _emit_place(
+    def _place_template(
         self,
         comp: ComponentSpec,
-        node_id: str,
         combo: dict[str, tuple[int, Interval]],
         derived_levels: dict[str, dict[str, int]],
         cost_lb: float,
         committed: dict[str, Interval],
-    ) -> None:
-        var_map: dict[str, str] = {}
-        seeds: list[tuple[str, Interval]] = []
-
-        pre_ids: set[int] = set()
+    ) -> _Template:
+        var_map: dict[str, tuple[str, int]] = {}
+        seeds: list[tuple[str, int, Interval]] = []
+        pre: list[tuple[str, tuple[int, ...]]] = []
         for iface_name in comp.requires:
             iface = self.app.interface(iface_name)
             info = self._iface_info[iface_name]
-            levels = tuple(combo[v][0] for v in info.spec_vars)
-            pre_ids.add(self.props.intern(AvailProp(iface_name, node_id, levels)))
+            pre.append((iface_name, tuple(combo[v][0] for v in info.spec_vars)))
             for prop in iface.properties:
                 var = iface.spec_var(prop.name)
-                gvar = iface_prop_var(prop.name, iface_name, node_id)
-                var_map[var] = gvar
-                seeds.append((gvar, committed[var]))
-
+                prefix = iface_prop_var(prop.name, iface_name, "")
+                var_map[var] = (prefix, _SRC)
+                seeds.append((prefix, _SRC, committed[var]))
         for decl in self.app.node_resources():
             var = f"Node.{decl.name}"
             if var not in committed:
                 continue
-            gvar = node_res_var(decl.name, node_id)
-            var_map[var] = gvar
+            prefix = node_res_var(decl.name, "")
+            var_map[var] = (prefix, _SRC)
             if var in combo:  # leveled resource: seed the availability check
-                lo = combo[var][1].lo
-                if decl.degradable:
-                    seeds.append((gvar, Interval.at_least(lo)))
-                else:
-                    seeds.append((gvar, combo[var][1]))
+                seeds.append((prefix, _SRC, _resource_seed(decl, combo[var][1])))
 
-        effects = []
-        targets: list[tuple[str, EffectKind]] = []
+        targets: list[tuple[str, int, EffectKind]] = []
         for assign in comp.effects:
             tgt = assign.target.name
             if tgt.startswith("Node."):
                 res_name = tgt.split(".", 1)[1]
-                decl = self.app.resource(res_name)
-                gvar = node_res_var(res_name, node_id)
-                var_map.setdefault(tgt, gvar)
-                kind = (
-                    EffectKind.CONSUME
-                    if assign.op == "-=" and decl.consumable
-                    else EffectKind.SET_RESOURCE
-                )
+                prefix = node_res_var(res_name, "")
+                kind = _resource_kind(self.app.resource(res_name), assign)
             else:
                 iface_name, prop_name = tgt.split(".", 1)
-                iface = self.app.interface(iface_name)
-                gvar = iface_prop_var(prop_name, iface_name, node_id)
-                var_map.setdefault(tgt, gvar)
-                if iface.is_degradable(prop_name):
-                    kind = EffectKind.PRODUCE_DEGRADABLE
-                elif iface.property_spec(prop_name).upgradable:
-                    kind = EffectKind.PRODUCE_UPGRADABLE
-                else:
-                    kind = EffectKind.PRODUCE
-            effects.append(assign)
-            targets.append((gvar, kind))
+                prefix = iface_prop_var(prop_name, iface_name, "")
+                kind = _produce_kind(self.app.interface(iface_name), prop_name)
+            var_map.setdefault(tgt, (prefix, _SRC))
+            targets.append((prefix, _SRC, kind))
 
-        add_ids: set[int] = set()
-        placed = self.props.intern(PlacedProp(comp.name, node_id))
-        add_ids.add(placed)
-        primary: list[int] = [placed]
+        adds = []
         for iface_name in comp.implements:
             info = self._iface_info[iface_name]
             levels = tuple(derived_levels[iface_name][p] for p in info.leveled_props)
-            main = self.props.intern(AvailProp(iface_name, node_id, levels))
-            primary.append(main)
-            for tup in dominated_level_tuples(levels, info.degradable, info.upgradable, info.counts):
-                add_ids.add(self.props.intern(AvailProp(iface_name, node_id, tup)))
-
-        annot = ",".join(f"{v}={i}" for v, (i, _) in sorted(combo.items()))
-        name = f"place({comp.name},{node_id})" + (f"[{annot}]" if annot else "")
-        self.actions.append(
-            GroundAction(
-                index=len(self.actions),
-                name=name,
-                kind="place",
-                subject=comp.name,
-                node=node_id,
-                pre_props=frozenset(pre_ids),
-                add_props=frozenset(add_ids),
-                primary_adds=tuple(primary),
-                cost_lb=cost_lb,
-                cost_ast=comp.cost_expr(),
-                var_map=var_map,
-                seeds=tuple(seeds),
-                conditions=comp.conditions,
-                effects=tuple(effects),
-                effect_targets=tuple(targets),
-                committed=committed,
-            )
+            adds.append((iface_name, levels, self._dominated(info, levels)))
+        return _Template(
+            suffix=_annotation(combo),
+            cost_lb=cost_lb,
+            cost_ast=comp.cost_expr(),
+            committed=committed,
+            var_map=tuple((var, prefix, site) for var, (prefix, site) in var_map.items()),
+            seeds=tuple(seeds),
+            conditions=comp.conditions,
+            effects=tuple(comp.effects),
+            targets=tuple(targets),
+            pre=tuple(pre),
+            adds=tuple(adds),
         )
+
+    def _emit_place(self, comp: ComponentSpec, node_id: str, templates: list[_Template]) -> None:
+        """One place action per template at ``node_id``."""
+        sites = (node_id,)
+        head = f"place({comp.name},{node_id})"
+        placed = None
+        for t in templates:
+            pre_ids: set[int] = set()
+            for iface_name, levels in t.pre:
+                pre_ids.update(self._avail_pre(iface_name, node_id, levels))
+            if placed is None:  # interned after the first preconditions, in action order
+                placed = self.props.intern(PlacedProp(comp.name, node_id))
+            add_ids = {placed}
+            primary = [placed]
+            for iface_name, levels, dominated in t.adds:
+                (main,), dominated_ids, _set = self._avail_adds(
+                    iface_name, node_id, levels, dominated
+                )
+                primary.append(main)
+                add_ids.update(dominated_ids)
+            self._append(
+                t, head, sites, "place", comp.name, frozenset(pre_ids),
+                frozenset(add_ids), tuple(primary), node=node_id,
+            )
 
     # ------------------------------------------------------------------ cross
 
@@ -485,26 +511,22 @@ class Grounder:
             mentioned |= variables(f)
 
         base_env, input_axes = self._input_env_and_axes((iface.name,))
-        memo: dict[tuple, tuple | None] = {}
-
+        classes: dict[tuple, list[_Template]] = {}
         for src, dst, link in self.network.directed_edges():
             if only_links is not None and link.key not in only_links:
                 continue
             caps = {r.name: link.capacity(r.name) for r in self.app.link_resources()}
-            res_env, res_axes = self._resource_axes(ResourceScope.LINK, mentioned, caps)
             cap_key = tuple(sorted(caps.items()))
-            for combo in self._combos(input_axes + res_axes):
-                combo_key = (cap_key, tuple(sorted((v, i) for v, (i, _) in combo.items())))
-                cached = memo.get(combo_key, _MISSING)
-                if cached is None:
-                    continue
-                if cached is _MISSING:
-                    cached = self._evaluate_cross_combo(iface, base_env, res_env, combo, caps)
-                    memo[combo_key] = cached
-                    if cached is None:
-                        continue
-                derived_levels, cost_lb, committed = cached
-                self._emit_cross(iface, src, dst, combo, derived_levels, cost_lb, committed)
+            templates = classes.get(cap_key)
+            if templates is None:
+                res_env, res_axes = self._resource_axes(ResourceScope.LINK, mentioned, caps)
+                templates = classes[cap_key] = []
+                for combo in self._combos(input_axes + res_axes):
+                    evaluated = self._evaluate_cross_combo(iface, base_env, res_env, combo, caps)
+                    if evaluated is not None:
+                        templates.append(self._cross_template(iface, combo, *evaluated))
+                self.templates += len(templates)
+            self._emit_cross(iface, src, dst, templates)
 
     def _evaluate_cross_combo(
         self,
@@ -578,97 +600,181 @@ class Grounder:
         cost_lb = max(cost_iv.lo, 0.0)
         return derived, cost_lb, dict(env)
 
-    def _emit_cross(
+    def _cross_template(
         self,
         iface: InterfaceType,
-        src: str,
-        dst: str,
         combo: dict[str, tuple[int, Interval]],
         derived: dict[str, int],
         cost_lb: float,
         committed: dict[str, Interval],
-    ) -> None:
+    ) -> _Template:
         info = self._iface_info[iface.name]
-        var_map: dict[str, str] = {}
-        seeds: list[tuple[str, Interval]] = []
+        var_map: dict[str, tuple[str, int]] = {}
+        seeds: list[tuple[str, int, Interval]] = []
         for prop in iface.properties:
             var = iface.spec_var(prop.name)
-            gvar = iface_prop_var(prop.name, iface.name, src)
-            var_map[var] = gvar
-            seeds.append((gvar, committed[var]))
+            prefix = iface_prop_var(prop.name, iface.name, "")
+            var_map[var] = (prefix, _SRC)
+            seeds.append((prefix, _SRC, committed[var]))
         for decl in self.app.link_resources():
             var = f"Link.{decl.name}"
             if var not in committed:
                 continue
-            gvar = link_res_var(decl.name, src, dst)
-            var_map[var] = gvar
+            prefix = node_res_var(decl.name, "")
+            var_map[var] = (prefix, _LINK)
             if var in combo:
-                lo = combo[var][1].lo
-                if decl.degradable:
-                    seeds.append((gvar, Interval.at_least(lo)))
-                else:
-                    seeds.append((gvar, combo[var][1]))
+                seeds.append((prefix, _LINK, _resource_seed(decl, combo[var][1])))
 
-        effects = []
-        targets: list[tuple[str, EffectKind]] = []
+        targets: list[tuple[str, int, EffectKind]] = []
         for assign in iface.cross_effects:
             tgt = assign.target.name
             if tgt.startswith("Link."):
                 res_name = tgt.split(".", 1)[1]
-                decl = self.app.resource(res_name)
-                gvar = link_res_var(res_name, src, dst)
-                var_map.setdefault(tgt, gvar)
-                kind = (
-                    EffectKind.CONSUME
-                    if assign.op == "-=" and decl.consumable
-                    else EffectKind.SET_RESOURCE
-                )
+                prefix = node_res_var(res_name, "")
+                var_map.setdefault(tgt, (prefix, _LINK))
+                targets.append((prefix, _LINK, _resource_kind(self.app.resource(res_name), assign)))
             else:
                 _iname, prop_name = tgt.split(".", 1)
-                gvar = iface_prop_var(prop_name, iface.name, dst)
-                if iface.is_degradable(prop_name):
-                    kind = EffectKind.PRODUCE_DEGRADABLE
-                elif iface.property_spec(prop_name).upgradable:
-                    kind = EffectKind.PRODUCE_UPGRADABLE
-                else:
-                    kind = EffectKind.PRODUCE
-            effects.append(assign)
-            targets.append((gvar, kind))
+                prefix = iface_prop_var(prop_name, iface.name, "")
+                targets.append((prefix, _DST, _produce_kind(iface, prop_name)))
 
         in_levels = tuple(combo[v][0] for v in info.spec_vars)
-        pre = self.props.intern(AvailProp(iface.name, src, in_levels))
         out_levels = tuple(derived[p] for p in info.leveled_props)
-        add_ids: set[int] = set()
-        main = self.props.intern(AvailProp(iface.name, dst, out_levels))
-        for tup in dominated_level_tuples(out_levels, info.degradable, info.upgradable, info.counts):
-            add_ids.add(self.props.intern(AvailProp(iface.name, dst, tup)))
+        return _Template(
+            suffix=_annotation(combo),
+            cost_lb=cost_lb,
+            cost_ast=iface.cross_cost if iface.cross_cost is not None else _UNIT_COST,
+            committed=committed,
+            var_map=tuple((var, prefix, site) for var, (prefix, site) in var_map.items()),
+            seeds=tuple(seeds),
+            conditions=iface.cross_conditions,
+            effects=tuple(iface.cross_effects),
+            targets=tuple(targets),
+            pre=((iface.name, in_levels),),
+            adds=((iface.name, out_levels, self._dominated(info, out_levels)),),
+        )
 
-        annot = ",".join(f"{v}={i}" for v, (i, _) in sorted(combo.items()))
-        name = f"cross({iface.name},{src}->{dst})" + (f"[{annot}]" if annot else "")
+    def _emit_cross(
+        self, iface: InterfaceType, src: str, dst: str, templates: list[_Template]
+    ) -> None:
+        """One cross action per template over the directed edge ``src -> dst``."""
+        sites = (src, dst, link_site(src, dst))
+        head = f"cross({iface.name},{src}->{dst})"
+        for t in templates:
+            ((iface_name, in_levels),) = t.pre
+            ((_, out_levels, dominated),) = t.adds
+            pre_props = self._avail_pre(iface_name, src, in_levels)  # interned first
+            primary, _ids, add_props = self._avail_adds(iface_name, dst, out_levels, dominated)
+            self._append(
+                t, head, sites, "cross", iface_name, pre_props, add_props, primary,
+                src=src, dst=dst,
+            )
+
+    # ------------------------------------------------------------------ bind
+
+    def _append(
+        self,
+        t: _Template,
+        head: str,
+        sites: tuple[str, ...],
+        kind: str,
+        subject: str,
+        pre_props: frozenset[int],
+        add_props: frozenset[int],
+        primary_adds: tuple[int, ...],
+        node: str | None = None,
+        src: str | None = None,
+        dst: str | None = None,
+    ) -> None:
+        """Bind template ``t`` to ``sites``: only names are formatted here."""
         self.actions.append(
             GroundAction(
                 index=len(self.actions),
-                name=name,
-                kind="cross",
-                subject=iface.name,
+                name=head + t.suffix,
+                kind=kind,
+                subject=subject,
+                node=node,
                 src=src,
                 dst=dst,
-                pre_props=frozenset((pre,)),
-                add_props=frozenset(add_ids),
-                primary_adds=(main,),
-                cost_lb=cost_lb,
-                cost_ast=iface.cross_cost if iface.cross_cost is not None else _UNIT_COST,
-                var_map=var_map,
-                seeds=tuple(seeds),
-                conditions=iface.cross_conditions,
-                effects=tuple(effects),
-                effect_targets=tuple(targets),
-                committed=committed,
+                pre_props=pre_props,
+                add_props=add_props,
+                primary_adds=primary_adds,
+                cost_lb=t.cost_lb,
+                cost_ast=t.cost_ast,
+                var_map={var: prefix + sites[site] for var, prefix, site in t.var_map},
+                seeds=tuple([(prefix + sites[site], iv) for prefix, site, iv in t.seeds]),
+                conditions=t.conditions,
+                effects=t.effects,
+                effect_targets=tuple(
+                    [(prefix + sites[site], ekind) for prefix, site, ekind in t.targets]
+                ),
+                committed=t.committed,
             )
         )
 
+    def _avail_pre(self, iface: str, node: str, levels: tuple[int, ...]) -> frozenset[int]:
+        """``{avail(iface, node, levels)}``, interned and built once per key."""
+        key = (iface, node, levels)
+        got = self._pre_sets.get(key)
+        if got is None:
+            got = self._pre_sets[key] = frozenset(
+                (self.props.intern(AvailProp(iface, node, levels)),)
+            )
+        return got
 
-from ..expr import Num as _Num  # noqa: E402  (tiny helper import)
+    def _avail_adds(
+        self,
+        iface: str,
+        node: str,
+        levels: tuple[int, ...],
+        dominated: tuple[tuple[int, ...], ...],
+    ) -> tuple[tuple[int], tuple[int, ...], frozenset[int]]:
+        """Availability at ``levels`` and every level it implies, once per key.
 
-_UNIT_COST = _Num(1.0)
-_MISSING = object()
+        Returns ``((main,), ids, id_set)``: the primary add, the implied
+        ids in ``dominated`` order and the same ids as the add set.
+        Interning (and set insertion) follows that order, so proposition
+        ids and set layouts match a per-action build exactly.
+        """
+        key = (iface, node, levels)
+        got = self._add_sets.get(key)
+        if got is None:
+            intern = self.props.intern
+            main = intern(AvailProp(iface, node, levels))
+            ids = tuple([intern(AvailProp(iface, node, tup)) for tup in dominated])
+            id_set: set[int] = set()
+            for pid in ids:
+                id_set.add(pid)
+            got = self._add_sets[key] = ((main,), ids, frozenset(id_set))
+        return got
+
+    @staticmethod
+    def _dominated(info: _IfaceLevelInfo, levels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            dominated_level_tuples(levels, info.degradable, info.upgradable, info.counts)
+        )
+
+
+def _annotation(combo: dict[str, tuple[int, Interval]]) -> str:
+    """The ``[var=level,...]`` action-name suffix of a level combo."""
+    annot = ",".join(f"{v}={i}" for v, (i, _) in sorted(combo.items()))
+    return f"[{annot}]" if annot else ""
+
+
+def _resource_seed(decl: ResourceDecl, level: Interval) -> Interval:
+    """Seed for a leveled resource's availability check."""
+    return Interval.at_least(level.lo) if decl.degradable else level
+
+
+def _resource_kind(decl: ResourceDecl, assign: Assign) -> EffectKind:
+    if assign.op == "-=" and decl.consumable:
+        return EffectKind.CONSUME
+    return EffectKind.SET_RESOURCE
+
+
+def _produce_kind(iface: InterfaceType, prop_name: str) -> EffectKind:
+    if iface.is_degradable(prop_name):
+        return EffectKind.PRODUCE_DEGRADABLE
+    if iface.property_spec(prop_name).upgradable:
+        return EffectKind.PRODUCE_UPGRADABLE
+    return EffectKind.PRODUCE

@@ -41,6 +41,7 @@ class CompiledProblem:
     initial_values: dict[str, float]  # exact initial ground-variable values
     logically_solvable: bool = True  # goal reachable ignoring resources
     reachability_pruned: int = 0  # actions removed by best-value propagation
+    ground_templates: int = 0  # (subject, level combo, capacity class) templates grounded
     compile_seconds: float = 0.0
     compile_source: str = "fresh"
     """How this problem came to be: ``"fresh"`` (full compilation),
@@ -76,13 +77,15 @@ class CompiledProblem:
     def fork(self) -> "CompiledProblem":
         """A copy safe to hand to mutating consumers (repair, caching).
 
-        Deployment repair rewrites the initial state and discounts action
-        costs in place; a warm-start compile cache therefore never hands
-        out its pristine instance directly.  Actions are cloned cheaply
-        (sharing the immutable replay closures — see
-        :meth:`~repro.compile.GroundAction.clone`), everything else that
-        repair mutates is shallow-copied, and the expensive immutable
-        structure (interned propositions, ASTs) is shared.
+        Deployment repair rewrites the initial state and reassigns action
+        fields (costs, ``index``, ``committed``); a warm-start compile cache
+        therefore never hands out its pristine instance directly.  Each
+        action is cloned into one new object that shares its replay
+        program, ``var_map`` and ``committed`` with the original (see
+        :meth:`~repro.compile.GroundAction.clone`: those dicts are replaced,
+        never edited), the containers repair mutates are shallow-copied,
+        and the expensive immutable structure (interned propositions,
+        ASTs) is shared.
         """
         import copy as _copy
 
@@ -207,6 +210,7 @@ def compile_problem(
         initial_values=initial_values,
         logically_solvable=logically_solvable,
         reachability_pruned=len(removed_actions),
+        ground_templates=grounder.templates,
         compile_seconds=time.perf_counter() - t0,
     )
     problem._initial_streams = initial_streams

@@ -217,6 +217,8 @@ class Planner:
                 problem = self.compile(app, network)
                 if sp is not None:
                     sp.attrs["actions"] = len(problem.actions)
+                    sp.attrs["templates"] = problem.ground_templates
+                    sp.attrs["reach_pruned"] = problem.reachability_pruned
 
         with maybe_span(
             tele,

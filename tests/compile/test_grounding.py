@@ -143,3 +143,39 @@ class TestActionStructure:
                 assert a.cost_lb == pytest.approx(1 + 90 / 10)
                 return
         pytest.fail("splitter at level 1 not found")
+
+
+class TestTemplates:
+    def test_one_template_per_combo_and_capacity_class(self, app):
+        """Nodes and links with equal capacities share their templates."""
+        uniform = chain_network([(150, "LAN"), (150, "LAN")], cpu=30.0)
+        mixed = chain_network([(150, "LAN"), (70, "WAN")], cpu=30.0)
+        lev = proportional_leveling((90, 100))
+        one = compile_problem(build_app("n0", "n2"), uniform, lev)
+        two = compile_problem(build_app("n0", "n2"), mixed, lev)
+        assert 0 < one.ground_templates < len(one.actions)
+        assert two.ground_templates > one.ground_templates  # a second link class
+
+    def test_bindings_share_interned_prop_sets(self):
+        """n1 is entered over two links: those crossings share add sets."""
+        net = chain_network([(150, "LAN"), (150, "LAN")], cpu=30.0)
+        problem = compile_problem(build_app("n0", "n2"), net, proportional_leveling((90, 100)))
+        by_target: dict = {}
+        for a in problem.actions:
+            if a.kind == "cross":
+                by_target.setdefault((a.dst, a.primary_adds), []).append(a.add_props)
+        shared = [sets for sets in by_target.values() if len(sets) > 1]
+        assert shared
+        for sets in shared:
+            assert all(s is sets[0] for s in sets)
+
+    def test_compile_span_reports_templates_and_pruning(self, app, tiny):
+        from repro.obs import Telemetry
+        from repro.planner import Planner, PlannerConfig
+
+        tele = Telemetry()
+        config = PlannerConfig(leveling=proportional_leveling((90, 100)), telemetry=tele)
+        plan = Planner(config).solve(app, tiny)
+        (span,) = [sp for sp in tele.spans.spans if sp.name == "compile"]
+        assert span.attrs["templates"] == plan.problem.ground_templates > 0
+        assert span.attrs["reach_pruned"] == plan.problem.reachability_pruned
