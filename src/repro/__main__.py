@@ -133,6 +133,36 @@ def _make_live_monitor(args: argparse.Namespace):
     return LiveMonitor()
 
 
+def _make_telemetry(args: argparse.Namespace, profile: bool = False):
+    """A Telemetry when ``--metrics``/``--trace-out`` (or ``profile``) asks
+    for one, else ``None``; with ``profile`` it carries a PhaseProfiler."""
+    if not (args.metrics or args.trace_out or profile):
+        return None
+    from .obs import PhaseProfiler, Telemetry
+
+    telemetry = Telemetry()
+    if profile:
+        telemetry.profiler = PhaseProfiler()
+    return telemetry
+
+
+def _open_journal(args: argparse.Namespace, fingerprint: str, unit: str):
+    """The ``--checkpoint`` journal, or ``None`` when it cannot resume."""
+    from .simulate import JournalMismatch, RunJournal
+
+    try:
+        journal = RunJournal(args.checkpoint, fingerprint, resume=args.resume)
+    except JournalMismatch as exc:
+        print(f"cannot resume: {exc}", file=sys.stderr)
+        return None
+    if args.resume and len(journal):
+        print(
+            f"resuming: {len(journal)} {unit} replayed from {args.checkpoint}",
+            file=sys.stderr,
+        )
+    return journal
+
+
 def _export_trace_to_stderr(args: argparse.Namespace, telemetry) -> None:
     """Handle ``--trace-out`` for the streaming commands.
 
@@ -151,15 +181,7 @@ def _export_trace_to_stderr(args: argparse.Namespace, telemetry) -> None:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     app, network, leveling = _load_instance(args)
-    telemetry = None
-    if args.trace_out or args.metrics or args.profile_out:
-        from .obs import Telemetry
-
-        telemetry = Telemetry()
-    if args.profile_out:
-        from .obs import PhaseProfiler
-
-        telemetry.profiler = PhaseProfiler()
+    telemetry = _make_telemetry(args, profile=bool(args.profile_out))
     from .hierarchy import HierarchyConfig
 
     config = PlannerConfig(
@@ -258,11 +280,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     app, network, leveling = _load_instance(args)
     spec = json.load(open(args.campaign)) if args.campaign else {}
-    telemetry = None
-    if args.metrics or args.trace_out:
-        from .obs import Telemetry
-
-        telemetry = Telemetry()
+    telemetry = _make_telemetry(args)
     monitor = _make_live_monitor(args)
 
     journal = None
@@ -270,23 +288,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if not args.seeds:
             print("--checkpoint requires --seeds (multi-seed campaign)", file=sys.stderr)
             return 2
-        from .simulate import JournalMismatch, RunJournal, campaign_fingerprint
+        from .simulate import campaign_fingerprint
 
         fingerprint = campaign_fingerprint(
             app, network, leveling, spec,
             seeds=args.seeds, events=args.events,
             time_limit_s=args.time_limit, include_timings=args.timings,
         )
-        try:
-            journal = RunJournal(args.checkpoint, fingerprint, resume=args.resume)
-        except JournalMismatch as exc:
-            print(f"cannot resume: {exc}", file=sys.stderr)
+        journal = _open_journal(args, fingerprint, "run(s)")
+        if journal is None:
             return 2
-        if args.resume and len(journal):
-            print(
-                f"resuming: {len(journal)} run(s) replayed from {args.checkpoint}",
-                file=sys.stderr,
-            )
 
     try:
         if args.seeds:
@@ -374,32 +385,21 @@ def _cmd_controller(args: argparse.Namespace) -> int:
     spec = json.load(open(args.campaign)) if args.campaign else {}
     if args.delta:
         spec = dict(spec, delta_replanning=True)
-    telemetry = None
-    if args.metrics or args.trace_out:
-        from .obs import Telemetry
-
-        telemetry = Telemetry()
+    telemetry = _make_telemetry(args)
     monitor = _make_live_monitor(args)
 
     journal = None
     if args.checkpoint:
-        from .simulate import JournalMismatch, RunJournal, controller_fingerprint
+        from .simulate import controller_fingerprint
 
         fingerprint = controller_fingerprint(
             app, network, leveling, spec,
             fleet=args.fleet, seed=args.seed, events=args.events,
             time_limit_s=args.time_limit, include_timings=args.timings,
         )
-        try:
-            journal = RunJournal(args.checkpoint, fingerprint, resume=args.resume)
-        except JournalMismatch as exc:
-            print(f"cannot resume: {exc}", file=sys.stderr)
+        journal = _open_journal(args, fingerprint, "step(s)")
+        if journal is None:
             return 2
-        if args.resume and len(journal):
-            print(
-                f"resuming: {len(journal)} step(s) replayed from {args.checkpoint}",
-                file=sys.stderr,
-            )
 
     try:
         record = run_controller(
@@ -513,55 +513,37 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.hierarchical:
         return _cmd_bench_hierarchy(args)
 
-    from .experiments import render_table2
-    from .experiments.harness import _run_table2_parallel, run_table2
+    from .experiments import render_table2, run_table2
     from .parallel import Supervisor, default_compile_cache, resolve_workers
 
     networks = tuple(args.networks)
     scenarios = tuple(args.scenarios)
     workers = resolve_workers(args.workers, len(networks) * len(scenarios))
     cache = None if args.no_cache else default_compile_cache()
-    telemetry = None
-    if args.metrics or args.trace_out:
-        from .obs import Telemetry
-
-        telemetry = Telemetry()
+    telemetry = _make_telemetry(args)
     monitor = _make_live_monitor(args)
     on_frame = monitor.on_frame if monitor is not None else None
     profile_sink: list | None = [] if args.profile_out else None
     round_s: list[float] = []
     rows = []
+    # A persistent supervised pool keeps per-worker compile caches warm
+    # across rounds (deterministic sharding pins each cell to one
+    # worker), so repeat rounds skip compilation — and a worker death
+    # mid-round respawns and retries instead of aborting the bench.
     pool = Supervisor(workers, telemetry=telemetry) if workers > 1 else None
     try:
         for _ in range(args.rounds):
             t0 = _time.perf_counter()
-            if pool is not None:
-                # A persistent supervised pool keeps per-worker compile
-                # caches warm across rounds (deterministic sharding pins
-                # each cell to one worker), so repeat rounds skip
-                # compilation — and a worker death mid-round respawns and
-                # retries instead of aborting the bench.
-                rows = _run_table2_parallel(
-                    networks,
-                    scenarios,
-                    workers,
-                    compile_cache=cache,
-                    pool=pool,
-                    telemetry=telemetry,
-                    static_prune=args.static_prune,
-                    on_frame=on_frame,
-                    profile_sink=profile_sink,
-                )
-            else:
-                rows = run_table2(
-                    networks,
-                    scenarios,
-                    compile_cache=cache,
-                    telemetry=telemetry,
-                    static_prune=args.static_prune,
-                    on_frame=on_frame,
-                    profile_sink=profile_sink,
-                )
+            rows = run_table2(
+                networks,
+                scenarios,
+                compile_cache=cache,
+                telemetry=telemetry,
+                static_prune=args.static_prune,
+                pool=pool,
+                on_frame=on_frame,
+                profile_sink=profile_sink,
+            )
             round_s.append(_time.perf_counter() - t0)
     finally:
         if pool is not None:

@@ -9,9 +9,7 @@ graph sizes, timings).
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..domains.media import DEFAULT_DEMAND, DEFAULT_SOURCE_BW, build_app
@@ -58,9 +56,9 @@ class Table2Row:
     search_ms: float = 0.0
     plan: Plan | None = field(default=None, repr=False)
     plan_names: tuple[str, ...] = ()
-    """Action names of the plan — survives the trip back from a worker
-    process, where ``plan`` (which drags the compiled problem along) is
-    deliberately stripped.  Filled on every solved cell."""
+    """Action names of the plan.  Filled on every solved cell; rows from
+    :func:`run_table2` carry only these, with ``plan`` (which drags the
+    compiled problem along) stripped so rows can cross processes."""
 
     def to_record(self, include_timings: bool = False) -> dict:
         """Deterministic JSON-ready record of this cell.
@@ -200,150 +198,62 @@ def run_table2(
     networks: tuple[str, ...] = TABLE2_NETWORKS,
     scenarios: tuple[str, ...] = TABLE2_SCENARIOS,
     workers: int = 1,
-    on_frame=None,
-    stream_interval_s: float | None = None,
-    profile_sink: list | None = None,
-    **kwargs,
-) -> list[Table2Row]:
-    """Reproduce Table 2: every (network, scenario) pair.
-
-    With ``workers > 1`` the cells fan out over a spawn-started process
-    pool (:mod:`repro.parallel`), one cell per task, sharded
-    deterministically.  Rows come back in the same (network, scenario)
-    order as the serial walk, worker metrics are merged into the caller's
-    telemetry in task order, and every row's ``plan`` field is ``None``
-    (``plan_names`` carries the actions — compiled problems stay in the
-    workers).  Worker *spans* ride home in the metrics snapshots and are
-    stitched under the coordinator's ``table2.fanout`` dispatch span
-    (per-pid lanes in the exporters).
-
-    ``on_frame`` attaches a live telemetry stream (``--live``): workers
-    push :mod:`repro.obs.stream` frames while running; the serial walk
-    emits equivalent worker-0 frames itself (without per-task metric
-    deltas — the caller's registry already has them).  ``profile_sink``
-    collects per-cell cProfile blobs as ``(pid, blob)`` tuples
-    (``repro bench --profile-out``).
-    """
-    if workers > 1:
-        return _run_table2_parallel(
-            networks,
-            scenarios,
-            workers,
-            on_frame=on_frame,
-            stream_interval_s=stream_interval_s,
-            profile_sink=profile_sink,
-            **kwargs,
-        )
-    from ..obs import capture_profile, make_frame
-
-    total = len(networks) * len(scenarios)
-    rows: list[Table2Row] = []
-    for net_key in networks:
-        case = network_case(net_key)
-        for scen_key in scenarios:
-            index = len(rows)
-            label = f"{net_key}/{scen_key}"
-            if on_frame is not None:
-                on_frame(
-                    0,
-                    make_frame(
-                        "task_start", task=index, label=label,
-                        done=index, total=total,
-                    ),
-                )
-            if profile_sink is not None:
-                blobs: list[bytes] = []
-                with capture_profile(blobs):
-                    row = run_cell(case, scen_key, **kwargs)
-                profile_sink.append((os.getpid(), blobs[0]))
-            else:
-                row = run_cell(case, scen_key, **kwargs)
-            rows.append(row)
-            if on_frame is not None:
-                on_frame(
-                    0,
-                    make_frame(
-                        "task_end", task=index, label=label,
-                        done=len(rows), total=total, ok=row.solved,
-                    ),
-                )
-    return rows
-
-
-def _run_table2_parallel(
-    networks: tuple[str, ...],
-    scenarios: tuple[str, ...],
-    workers: int,
     source_bw: float = DEFAULT_SOURCE_BW,
     demand: float = DEFAULT_DEMAND,
     rg_node_budget: int = 500_000,
     telemetry: Telemetry | None = None,
     compile_cache=None,
-    pool=None,
     static_prune: str | None = None,
+    pool=None,
     on_frame=None,
     stream_interval_s: float | None = None,
     profile_sink: list | None = None,
 ) -> list[Table2Row]:
-    """One Table-2 cell per pool task; results reassembled in cell order.
+    """Reproduce Table 2: every (network, scenario) pair.
 
-    ``pool`` lets a caller (the benchmark harness) keep one warm
-    :class:`~repro.parallel.Supervisor` across repeated sweeps so the
-    per-worker compile caches persist; by default a supervisor is
-    created and torn down around
-    this one sweep, so a worker death mid-sweep respawns and retries
-    instead of aborting.  ``compile_cache`` only gates whether workers
-    use *their own* process-global cache (it cannot cross the process
-    boundary).
+    One cell per task through :func:`repro.parallel.run_tasks`: inline
+    when one worker suffices, else fanned out over a supervised
+    spawn-started pool (``pool`` lets a caller keep one warm
+    :class:`~repro.parallel.Supervisor`, and its per-worker compile
+    caches, across repeated sweeps).  Rows come back in (network,
+    scenario) order at any worker count, each with ``plan=None`` and
+    ``plan_names`` carrying the actions (a full plan drags its compiled
+    problem along; :func:`run_cell` returns one).  Worker metrics are
+    merged into ``telemetry`` in task order and worker spans stitch
+    under the coordinator's ``table2.fanout`` dispatch span (per-pid
+    lanes in the exporters).  Any failed cell raises
+    :class:`~repro.parallel.TaskFailed`.
+
+    ``on_frame`` attaches a live telemetry stream (``--live``).
+    ``profile_sink`` collects per-cell cProfile blobs as ``(pid, blob)``
+    tuples (``repro bench --profile-out``).
     """
-    from ..parallel import CellTask, Supervisor, resolve_workers, run_cell_task
+    from ..parallel import CellTask, run_cell_task, run_tasks
 
-    workers = resolve_workers(workers, len(networks) * len(scenarios))
-    dispatch = (
-        telemetry.span("table2.fanout", workers=workers)
-        if telemetry is not None
-        else nullcontext()
-    )
-    with dispatch:
-        # Tasks carry the dispatch span's context so every worker span
-        # stitches under it when the snapshots come home.
-        ctx = telemetry.current_context() if telemetry is not None else None
-        tasks = [
-            CellTask(
-                network=net_key,
-                scenario=scen_key,
-                source_bw=source_bw,
-                demand=demand,
-                rg_node_budget=rg_node_budget,
-                with_metrics=telemetry is not None,
-                use_cache=compile_cache is not None,
-                static_prune=static_prune,
-                trace=ctx,
-                profile=profile_sink is not None,
-            )
-            for net_key in networks
-            for scen_key in scenarios
-        ]
-        if pool is not None:
-            results = pool.map(
-                run_cell_task, tasks,
-                on_frame=on_frame, stream_interval_s=stream_interval_s,
-            )
-        else:
-            with Supervisor(workers, telemetry=telemetry) as fresh:
-                results = fresh.map(
-                    run_cell_task, tasks,
-                    on_frame=on_frame, stream_interval_s=stream_interval_s,
-                )
-    # Stitch worker spans and merge metrics in task order (deterministic
-    # regardless of completion interleaving), then hand rows back in the
-    # serial walk's order.
-    if telemetry is not None:
-        for index, result in enumerate(results):
-            telemetry.stitch_snapshot(result.metrics, worker=index % workers)
-            result.metrics.merge_into(telemetry.metrics)
+    tasks = [
+        CellTask(
+            network=net_key,
+            scenario=scen_key,
+            source_bw=source_bw,
+            demand=demand,
+            rg_node_budget=rg_node_budget,
+            static_prune=static_prune,
+            profile=profile_sink is not None,
+        )
+        for net_key in networks
+        for scen_key in scenarios
+    ]
+    results = run_tasks(
+        run_cell_task,
+        tasks,
+        workers=workers,
+        telemetry=telemetry,
+        compile_cache=compile_cache,
+        span="table2.fanout",
+        pool=pool,
+        on_frame=on_frame,
+        stream_interval_s=stream_interval_s,
+    ).raise_on_failure()
     if profile_sink is not None:
-        for result in results:
-            if result.profile:
-                profile_sink.append((result.metrics.pid, result.profile))
+        profile_sink.extend((result.pid, result.profile) for result in results)
     return [result.row for result in results]

@@ -18,7 +18,9 @@ on the union subnetwork) → ``flat`` (bit-for-bit a non-hierarchical
 solve), all sharing the partition held by one :class:`Region`.
 
 With telemetry attached, the stages run under ``hierarchy.partition`` /
-``hierarchy.abstract`` / ``hierarchy.stitch`` spans, the
+``hierarchy.abstract`` / ``hierarchy.stitch`` spans (domain solves fanned
+out over workers add a ``hierarchy.fanout`` dispatch span; inline ones
+record straight into the caller's telemetry), the
 ``hierarchy.domains`` counter records fan-out width, and
 ``hierarchy.stitch.retries`` counts every rung the ladder had to walk.
 """
@@ -234,12 +236,13 @@ def plan_decomposed(
 
 
 def _solve_domains(domain_problems, leveling, workers: int, tele):
-    """Fan the domain subproblems out (or solve them in-process).
+    """Solve the domain subproblems, one task each, inline or fanned out.
 
-    Task payloads are derived from the abstract plan alone, so serial
-    and parallel runs hand identical inputs to identical solvers —
+    Task payloads are derived from the abstract plan alone, so inline
+    and supervised runs hand identical inputs to identical solvers —
     results are byte-identical at any worker count.
     """
+    from ..parallel import default_compile_cache, run_tasks
     from ..parallel.workers import DomainTask, run_domain_task
 
     tasks = [
@@ -249,22 +252,14 @@ def _solve_domains(domain_problems, leveling, workers: int, tele):
             network=p.network,
             leveling=leveling,
             rg_node_budget=DOMAIN_RG_NODE_BUDGET,
-            with_metrics=tele is not None,
-            trace=tele.current_context() if tele is not None else None,
         )
         for p in sorted(domain_problems, key=lambda p: p.domain.key)
     ]
-    if not tasks:
-        return []
-    if workers <= 1 or len(tasks) == 1:
-        results = [run_domain_task(task) for task in tasks]
-    else:
-        from ..parallel import Supervisor, resolve_workers
-
-        with Supervisor(resolve_workers(workers, len(tasks)), telemetry=tele) as pool:
-            results = pool.map(run_domain_task, tasks)
-    if tele is not None:
-        for index, result in enumerate(results):
-            tele.stitch_snapshot(result.metrics, worker=index % max(workers, 1))
-            result.metrics.merge_into(tele.metrics)
-    return results
+    return run_tasks(
+        run_domain_task,
+        tasks,
+        workers=workers,
+        telemetry=tele,
+        compile_cache=default_compile_cache(),
+        span="hierarchy.fanout",
+    ).raise_on_failure()

@@ -2,9 +2,9 @@
 
 A coordinator that fans planner work out over worker processes opens a
 dispatch span (``table2.fanout``, ``campaign.fanout``,
-``controller.batch``) and stamps every task envelope with a
-:class:`TraceContext` — the coordinator's trace id plus the id of that
-dispatch span.  Workers build their :class:`~repro.obs.Telemetry` *under*
+``controller.batch``, ``hierarchy.fanout``, ``robust.race``) and stamps
+every task envelope with a :class:`TraceContext` — the coordinator's
+trace id plus the id of that dispatch span.  Workers build their :class:`~repro.obs.Telemetry` *under*
 that context; when the task result travels home, the worker's recorded
 spans ride along inside the metrics snapshot
 (:class:`repro.parallel.MetricsSnapshot`) and :func:`stitch_snapshot`

@@ -2,9 +2,12 @@
 
 Spawn-safe building blocks for running planner work across processes:
 
+* :func:`run_tasks` (:mod:`repro.parallel.workers`) — the one batch
+  fan-out: a list of task payloads through one task core, inline when
+  one worker suffices, else under a :class:`Supervisor`.
 * :class:`Supervisor` (:mod:`repro.parallel.supervisor`) — the one
   process manager: persistent spawn-started workers running either a
-  deterministically sharded batch (``run``/``map``) or a priority race
+  deterministically sharded batch (``run``) or a priority race
   (``race``), with death detection, respawn, retry with a budget,
   poison quarantine (:class:`TaskQuarantined`), and in-process
   fallback, reported via :class:`SupervisionReport`; task exceptions
@@ -15,14 +18,17 @@ Spawn-safe building blocks for running planner work across processes:
 * :class:`CompileCache` (:mod:`repro.parallel.cache`) — warm-start
   compile cache keyed by content fingerprints
   (:mod:`repro.parallel.fingerprint`), one per worker process.
-* Worker task functions (:mod:`repro.parallel.workers`) — the
-  module-level entry points the supervisor actually runs (Table-2
-  cells, fault-campaign runs, fleet repairs, hierarchy domains, and
-  the racing degradation ladder's rungs).
+* Task payloads and cores (:mod:`repro.parallel.workers`) — Table-2
+  cells, fault-campaign runs, fleet repairs and hierarchy domains (all
+  run through ``run_tasks``), and the racing degradation ladder's rungs
+  (run through ``Supervisor.race``).
 
-Consumers: ``run_table2(workers=N)``, ``run_campaign(workers=N)``,
-``solve_robust(workers=N)``, and the ``--workers`` CLI flags on
-``repro bench`` / ``repro simulate`` / ``repro plan --fallback``.
+Consumers: ``run_tasks`` serves ``run_table2(workers=N)``,
+``run_campaign(workers=N)``, ``run_controller(workers=N)`` and
+``HierarchyConfig(workers=N)``; ``Supervisor.race`` serves
+``solve_robust(workers=N)``.  The CLI's ``--workers`` flags on
+``repro bench`` / ``repro simulate`` / ``repro controller`` /
+``repro plan`` reach them.
 """
 
 from .cache import CompileCache, default_compile_cache
@@ -66,14 +72,15 @@ from .workers import (
     run_campaign_task,
     run_cell_task,
     run_domain_task,
-    run_repair_task,
     run_rung_task,
+    run_tasks,
 )
 
 __all__ = [
     "START_METHOD",
     "TaskFailed",
     "resolve_workers",
+    "run_tasks",
     "Supervisor",
     "SupervisorConfig",
     "SupervisionReport",
@@ -104,7 +111,6 @@ __all__ = [
     "run_campaign_task",
     "RepairTask",
     "RepairOutcome",
-    "run_repair_task",
     "DomainTask",
     "DomainResult",
     "run_domain_task",

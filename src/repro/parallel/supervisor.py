@@ -3,10 +3,10 @@
 :class:`Supervisor` owns every worker process :mod:`repro.parallel`
 starts.  It runs work two ways:
 
-* :meth:`Supervisor.run` / :meth:`Supervisor.map` — a batch fan-out with
-  deterministic sharding: task ``i`` starts on worker ``i % workers``,
-  so a task set replayed against a persistent supervisor lands on the
-  same workers every time and per-worker compile caches hit reliably.
+* :meth:`Supervisor.run` — a batch fan-out with deterministic sharding:
+  task ``i`` starts on worker ``i % workers``, so a task set replayed
+  against a persistent supervisor lands on the same workers every time
+  and per-worker compile caches hit reliably.
 * :meth:`Supervisor.race` — a priority race: payloads start in priority
   order, at most one per worker, each on the first worker that goes
   idle; the race stops once a caller-supplied callback accepts the
@@ -277,12 +277,14 @@ class Supervisor:
     Use as a context manager::
 
         with Supervisor(4) as sup:
-            rows = sup.map(run_cell_task, tasks)
+            values = sup.run(square, [1, 2, 3]).raise_on_failure()
 
-    ``map`` keeps the strict raise-on-failure contract (after recovery
-    has been attempted); ``run`` and ``race`` return the full
-    :class:`SupervisionReport`.  Workers persist across calls, so
-    per-process state (module import cost, compile caches) is paid once.
+    ``run`` and ``race`` return the full :class:`SupervisionReport`;
+    :meth:`SupervisionReport.raise_on_failure` gives the strict contract
+    (after recovery has been attempted).  Workers persist across calls,
+    so per-process state (module import cost, compile caches) is paid
+    once.  Batches of planner work reach ``run`` through
+    :func:`repro.parallel.run_tasks`.
     """
 
     def __init__(
@@ -373,21 +375,6 @@ class Supervisor:
                 slot.conn.close()
                 slot.conn = None
             slot.dead = True
-
-    # -- the strict surface -------------------------------------------------------
-
-    def map(
-        self,
-        fn: Callable,
-        payloads: Sequence,
-        on_frame: Callable[[int, dict], None] | None = None,
-        stream_interval_s: float | None = None,
-    ) -> list:
-        """Results in payload order: recover first, raise
-        :class:`TaskFailed` only if a task (not a worker) is beyond saving."""
-        return self.run(
-            fn, payloads, on_frame=on_frame, stream_interval_s=stream_interval_s
-        ).raise_on_failure()
 
     # -- the supervised run --------------------------------------------------------
 

@@ -1,32 +1,48 @@
-"""Module-level worker task functions for supervised worker processes.
+"""One batch fan-out, and the task kinds it runs.
 
-Spawn-started workers pickle task functions *by reference*, so
-everything a :class:`~repro.parallel.Supervisor` runs lives here as a
-plain module-level function taking one pickleable payload dataclass and
-returning one pickleable result dataclass.  Each task builds its own
-:class:`~repro.obs.Telemetry` (when asked) and returns a
-:class:`~repro.parallel.MetricsSnapshot`; the parent merges snapshots in
-task order, so parallel runs report the same counters a serial run
-would.
+:func:`run_tasks` is how every batch of planner work runs — the
+Table-2 sweep, fault campaigns, the fleet controller's repair batches
+and hierarchical domain solves.  A batch that needs one worker runs
+inline, in task order, recording into the caller's telemetry and
+compiling through the caller's cache; any other batch runs under a
+:class:`~repro.parallel.Supervisor` inside the caller's dispatch span.
 
-Compilation inside a worker goes through the worker's process-global
-warm-start cache (:func:`~repro.parallel.default_compile_cache`):
-repeated cells or recurring fault-campaign network states stop paying
-grounding costs after first sight, and the ``cache.hit`` / ``cache.miss``
-counters ride home in the snapshot.
+Every task kind has one *core*, ``fn(task, *, telemetry=None,
+compile_cache=None)``, taking one pickleable payload dataclass and
+returning one pickleable result dataclass with a ``metrics`` field.  In
+a worker the core runs through :func:`_in_worker`, which builds the
+task's own :class:`~repro.obs.Telemetry` when the task asks for metrics,
+compiles through the worker's process-global warm-start cache
+(:func:`~repro.parallel.default_compile_cache`) and ships the
+telemetry home as a :class:`~repro.parallel.MetricsSnapshot`; the parent
+stitches and merges snapshots in task order, so a fanned-out batch
+reports the same counters an inline one does.  Spawn-started workers
+pickle task functions *by reference*, so cores and payloads live at
+module level.
+
+The solve ladder's racing rungs (:class:`RungJob`, :func:`run_rung_task`)
+are the one task kind not run here: a race starts by priority, cancels
+its losers and keeps only the winner's snapshot
+(:meth:`~repro.parallel.Supervisor.race`).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext as _noop
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Sequence
 
 from ..model import AppSpec, Leveling
 from ..network import Network
+from ..obs import Telemetry, make_frame, maybe_span, task_label
 from ..obs.context import TraceContext
 from .envelope import MetricsSnapshot, PlanEnvelope
+from .supervisor import SupervisionReport, Supervisor, TaskFailed, resolve_workers
 
 __all__ = [
+    "run_tasks",
     "CellTask",
     "CellResult",
     "run_cell_task",
@@ -35,7 +51,6 @@ __all__ = [
     "run_campaign_task",
     "RepairTask",
     "RepairOutcome",
-    "run_repair_task",
     "DomainTask",
     "DomainResult",
     "run_domain_task",
@@ -43,6 +58,109 @@ __all__ = [
     "RungOutcome",
     "run_rung_task",
 ]
+
+
+def run_tasks(
+    fn: Callable,
+    tasks: Sequence,
+    *,
+    workers: int = 1,
+    telemetry: Telemetry | None = None,
+    compile_cache=None,
+    span: str,
+    pool: Supervisor | None = None,
+    on_frame: Callable[[int, dict], None] | None = None,
+    stream_interval_s: float | None = None,
+    on_result: Callable[[int, object], None] | None = None,
+    inject_kill: Sequence[int] = (),
+) -> SupervisionReport:
+    """Run the core ``fn`` over ``tasks``; values come back in task order.
+
+    *Inline* when ``pool`` is ``None`` and one worker suffices
+    (:func:`~repro.parallel.resolve_workers`): ``fn(task,
+    telemetry=telemetry, compile_cache=compile_cache)`` in task order,
+    with ``task_start``/``task_end`` frames for ``on_frame`` and
+    ``on_result(index, value)`` as each task lands; a task's exception
+    propagates unchanged.
+
+    *Supervised* otherwise, on ``pool`` or on a fresh supervisor, under
+    the dispatch span ``span``: each task is stamped with the span's
+    trace context, ``with_metrics`` and ``use_cache``
+    (``compile_cache is not None``; the cache itself cannot cross the
+    process boundary), ``on_result`` fires in completion order, and
+    ``inject_kill`` lists task indices whose worker SIGKILLs itself once
+    before running them.  Task exceptions raise one
+    :class:`~repro.parallel.TaskFailed` carrying every failure; worker
+    snapshots are stitched (lane ``index % workers``) and merged into
+    ``telemetry`` in task order.  Quarantined tasks stay in the report
+    for the caller to map.
+    """
+    tasks = list(tasks)
+    if pool is None and resolve_workers(workers, len(tasks)) == 1:
+        return _run_inline(fn, tasks, telemetry, compile_cache, on_frame, on_result)
+    width = pool.workers if pool is not None else resolve_workers(workers, len(tasks))
+    with maybe_span(telemetry, span, workers=width):
+        stamp = {
+            "trace": telemetry.current_context() if telemetry is not None else None,
+            "with_metrics": telemetry is not None,
+            "use_cache": compile_cache is not None,
+        }
+        tasks = [replace(task, **stamp) for task in tasks]
+        job = partial(_in_worker, fn)
+        options = dict(
+            on_frame=on_frame,
+            stream_interval_s=stream_interval_s,
+            on_result=on_result,
+            inject_kill=inject_kill,
+        )
+        if pool is not None:
+            report = pool.run(job, tasks, **options)
+        else:
+            with Supervisor(width, telemetry=telemetry) as fresh:
+                report = fresh.run(job, tasks, **options)
+    if report.failures:
+        first = min(report.failures)
+        message, remote_tb = report.failures[first]
+        raise TaskFailed(first, message, remote_tb, failures=report.failures)
+    if telemetry is not None:
+        for index, value in enumerate(report.values):
+            if value is not None:
+                telemetry.stitch_snapshot(value.metrics, worker=index % width)
+                value.metrics.merge_into(telemetry.metrics)
+    return report
+
+
+def _run_inline(fn, tasks, telemetry, compile_cache, on_frame, on_result):
+    report = SupervisionReport(values=[None] * len(tasks))
+    total = len(tasks)
+    for index, task in enumerate(tasks):
+        if on_frame is not None:
+            label = task_label(task)
+            on_frame(0, make_frame(
+                "task_start", task=index, label=label, done=index, total=total,
+            ))
+        value = fn(task, telemetry=telemetry, compile_cache=compile_cache)
+        report.values[index] = value
+        if on_frame is not None:
+            on_frame(0, make_frame(
+                "task_end", task=index, label=label, done=index + 1, total=total, ok=True,
+            ))
+        if on_result is not None:
+            on_result(index, value)
+    return report
+
+
+def _in_worker(fn, task):
+    """Run one core in a worker: its own telemetry, the worker's cache."""
+    from .cache import default_compile_cache
+
+    telemetry = Telemetry(context=task.trace) if task.with_metrics else None
+    result = fn(
+        task,
+        telemetry=telemetry,
+        compile_cache=default_compile_cache() if task.use_cache else None,
+    )
+    return replace(result, metrics=MetricsSnapshot.from_telemetry(telemetry))
 
 
 # -- Table 2 cells (experiments.harness fan-out) -------------------------------
@@ -73,17 +191,19 @@ class CellResult:
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     profile: bytes = b""
     """Marshal pstats blob of the whole task, when profiling was asked."""
+    pid: int = 0
+    """The process that solved the cell (the profile's lane)."""
 
 
-def run_cell_task(task: CellTask) -> CellResult:
-    """Solve one Table 2 cell in this worker."""
+def run_cell_task(
+    task: CellTask, *, telemetry: Telemetry | None = None, compile_cache=None
+) -> CellResult:
+    """Solve one Table 2 cell; the row comes back with its plan as names."""
     from ..experiments.harness import run_cell
-    from ..obs import Telemetry, capture_profile
-    from .cache import default_compile_cache
+    from ..obs import capture_profile
 
-    telemetry = Telemetry(context=task.trace) if task.with_metrics else None
     blobs: list[bytes] = []
-    with capture_profile(blobs) if task.profile else _noop():
+    with capture_profile(blobs) if task.profile else nullcontext():
         row = run_cell(
             task.network,
             task.scenario,
@@ -91,17 +211,16 @@ def run_cell_task(task: CellTask) -> CellResult:
             demand=task.demand,
             rg_node_budget=task.rg_node_budget,
             telemetry=telemetry,
-            compile_cache=default_compile_cache() if task.use_cache else None,
+            compile_cache=compile_cache,
             static_prune=task.static_prune,
         )
     envelope = PlanEnvelope.from_plan(row.plan) if row.plan is not None else None
-    row.plan_names = tuple(envelope.actions) if envelope is not None else ()
     row.plan = None  # the full Plan holds the compiled problem; too big to ship
     return CellResult(
         row=row,
         plan=envelope,
-        metrics=MetricsSnapshot.from_telemetry(telemetry),
         profile=blobs[0] if blobs else b"",
+        pid=os.getpid(),
     )
 
 
@@ -135,13 +254,12 @@ class CampaignResult:
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
 
-def run_campaign_task(task: CampaignTask) -> CampaignResult:
-    """Run one fault campaign in this worker."""
-    from ..obs import Telemetry
+def run_campaign_task(
+    task: CampaignTask, *, telemetry: Telemetry | None = None, compile_cache=None
+) -> CampaignResult:
+    """Run one fault campaign."""
     from ..simulate.campaign import run_campaign_run
-    from .cache import default_compile_cache
 
-    telemetry = Telemetry(context=task.trace) if task.with_metrics else None
     result = run_campaign_run(
         task.app,
         task.network,
@@ -151,13 +269,12 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
         events=task.events,
         time_limit_s=task.time_limit_s,
         telemetry=telemetry,
-        compile_cache=default_compile_cache() if task.use_cache else None,
+        compile_cache=compile_cache,
     )
     return CampaignResult(
         seed=task.seed,
         record=result.to_dict(include_timings=task.include_timings),
         description=result.describe(),
-        metrics=MetricsSnapshot.from_telemetry(telemetry),
     )
 
 
@@ -208,13 +325,12 @@ class DomainResult:
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
 
-def run_domain_task(task: DomainTask) -> DomainResult:
-    """Solve one hierarchical domain subproblem in this worker."""
-    from ..obs import Telemetry
+def run_domain_task(
+    task: DomainTask, *, telemetry: Telemetry | None = None, compile_cache=None
+) -> DomainResult:
+    """Solve one hierarchical domain subproblem."""
     from ..planner import Planner, PlannerConfig, PlanningError
-    from .cache import default_compile_cache
 
-    telemetry = Telemetry(context=task.trace) if task.with_metrics else None
     config = PlannerConfig(
         leveling=task.leveling,
         rg_node_budget=task.rg_node_budget,
@@ -223,8 +339,8 @@ def run_domain_task(task: DomainTask) -> DomainResult:
     )
     planner = Planner(config)
     try:
-        if task.use_cache:
-            problem = default_compile_cache().compile(
+        if compile_cache is not None:
+            problem = compile_cache.compile(
                 task.app,
                 task.network,
                 task.leveling,
@@ -234,12 +350,7 @@ def run_domain_task(task: DomainTask) -> DomainResult:
             problem = planner.compile(task.app, task.network)
         plan = planner.solve(problem=problem)
     except PlanningError as exc:
-        return DomainResult(
-            domain=task.domain,
-            solved=False,
-            failure=type(exc).__name__,
-            metrics=MetricsSnapshot.from_telemetry(telemetry),
-        )
+        return DomainResult(domain=task.domain, solved=False, failure=type(exc).__name__)
     return DomainResult(
         domain=task.domain,
         solved=True,
@@ -247,7 +358,6 @@ def run_domain_task(task: DomainTask) -> DomainResult:
         cost_lb=plan.cost_lb,
         exact_cost=plan.exact_cost,
         compile_source=problem.compile_source,
-        metrics=MetricsSnapshot.from_telemetry(telemetry),
     )
 
 
@@ -258,6 +368,7 @@ def run_domain_task(task: DomainTask) -> DomainResult:
 class RepairTask:
     """One fleet member's repair against the current network state.
 
+    Its core is :func:`repro.simulate.controller.repair_member`.
     ``deployment_names`` is the member's running deployment as ground-
     action names (the serializable identity used by
     :func:`repro.planner.repair_by_names`) — or ``None`` when the member
@@ -303,27 +414,6 @@ class RepairOutcome:
         return self.outcome in ("outage", "quarantined")
 
 
-def run_repair_task(task: RepairTask) -> RepairOutcome:
-    """Repair one fleet member in this worker.
-
-    Compilation goes through the worker's process-global cache; with
-    deterministic task→worker sharding the same member lands on the same
-    worker every event, so that cache holds the member's *previous*
-    network state — exactly what ``use_delta`` patches from.
-    """
-    from ..obs import Telemetry
-    from ..simulate.controller import repair_member
-    from .cache import default_compile_cache
-
-    telemetry = Telemetry(context=task.trace) if task.with_metrics else None
-    outcome = repair_member(
-        task,
-        telemetry=telemetry,
-        compile_cache=default_compile_cache() if task.use_cache else None,
-    )
-    return replace(outcome, metrics=MetricsSnapshot.from_telemetry(telemetry))
-
-
 # -- solve-ladder rungs (repro.planner.robust racing) ---------------------------
 
 
@@ -350,7 +440,6 @@ class RungOutcome:
 
 def run_rung_task(job: RungJob) -> RungOutcome:
     """Run one ladder rung in this worker; planner errors come back as data."""
-    from ..obs import Telemetry
     from ..planner.robust import attempt_rung
 
     telemetry = Telemetry(context=job.trace) if job.with_metrics else None

@@ -1,14 +1,12 @@
 """Campaign assembly: one seeded fault-campaign run, and multi-seed fan-out.
 
-The CLI's ``repro simulate`` historically built its simulation inline;
-this module factors that assembly into :func:`run_campaign_run` so the
-same logic serves three callers identically:
+:func:`run_campaign_run` builds and runs one campaign from its spec.  It
+serves two callers:
 
-* the CLI (single run, stdout record),
-* :func:`run_campaign` (multi-seed sweeps, serial or fanned out over a
-  :class:`~repro.parallel.Supervisor`, one run per task),
-* :func:`repro.parallel.workers.run_campaign_task` (the worker-side
-  entry point of that fan-out).
+* the CLI's ``repro simulate`` (single run, stdout record);
+* :func:`run_campaign` (multi-seed sweeps, one run per
+  :func:`repro.parallel.workers.run_campaign_task` through
+  :func:`repro.parallel.run_tasks`, inline or supervised).
 
 A campaign *spec* is the JSON dict documented in docs/ROBUSTNESS.md:
 ``faults`` (seeded :class:`FaultModel`), optional explicit ``events``,
@@ -140,13 +138,15 @@ def run_campaign(
 ) -> dict:
     """Run a campaign once per seed; return one deterministic document.
 
-    ``seeds=None`` runs once with the spec's own seed.  With
-    ``workers > 1`` the runs fan out under a
-    :class:`~repro.parallel.Supervisor`, one run per task: a worker that
-    dies mid-run is respawned and its tasks retried, poison tasks are
-    quarantined as structured run entries (``"quarantined"`` key) rather
-    than aborting the sweep, and only genuine task exceptions raise
-    :class:`~repro.parallel.TaskFailed` (carrying *every* failed index).
+    ``seeds=None`` runs once with the spec's own seed.  Runs go one per
+    task through :func:`~repro.parallel.run_tasks`: inline when one
+    worker suffices, else under a :class:`~repro.parallel.Supervisor`,
+    where a worker that dies mid-run is respawned and its tasks retried,
+    and poison tasks are quarantined as structured run entries
+    (``"quarantined"`` key) rather than aborting the sweep.  Task
+    exceptions propagate inline and raise
+    :class:`~repro.parallel.TaskFailed` (carrying *every* failed index)
+    when supervised.
     Records come back keyed and ordered by their position in ``seeds``
     regardless of completion order, and worker metrics are merged into
     ``telemetry`` in task order — so the returned document is
@@ -162,6 +162,8 @@ def run_campaign(
     ``inject_kill`` lists task indices whose worker SIGKILLs itself
     before running them, once each (fault injection for tests/CI).
     """
+    from ..parallel import CampaignTask, run_campaign_task, run_tasks
+
     run_seeds: list[int | None] = list(seeds) if seeds else [None]
     total = len(run_seeds)
     entries: list[dict | None] = [None] * total
@@ -178,118 +180,47 @@ def run_campaign(
         if journal is not None:
             journal.append(f"run-{index}", entry)
 
-    if workers > 1 and len(pending) > 1:
-        from contextlib import nullcontext
+    tasks = [
+        CampaignTask(
+            app=app,
+            network=network,
+            leveling=leveling,
+            spec=spec,
+            seed=run_seeds[i],
+            events=events,
+            time_limit_s=time_limit_s,
+            include_timings=include_timings,
+        )
+        for i in pending
+    ]
 
-        from ..parallel import (
-            CampaignTask,
-            Supervisor,
-            TaskFailed,
-            resolve_workers,
-            run_campaign_task,
+    def on_result(local_index: int, res) -> None:
+        settle(
+            pending[local_index],
+            {"seed": res.seed, "record": res.record, "description": res.description},
         )
 
-        pool_size = resolve_workers(workers, len(pending))
-        dispatch = (
-            telemetry.span("campaign.fanout", workers=pool_size)
-            if telemetry is not None
-            else nullcontext()
+    report = run_tasks(
+        run_campaign_task,
+        tasks,
+        workers=workers,
+        telemetry=telemetry,
+        compile_cache=compile_cache,
+        span="campaign.fanout",
+        on_frame=on_frame,
+        stream_interval_s=stream_interval_s,
+        on_result=on_result,
+        inject_kill=inject_kill,
+    )
+    for q in report.quarantined:
+        index = pending[q.index]
+        settle(
+            index,
+            {
+                "seed": run_seeds[index],
+                "record": None,
+                "description": f"quarantined: {q.reason}",
+                "quarantined": q.to_dict(),
+            },
         )
-        with dispatch:
-            ctx = telemetry.current_context() if telemetry is not None else None
-            tasks = [
-                CampaignTask(
-                    app=app,
-                    network=network,
-                    leveling=leveling,
-                    spec=spec,
-                    seed=run_seeds[i],
-                    events=events,
-                    time_limit_s=time_limit_s,
-                    include_timings=include_timings,
-                    with_metrics=telemetry is not None,
-                    use_cache=compile_cache is not None,
-                    trace=ctx,
-                )
-                for i in pending
-            ]
-
-            def on_result(local_index: int, res) -> None:
-                settle(
-                    pending[local_index],
-                    {
-                        "seed": res.seed,
-                        "record": res.record,
-                        "description": res.description,
-                    },
-                )
-
-            with Supervisor(pool_size, telemetry=telemetry) as sup:
-                report = sup.run(
-                    run_campaign_task, tasks,
-                    on_frame=on_frame, stream_interval_s=stream_interval_s,
-                    on_result=on_result, inject_kill=inject_kill,
-                )
-        if report.failures:
-            first = min(report.failures)
-            message, remote_tb = report.failures[first]
-            raise TaskFailed(first, message, remote_tb, failures=report.failures)
-        for q in report.quarantined:
-            index = pending[q.index]
-            settle(
-                index,
-                {
-                    "seed": run_seeds[index],
-                    "record": None,
-                    "description": f"quarantined: {q.reason}",
-                    "quarantined": q.to_dict(),
-                },
-            )
-        if telemetry is not None:
-            for local_index, res in enumerate(report.values):
-                if res is None or res.metrics is None:
-                    continue
-                telemetry.stitch_snapshot(res.metrics, worker=local_index % pool_size)
-                res.metrics.merge_into(telemetry.metrics)
-    else:
-        from ..obs import make_frame
-
-        for index in pending:
-            s = run_seeds[index]
-            if on_frame is not None:
-                label = f"seed={s}" if s is not None else "seed=spec"
-                on_frame(
-                    0,
-                    make_frame(
-                        "task_start", task=index, label=label,
-                        done=index, total=total,
-                    ),
-                )
-            result = run_campaign_run(
-                app,
-                network,
-                leveling,
-                spec,
-                seed=s,
-                events=events,
-                time_limit_s=time_limit_s,
-                telemetry=telemetry,
-                compile_cache=compile_cache,
-            )
-            settle(
-                index,
-                {
-                    "seed": s,
-                    "record": result.to_dict(include_timings=include_timings),
-                    "description": result.describe(),
-                },
-            )
-            if on_frame is not None:
-                on_frame(
-                    0,
-                    make_frame(
-                        "task_end", task=index, label=label,
-                        done=index + 1, total=total, ok=True,
-                    ),
-                )
     return {"format": 1, "runs": entries}

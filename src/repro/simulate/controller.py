@@ -10,9 +10,10 @@ controller takes to get a member from "broken" back to "running".
 (:func:`~repro.simulate.campaign_timeline`) against a fleet of
 application instances (:func:`replicate_apps`).  After each event, every
 member is repaired — through :func:`repro.planner.repair_by_names`, so a
-member's deployment travels as a tuple of ground-action names — either
-inline or fanned out over a :class:`~repro.parallel.Supervisor` as
-:class:`~repro.parallel.RepairTask` payloads.  Deterministic task→worker
+member's deployment travels as a tuple of ground-action names — as one
+batch of :class:`~repro.parallel.RepairTask` payloads through
+:func:`repro.parallel.run_tasks`, inline or fanned out over a persistent
+:class:`~repro.parallel.Supervisor`.  Deterministic task→worker
 sharding pins each member to one worker, so that worker's compile cache
 always holds the member's previous network state: exactly the base the
 delta-aware compile (``delta_replanning`` in the spec) patches instead
@@ -69,14 +70,19 @@ def replicate_apps(app: AppSpec, n: int) -> list[AppSpec]:
 
 def repair_member(
     task: "RepairTask",
+    *,
     telemetry: Telemetry | None = None,
     compile_cache: "CompileCache | None" = None,
 ) -> "RepairOutcome":
     """Run one :class:`~repro.parallel.RepairTask` to its outcome.
 
-    The single-member repair primitive shared by the inline controller
-    loop and :func:`repro.parallel.workers.run_repair_task` (which wraps
-    it with the worker's process-global cache).  Planning failures —
+    The repair task's core: :func:`run_controller` hands it to
+    :func:`repro.parallel.run_tasks`, which calls it inline with the
+    controller's telemetry and cache, or in a worker with the worker's
+    own telemetry and process-global cache.  :func:`run_controller`
+    reads this module global once per batch and passes keywords only,
+    so a ``repair_member(task, **kwargs)`` wrapper assigned here sees
+    every inline repair.  Planning failures —
     including an (app, network) pair invalidated by the event, e.g. a
     partition — become an ``"outage"`` outcome, never an exception.
     """
@@ -177,9 +183,10 @@ def run_controller(
     knobs: ``fleet`` (member count, overridden by the parameter) and
     ``delta_replanning`` (compile repair problems by patching the
     member's previous network state).  Every member is repaired after
-    every event — inline with ``workers=1``, else fanned out one
-    :class:`~repro.parallel.RepairTask` per member with deterministic
-    sharding.
+    every event, one :class:`~repro.parallel.RepairTask` per member
+    through :func:`~repro.parallel.run_tasks` — inline when one worker
+    suffices for the fleet, else fanned out with deterministic sharding
+    over one persistent supervisor, created on the first batch that runs.
 
     The record is deterministic for a fixed (spec, seed, fleet) at any
     worker count and with delta replanning on or off — timings are
@@ -204,14 +211,7 @@ def run_controller(
     itself before running them, once, in the *first non-replayed batch*
     (fault injection for tests/CI).
     """
-    from ..parallel import (
-        RepairOutcome,
-        RepairTask,
-        Supervisor,
-        TaskFailed,
-        resolve_workers,
-        run_repair_task,
-    )
+    from ..parallel import RepairOutcome, RepairTask, Supervisor, resolve_workers, run_tasks
 
     if compile_cache is _DEFAULT_CACHE:
         from ..parallel import default_compile_cache
@@ -237,28 +237,33 @@ def run_controller(
             rg_node_budget=rg_node_budget,
             time_limit_s=limit,
             use_delta=use_delta,
-            use_cache=compile_cache is not None,
             replan_from_scratch=replan,
-            with_metrics=telemetry is not None,
         )
 
     delta_hits = 0
     delta_full = 0
     ttr_ms: list[float] = []
-    inject_pending = set(inject_kill)
+    inject_pending = list(inject_kill)
+    width = resolve_workers(workers, fleet_size)
+    pool = None
 
-    def supervised_batch(tasks: list, pool) -> list:
-        kills = sorted(inject_pending)
-        inject_pending.clear()
-        report = pool.run(
-            run_repair_task, tasks,
-            on_frame=on_frame, stream_interval_s=stream_interval_s,
-            inject_kill=kills,
+    def run_batch(tasks: list) -> list:
+        nonlocal pool
+        if pool is None and width > 1:
+            # Created lazily: a fully-journaled resume never spawns workers.
+            pool = Supervisor(width, telemetry=telemetry)
+        report = run_tasks(
+            repair_member,  # read per batch: a wrapper bound to this global is used
+            tasks,
+            telemetry=telemetry,
+            compile_cache=compile_cache,
+            span="controller.batch",
+            pool=pool,
+            on_frame=on_frame,
+            stream_interval_s=stream_interval_s,
+            inject_kill=inject_pending[:],
         )
-        if report.failures:
-            first = min(report.failures)
-            message, remote_tb = report.failures[first]
-            raise TaskFailed(first, message, remote_tb, failures=report.failures)
+        inject_pending.clear()
         outcomes = list(report.values)
         for q in report.quarantined:
             outcomes[q.index] = RepairOutcome(
@@ -268,54 +273,7 @@ def run_controller(
             )
         return outcomes
 
-    def run_batch(tasks: list, pool) -> list:
-        if pool is not None:
-            if telemetry is not None:
-                with telemetry.span("controller.batch", members=len(tasks)):
-                    ctx = telemetry.current_context()
-                    tasks = [replace(t, trace=ctx) for t in tasks]
-                    outcomes = supervised_batch(tasks, pool)
-                for i, o in enumerate(outcomes):
-                    telemetry.stitch_snapshot(o.metrics, worker=i % pool.workers)
-                    o.metrics.merge_into(telemetry.metrics)
-            else:
-                outcomes = supervised_batch(tasks, pool)
-        else:
-            from ..obs import make_frame
-
-            outcomes = []
-            for i, t in enumerate(tasks):
-                if on_frame is not None:
-                    on_frame(
-                        0,
-                        make_frame(
-                            "task_start", task=i, label=t.app.name,
-                            done=i, total=len(tasks),
-                        ),
-                    )
-                o = repair_member(t, telemetry=telemetry, compile_cache=compile_cache)
-                outcomes.append(o)
-                if on_frame is not None:
-                    on_frame(
-                        0,
-                        make_frame(
-                            "task_end", task=i, label=t.app.name,
-                            done=i + 1, total=len(tasks), ok=not o.failed,
-                        ),
-                    )
-        return outcomes
-
     t_run = time.perf_counter()
-    pool_cm = None
-
-    def ensure_pool():
-        # Created lazily: a fully-journaled resume never spawns workers.
-        nonlocal pool_cm
-        if workers > 1 and pool_cm is None:
-            pool_cm = Supervisor(
-                resolve_workers(workers, fleet_size), telemetry=telemetry
-            )
-        return pool_cm
 
     def freeze_deployments(deployments: dict) -> dict:
         return {
@@ -340,9 +298,7 @@ def run_controller(
                 payload["deployments"]
             )
         else:
-            initial_outcomes = run_batch(
-                [member_task(m, None, network) for m in members], ensure_pool()
-            )
+            initial_outcomes = run_batch([member_task(m, None, network) for m in members])
             deployments = {
                 o.app: (o.deployment_names if not o.failed else None)
                 for o in initial_outcomes
@@ -399,11 +355,7 @@ def run_controller(
                 steps.append(step)
                 continue
             outcomes = run_batch(
-                [
-                    member_task(m, deployments[m.name], current)
-                    for m in members
-                ],
-                ensure_pool(),
+                [member_task(m, deployments[m.name], current) for m in members]
             )
             repair_records = []
             step_hits = 0
@@ -462,8 +414,8 @@ def run_controller(
                     },
                 )
     finally:
-        if pool_cm is not None:
-            pool_cm.close()
+        if pool is not None:
+            pool.close()
 
     summary = {
         "fleet": fleet_size,

@@ -131,18 +131,23 @@ class TestStreamingAndContextStayOff:
         from repro.parallel import Supervisor
 
         seen = {}
-        original = Supervisor.map
+        original = Supervisor.run
 
-        def spy(self, fn, payloads, on_frame=None, stream_interval_s=None):
+        def spy(self, fn, payloads, on_frame=None, stream_interval_s=None, **kwargs):
             seen["tasks"] = list(payloads)
             seen["on_frame"] = on_frame
             seen["stream_interval_s"] = stream_interval_s
             return original(self, fn, seen["tasks"], on_frame=on_frame,
-                            stream_interval_s=stream_interval_s)
+                            stream_interval_s=stream_interval_s, **kwargs)
 
-        monkeypatch.setattr(Supervisor, "map", spy)
-        harness.run_table2(("Tiny",), ("B",), workers=2)
-        assert all(t.trace is None and not t.profile for t in seen["tasks"])
+        monkeypatch.setattr(Supervisor, "run", spy)
+        # Two cells: a one-cell sweep runs inline and never reaches a worker.
+        harness.run_table2(("Tiny",), ("B", "C"), workers=2)
+        assert len(seen["tasks"]) == 2
+        assert all(
+            t.trace is None and not t.profile and not t.with_metrics
+            for t in seen["tasks"]
+        )
         assert seen["on_frame"] is None and seen["stream_interval_s"] is None
 
     def test_empty_snapshot_pickle_is_tiny(self):

@@ -52,9 +52,8 @@ class TestTable2Determinism:
         assert [(r.network, r.scenario) for r in fanned] == [
             (r.network, r.scenario) for r in serial
         ]
-        # workers ship plan_names, not live plans
-        assert all(r.plan is None for r in fanned)
-        assert all(r.plan is not None for r in serial if r.solved)
+        # rows ship plan_names, not live plans, at every worker count
+        assert all(r.plan is None for r in fanned + serial)
         for s, f in zip(serial, fanned):
             assert s.plan_names == f.plan_names
 

@@ -134,17 +134,17 @@ class TestPoolStreaming:
     def test_frames_arrive_and_fold(self):
         agg = StreamAggregator()
         with Supervisor(2) as sup:
-            results = sup.map(
+            results = sup.run(
                 _sleepy, [0.01, 0.01, 0.01, 0.01],
                 on_frame=agg.on_frame, stream_interval_s=0.05,
-            )
+            ).raise_on_failure()
         assert results == [0.01] * 4
         assert agg.tasks_done == 4
         assert len(agg.workers) >= 1  # at least one worker reported
 
     def test_no_on_frame_means_no_streaming(self):
         with Supervisor(2) as sup:
-            results = sup.map(_sleepy, [0.0, 0.0])
+            results = sup.run(_sleepy, [0.0, 0.0]).raise_on_failure()
         assert results == [0.0, 0.0]
 
     def test_stalled_worker_synthesizes_heartbeat_missed(self):
@@ -158,9 +158,9 @@ class TestPoolStreaming:
                 os.kill(frame["pid"], signal.SIGCONT)
 
         with Supervisor(1) as sup:
-            results = sup.map(
+            results = sup.run(
                 _freeze, [None], on_frame=on_frame, stream_interval_s=0.05
-            )
+            ).raise_on_failure()
         assert results == ["thawed"]
         assert any(f["kind"] == "heartbeat_missed" for f in frames)
         assert agg.heartbeat_missed >= 1

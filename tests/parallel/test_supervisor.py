@@ -117,12 +117,12 @@ class TestHealthyRuns:
 
     def test_map_matches_pool_contract(self):
         with Supervisor(2) as sup:
-            assert sup.map(square, [3, 4, 5]) == [9, 16, 25]
+            assert sup.run(square, [3, 4, 5]).raise_on_failure() == [9, 16, 25]
 
     def test_task_exceptions_raise_with_all_indices(self):
         with Supervisor(2) as sup:
             with pytest.raises(TaskFailed) as err:
-                sup.map(boom_on_odd, list(range(6)))
+                sup.run(boom_on_odd, list(range(6))).raise_on_failure()
         assert err.value.index == 1
         assert err.value.indices == [1, 3, 5]
         assert set(err.value.failures) == {1, 3, 5}
@@ -135,8 +135,8 @@ class TestHealthyRuns:
     def test_deterministic_sharding(self):
         """Task i runs on worker i % W — the same worker pid every run."""
         with Supervisor(2) as sup:
-            first = sup.map(whoami, list(range(6)))
-            second = sup.map(whoami, list(range(6)))
+            first = sup.run(whoami, list(range(6))).raise_on_failure()
+            second = sup.run(whoami, list(range(6))).raise_on_failure()
         assert len({pid for _, pid in first}) == 2
         assert first == second
         by_worker = {}
@@ -147,12 +147,12 @@ class TestHealthyRuns:
     def test_task_failure_carries_remote_traceback(self):
         with Supervisor(2) as sup:
             with pytest.raises(TaskFailed) as err:
-                sup.map(boom_on_odd, [0, 2, 3, 5])
+                sup.run(boom_on_odd, [0, 2, 3, 5]).raise_on_failure()
             assert err.value.index == 2
             assert "remote traceback" in str(err.value)
             assert "ValueError" in err.value.remote_traceback
             # a task failure is not a worker failure
-            assert sup.map(square, [4]) == [16]
+            assert sup.run(square, [4]).raise_on_failure() == [16]
             assert sup.run(square, [1]).stats.respawns == 0
 
 
@@ -216,7 +216,7 @@ class TestQuarantine:
     def test_map_raises_on_quarantine(self):
         with Supervisor(2) as sup:
             with pytest.raises(TaskFailed) as err:
-                sup.map(die_on_three, list(range(6)))
+                sup.run(die_on_three, list(range(6))).raise_on_failure()
         assert err.value.index == 3
         assert "quarantined" in str(err.value)
 
@@ -345,7 +345,7 @@ class TestRace:
         with Supervisor(2) as sup:
             first = sup.race(sleep_then, [(0.0, "a"), (30.0, "b")], best_first)
             assert first.cancelled == [1]
-            assert sup.map(square, [1, 2, 3, 4]) == [1, 4, 9, 16]
+            assert sup.run(square, [1, 2, 3, 4]).raise_on_failure() == [1, 4, 9, 16]
             assert all(pid > 0 for pid in sup.pids)
 
     def test_deadline_cancels_everything_in_flight(self):

@@ -469,3 +469,20 @@ class TestBench:
         assert rc == 0
         assert "wrote 1 profile file(s)" in capsys.readouterr().err
         assert pstats.Stats(str(prefix)).total_calls > 0
+
+    def test_fanned_profile_out_writes_per_pid_files_without_metrics(
+        self, tmp_path, capsys
+    ):
+        import pstats
+
+        prefix = tmp_path / "prof.bench"
+        rc = main([
+            "bench", "--networks", "Tiny", "--scenarios", "B", "C", "D",
+            "--workers", "2", "--profile-out", str(prefix),
+        ])
+        assert rc == 0
+        # the merged file plus one per worker pid
+        assert "wrote 3 profile file(s)" in capsys.readouterr().err
+        per_pid = sorted(tmp_path.glob("prof.bench.pid*.pstats"))
+        assert len(per_pid) == 2
+        assert all(pstats.Stats(str(path)).total_calls > 0 for path in per_pid)

@@ -173,6 +173,27 @@ class TestRunController:
         )
         assert len(record["fleet"]) == 1
 
+    def test_inline_repairs_go_through_the_module_global(self, monkeypatch):
+        """A ``(task, **kwargs)`` wrapper bound to ``controller.repair_member``
+        sees every inline repair, in member order, called with keywords."""
+        from repro.simulate import controller
+
+        original = controller.repair_member
+        calls = []
+
+        def spy(task, **kwargs):
+            calls.append(task.app.name)
+            return original(task, **kwargs)
+
+        monkeypatch.setattr(controller, "repair_member", spy)
+        record = run_controller(
+            media.build_app("n0", "n2"), fleet_net(), LEV, SPEC,
+            compile_cache=CompileCache(max_entries=32),
+        )
+        fleet, events = len(record["fleet"]), record["summary"]["events"]
+        assert len(calls) == fleet * (events + 1) == 8
+        assert calls == record["fleet"] * (events + 1)
+
 
 class TestControllerWorkers:
     def test_worker_fanout_matches_inline(self):
