@@ -508,12 +508,11 @@ def _cmd_bench_hierarchy(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Time the Table-2 sweep, serially or across worker processes."""
-    import time as _time
-
     if args.hierarchical:
         return _cmd_bench_hierarchy(args)
 
     from .experiments import render_table2, run_table2
+    from .obs import timed
     from .parallel import Supervisor, default_compile_cache, resolve_workers
 
     networks = tuple(args.networks)
@@ -533,18 +532,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     pool = Supervisor(workers, telemetry=telemetry) if workers > 1 else None
     try:
         for _ in range(args.rounds):
-            t0 = _time.perf_counter()
-            rows = run_table2(
-                networks,
-                scenarios,
-                compile_cache=cache,
-                telemetry=telemetry,
-                static_prune=args.static_prune,
-                pool=pool,
-                on_frame=on_frame,
-                profile_sink=profile_sink,
-            )
-            round_s.append(_time.perf_counter() - t0)
+            with timed("bench.round") as clock:
+                rows = run_table2(
+                    networks,
+                    scenarios,
+                    compile_cache=cache,
+                    telemetry=telemetry,
+                    static_prune=args.static_prune,
+                    pool=pool,
+                    on_frame=on_frame,
+                    profile_sink=profile_sink,
+                )
+            round_s.append(clock.duration_s)
     finally:
         if pool is not None:
             pool.close()

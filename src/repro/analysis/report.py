@@ -26,11 +26,11 @@ a cached copy can be shared across forked problems and serialized safely.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..compile import CompiledProblem
 from ..lint import LintReport, Severity, SourceLocation
+from ..obs import timed
 from .certificates import interval_payload
 from .deadcode import DeadAction, find_dead_actions
 from .envelopes import EnvelopeResult, compute_envelopes
@@ -173,10 +173,10 @@ class AnalysisResult:
 
 def analyze_problem(problem: CompiledProblem) -> AnalysisResult:
     """Run the full static pass over one compiled problem."""
-    start = time.perf_counter()
-    envelopes = compute_envelopes(problem)
-    dead = find_dead_actions(problem, envelopes.envelopes)
-    symmetry = compute_symmetry(problem)
+    with timed("analysis") as clock:
+        envelopes = compute_envelopes(problem)
+        dead = find_dead_actions(problem, envelopes.envelopes)
+        symmetry = compute_symmetry(problem)
     return AnalysisResult(
         app_name=problem.app.name,
         network_name=problem.network.name,
@@ -184,5 +184,5 @@ def analyze_problem(problem: CompiledProblem) -> AnalysisResult:
         envelopes=envelopes,
         dead=dead,
         symmetry=symmetry,
-        analysis_seconds=time.perf_counter() - start,
+        analysis_seconds=clock.duration_s,
     )

@@ -39,10 +39,10 @@ back to a full compilation.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from ..model.validation import require_valid
+from ..obs import timed
 from .actions import GroundAction, iface_prop_var
 from .bounds import compute_property_bounds
 from .grounding import Grounder
@@ -91,110 +91,110 @@ def patch_problem(
         :func:`~repro.compile.compile_problem` would (e.g. the event
         partitioned the network).
     """
-    t0 = time.perf_counter()
-    if not delta.patchable or not base._ground_names:
-        return None
-    app, leveling = base.app, base.leveling
+    with timed("compile.delta") as clock:
+        if not delta.patchable or not base._ground_names:
+            return None
+        app, leveling = base.app, base.leveling
 
-    require_valid(app, network)
+        require_valid(app, network)
 
-    bounds = compute_property_bounds(app, network, bound_overrides)
-    if bounds != base.bounds:
-        # A capacity change moved a global property bound: level
-        # feasibility (and thus every committed interval) may differ
-        # everywhere, not just at the changed element.
-        return None
+        bounds = compute_property_bounds(app, network, bound_overrides)
+        if bounds != base.bounds:
+            # A capacity change moved a global property bound: level
+            # feasibility (and thus every committed interval) may differ
+            # everywhere, not just at the changed element.
+            return None
 
-    changed_nodes = frozenset(delta.changed_nodes)
-    touched_links = delta.touched_links()
+        changed_nodes = frozenset(delta.changed_nodes)
+        touched_links = delta.touched_links()
 
-    # Re-ground only the touched groups, interning into the shared table
-    # (interning is append-only, so base ids stay stable).
-    props = base.props
-    grounder = Grounder(app, network, leveling, bounds, props)
-    initial_comps = {p.component for p in app.initial_placements}
-    if changed_nodes:
+        # Re-ground only the touched groups, interning into the shared table
+        # (interning is append-only, so base ids stay stable).
+        props = base.props
+        grounder = Grounder(app, network, leveling, bounds, props)
+        initial_comps = {p.component for p in app.initial_placements}
+        if changed_nodes:
+            for comp in app.components.values():
+                if comp.name in initial_comps:
+                    continue
+                grounder._ground_component(comp, only_nodes=changed_nodes)
+        if touched_links:
+            for iface in app.interfaces.values():
+                grounder._ground_interface(iface, only_links=touched_links)
+
+        fresh_groups: dict[tuple, list[GroundAction]] = {}
+        for action in grounder.actions:
+            fresh_groups.setdefault(_group_key(action), []).append(action)
+
+        # Base actions in their original pre-prune order (pruning renumbered
+        # the kept ones; pruned ones are cloned because a fork shares them
+        # with the pristine cache entry).
+        order = {name: i for i, name in enumerate(base._ground_names)}
+        base_all = list(base.actions) + [a.clone() for a in base.pruned_actions]
+        base_all.sort(key=lambda a: order[a.name])
+        base_groups: dict[tuple, list[GroundAction]] = {}
+        for action in base_all:
+            base_groups.setdefault(_group_key(action), []).append(action)
+
+        # Splice in canonical grounding order over the *new* network.
+        spliced: list[GroundAction] = []
         for comp in app.components.values():
             if comp.name in initial_comps:
                 continue
-            grounder._ground_component(comp, only_nodes=changed_nodes)
-    if touched_links:
+            candidate_nodes = [
+                n.id for n in network.nodes.values() if n.allows(comp.name)
+            ]
+            for node_id in app.placeable_nodes(comp.name, candidate_nodes):
+                groups = fresh_groups if node_id in changed_nodes else base_groups
+                spliced.extend(groups.get(("place", comp.name, node_id), ()))
         for iface in app.interfaces.values():
-            grounder._ground_interface(iface, only_links=touched_links)
+            if not iface.cross_effects:
+                continue
+            for src, dst, link in network.directed_edges():
+                groups = fresh_groups if link.key in touched_links else base_groups
+                spliced.extend(groups.get(("cross", iface.name, src, dst), ()))
 
-    fresh_groups: dict[tuple, list[GroundAction]] = {}
-    for action in grounder.actions:
-        fresh_groups.setdefault(_group_key(action), []).append(action)
+        for index, action in enumerate(spliced):
+            action.index = index
+        ground_names = tuple(a.name for a in spliced)
 
-    # Base actions in their original pre-prune order (pruning renumbered
-    # the kept ones; pruned ones are cloned because a fork shares them
-    # with the pristine cache entry).
-    order = {name: i for i, name in enumerate(base._ground_names)}
-    base_all = list(base.actions) + [a.clone() for a in base.pruned_actions]
-    base_all.sort(key=lambda a: order[a.name])
-    base_groups: dict[tuple, list[GroundAction]] = {}
-    for action in base_all:
-        base_groups.setdefault(_group_key(action), []).append(action)
+        initial_ids, initial_values, initial_streams = _build_initial_state(
+            app, network, leveling, props
+        )
+        goal_ids = frozenset(
+            props.intern(PlacedProp(p.component, p.node)) for p in app.goal_placements
+        )
+        logically_solvable = logically_reachable(spliced, initial_ids, goal_ids)
 
-    # Splice in canonical grounding order over the *new* network.
-    spliced: list[GroundAction] = []
-    for comp in app.components.values():
-        if comp.name in initial_comps:
-            continue
-        candidate_nodes = [
-            n.id for n in network.nodes.values() if n.allows(comp.name)
-        ]
-        for node_id in app.placeable_nodes(comp.name, candidate_nodes):
-            groups = fresh_groups if node_id in changed_nodes else base_groups
-            spliced.extend(groups.get(("place", comp.name, node_id), ()))
-    for iface in app.interfaces.values():
-        if not iface.cross_effects:
-            continue
-        for src, dst, link in network.directed_edges():
-            groups = fresh_groups if link.key in touched_links else base_groups
-            spliced.extend(groups.get(("cross", iface.name, src, dst), ()))
+        stream_values = {
+            iface_prop_var(prop, iface, node): value
+            for iface, node, value, _deg, _upg, prop in initial_streams
+        }
+        actions, removed_actions = prune_unreachable_actions(spliced, stream_values)
 
-    for index, action in enumerate(spliced):
-        action.index = index
-    ground_names = tuple(a.name for a in spliced)
+        achievers: dict[int, list[int]] = {}
+        for action in actions:
+            for pid in action.add_props:
+                achievers.setdefault(pid, []).append(action.index)
 
-    initial_ids, initial_values, initial_streams = _build_initial_state(
-        app, network, leveling, props
-    )
-    goal_ids = frozenset(
-        props.intern(PlacedProp(p.component, p.node)) for p in app.goal_placements
-    )
-    logically_solvable = logically_reachable(spliced, initial_ids, goal_ids)
-
-    stream_values = {
-        iface_prop_var(prop, iface, node): value
-        for iface, node, value, _deg, _upg, prop in initial_streams
-    }
-    actions, removed_actions = prune_unreachable_actions(spliced, stream_values)
-
-    achievers: dict[int, list[int]] = {}
-    for action in actions:
-        for pid in action.add_props:
-            achievers.setdefault(pid, []).append(action.index)
-
-    problem = CompiledProblem(
-        app=app,
-        network=network,
-        leveling=leveling,
-        bounds=bounds,
-        props=props,
-        actions=actions,
-        achievers=achievers,
-        initial_prop_ids=initial_ids,
-        goal_prop_ids=goal_ids,
-        initial_values=initial_values,
-        logically_solvable=logically_solvable,
-        reachability_pruned=len(removed_actions),
-        ground_templates=grounder.templates,
-        compile_seconds=time.perf_counter() - t0,
-        compile_source="delta",
-    )
-    problem._initial_streams = initial_streams
-    problem.pruned_actions = removed_actions
-    problem._ground_names = ground_names
+        problem = CompiledProblem(
+            app=app,
+            network=network,
+            leveling=leveling,
+            bounds=bounds,
+            props=props,
+            actions=actions,
+            achievers=achievers,
+            initial_prop_ids=initial_ids,
+            goal_prop_ids=goal_ids,
+            initial_values=initial_values,
+            logically_solvable=logically_solvable,
+            reachability_pruned=len(removed_actions),
+            ground_templates=grounder.templates,
+            compile_source="delta",
+        )
+        problem._initial_streams = initial_streams
+        problem.pruned_actions = removed_actions
+        problem._ground_names = ground_names
+    problem.compile_seconds = clock.duration_s
     return problem

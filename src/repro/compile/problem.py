@@ -16,6 +16,7 @@ from ..intervals import Interval, ResourceMap
 from ..model import AppSpec, Leveling, SpecError
 from ..model.validation import require_valid
 from ..network import Network
+from ..obs import timed
 from .actions import GroundAction, iface_prop_var, link_res_var, node_res_var
 from .bounds import compute_property_bounds
 from .grounding import Grounder, PropTable
@@ -154,68 +155,66 @@ def compile_problem(
         When the app and network are inconsistent (unknown pinned nodes,
         undeclared resources, disconnected network).
     """
-    import time
+    with timed("compile") as clock:
+        if strict:
+            # Lazy import: repro.lint reuses compile.bounds, so importing it at
+            # module scope would cycle.  Deep reachability is disabled — it
+            # would recurse into this very compilation.
+            from ..lint import LintOptions, require_lint_clean
 
-    t0 = time.perf_counter()
-    if strict:
-        # Lazy import: repro.lint reuses compile.bounds, so importing it at
-        # module scope would cycle.  Deep reachability is disabled — it
-        # would recurse into this very compilation.
-        from ..lint import LintOptions, require_lint_clean
+            require_lint_clean(app, network, leveling, options=LintOptions(deep=False))
+        require_valid(app, network)
+        if leveling is None:
+            leveling = app.default_leveling()
 
-        require_lint_clean(app, network, leveling, options=LintOptions(deep=False))
-    require_valid(app, network)
-    if leveling is None:
-        leveling = app.default_leveling()
+        bounds = compute_property_bounds(app, network, bound_overrides)
+        props = PropTable()
+        grounder = Grounder(app, network, leveling, bounds, props)
+        actions = grounder.ground_all()
+        ground_names = tuple(a.name for a in actions)
 
-    bounds = compute_property_bounds(app, network, bound_overrides)
-    props = PropTable()
-    grounder = Grounder(app, network, leveling, bounds, props)
-    actions = grounder.ground_all()
-    ground_names = tuple(a.name for a in actions)
+        initial_ids, initial_values, initial_streams = _build_initial_state(
+            app, network, leveling, props
+        )
 
-    initial_ids, initial_values, initial_streams = _build_initial_state(
-        app, network, leveling, props
-    )
+        goal_ids = frozenset(
+            props.intern(PlacedProp(p.component, p.node)) for p in app.goal_placements
+        )
 
-    goal_ids = frozenset(
-        props.intern(PlacedProp(p.component, p.node)) for p in app.goal_placements
-    )
+        # Logical solvability is judged before resource-aware pruning so the
+        # planner can distinguish Unsolvable from ResourceInfeasible.
+        logically_solvable = logically_reachable(actions, initial_ids, goal_ids)
 
-    # Logical solvability is judged before resource-aware pruning so the
-    # planner can distinguish Unsolvable from ResourceInfeasible.
-    logically_solvable = logically_reachable(actions, initial_ids, goal_ids)
+        stream_values = {
+            iface_prop_var(prop, iface, node): value
+            for iface, node, value, _deg, _upg, prop in initial_streams
+        }
+        actions, removed_actions = prune_unreachable_actions(actions, stream_values)
 
-    stream_values = {
-        iface_prop_var(prop, iface, node): value
-        for iface, node, value, _deg, _upg, prop in initial_streams
-    }
-    actions, removed_actions = prune_unreachable_actions(actions, stream_values)
+        achievers: dict[int, list[int]] = {}
+        for action in actions:
+            for pid in action.add_props:
+                achievers.setdefault(pid, []).append(action.index)
 
-    achievers: dict[int, list[int]] = {}
-    for action in actions:
-        for pid in action.add_props:
-            achievers.setdefault(pid, []).append(action.index)
-
-    problem = CompiledProblem(
-        app=app,
-        network=network,
-        leveling=leveling,
-        bounds=bounds,
-        props=props,
-        actions=actions,
-        achievers=achievers,
-        initial_prop_ids=initial_ids,
-        goal_prop_ids=goal_ids,
-        initial_values=initial_values,
-        logically_solvable=logically_solvable,
-        reachability_pruned=len(removed_actions),
-        ground_templates=grounder.templates,
-        compile_seconds=time.perf_counter() - t0,
-    )
-    problem._initial_streams = initial_streams
-    problem.pruned_actions = removed_actions
-    problem._ground_names = ground_names
+        problem = CompiledProblem(
+            app=app,
+            network=network,
+            leveling=leveling,
+            bounds=bounds,
+            props=props,
+            actions=actions,
+            achievers=achievers,
+            initial_prop_ids=initial_ids,
+            goal_prop_ids=goal_ids,
+            initial_values=initial_values,
+            logically_solvable=logically_solvable,
+            reachability_pruned=len(removed_actions),
+            ground_templates=grounder.templates,
+        )
+        problem._initial_streams = initial_streams
+        problem.pruned_actions = removed_actions
+        problem._ground_names = ground_names
+    problem.compile_seconds = clock.duration_s
     if analyze:
         # Lazy import: repro.analysis imports this module.
         from ..analysis import analyze_problem

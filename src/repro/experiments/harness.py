@@ -9,7 +9,6 @@ graph sizes, timings).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..domains.media import DEFAULT_DEMAND, DEFAULT_SOURCE_BW, build_app
@@ -151,7 +150,6 @@ def run_cell(
     with maybe_span(
         telemetry, "scenario", network=case.key, scenario=scen.key
     ) as span:
-        t0 = time.perf_counter()
         try:
             if compile_cache is not None:
                 problem = compile_cache.compile(
@@ -167,31 +165,29 @@ def run_cell(
             plan = planner.solve(problem=problem)
         except (Unsolvable, ResourceInfeasible, PlanningError) as exc:
             row.failure = type(exc).__name__
-            row.total_ms = (time.perf_counter() - t0) * 1e3
-            if span is not None:
-                span.attrs["failure"] = row.failure
-            return row
-
-        report = plan.execute()
-        lan_vars = case.lan_link_vars()
-        row.solved = True
-        row.plan = plan
-        row.plan_names = tuple(plan.action_names())
-        row.cost_lower_bound = plan.cost_lb
-        row.actions_in_plan = len(plan)
-        row.reserved_lan_bw = report.max_consumed(lan_vars) if lan_vars else None
-        row.exact_cost = report.total_cost
-        row.delivered_bw = report.value(f"ibw:M@{case.client}")
-        row.plrg_props = plan.stats.plrg_prop_nodes
-        row.plrg_actions = plan.stats.plrg_action_nodes
-        row.slrg_nodes = plan.stats.slrg_set_nodes
-        row.rg_nodes = plan.stats.rg_nodes
-        row.rg_queue_left = plan.stats.rg_queue_left
-        row.total_ms = plan.stats.total_ms + plan.stats.compile_ms
-        row.search_ms = plan.stats.search_ms
-        if span is not None:
+            span.attrs["failure"] = row.failure
+        else:
+            report = plan.execute()
+            lan_vars = case.lan_link_vars()
+            row.solved = True
+            row.plan = plan
+            row.plan_names = tuple(plan.action_names())
+            row.cost_lower_bound = plan.cost_lb
+            row.actions_in_plan = len(plan)
+            row.reserved_lan_bw = report.max_consumed(lan_vars) if lan_vars else None
+            row.exact_cost = report.total_cost
+            row.delivered_bw = report.value(f"ibw:M@{case.client}")
+            row.plrg_props = plan.stats.plrg_prop_nodes
+            row.plrg_actions = plan.stats.plrg_action_nodes
+            row.slrg_nodes = plan.stats.slrg_set_nodes
+            row.rg_nodes = plan.stats.rg_nodes
+            row.rg_queue_left = plan.stats.rg_queue_left
+            row.total_ms = plan.stats.total_ms + plan.stats.compile_ms
+            row.search_ms = plan.stats.search_ms
             span.attrs.update(cost_lb=plan.cost_lb, plan_actions=len(plan))
-        return row
+    if not row.solved:
+        row.total_ms = span.duration_ms
+    return row
 
 
 def run_table2(

@@ -145,10 +145,7 @@ class Region:
                 self.involved = frozenset(
                     d.key for d in map(partition.domain_of, nodes) if d is not None
                 )
-                if span is not None:
-                    span.attrs.update(
-                        domains=len(partition.domains), involved=len(self.involved)
-                    )
+                span.attrs.update(domains=len(partition.domains), involved=len(self.involved))
             if tele is not None:
                 tele.metrics.inc("hierarchy.domains", len(self.involved))
             self._partition = partition
@@ -219,8 +216,7 @@ def plan_decomposed(
             {r.domain: r.action_names for r in results},
             {p.domain.key: p.synthetic_components for p in domain_problems},
         )
-        if span is not None:
-            span.attrs.update(actions=len(actions), cost=report.total_cost)
+        span.attrs.update(actions=len(actions), cost=report.total_cost)
     stats = PlannerStats(
         total_actions=len(union_problem.actions),
         compile_ms=union_problem.compile_seconds * 1e3,

@@ -7,6 +7,9 @@ and the experiment harness (see docs/OBSERVABILITY.md):
   ``PlannerConfig(telemetry=...)``: hierarchical :class:`Span` timings, a
   :class:`MetricsRegistry` of counters/gauges/histograms, and the per-run
   bounded :class:`SearchTrace`.
+* :func:`timed` — the one clock: a detached :class:`Span`, recorded
+  nowhere.  :func:`maybe_span` falls back to it when telemetry is off,
+  so every duration the planner reports is a span's duration.
 * :func:`export_trace` / :func:`export_jsonl` / :func:`export_chrome` —
   file exporters (JSONL event stream; Chrome trace-event JSON for
   Perfetto), surfaced as ``repro plan --trace-out``.
@@ -14,20 +17,14 @@ and the experiment harness (see docs/OBSERVABILITY.md):
   back and render the Figs. 7–8 style account (``repro trace summarize``).
 * :class:`TraceContext` / :func:`stitch_snapshot` — cross-process trace
   propagation: worker spans ship home in metrics snapshots and stitch
-  under the dispatching coordinator span as :class:`RemoteSpan` lanes.
+  under the dispatching coordinator span as per-pid :class:`Span` lanes.
 * :class:`StreamAggregator` / :class:`LiveMonitor` — live worker
   telemetry frames (``--live``) with stalled-worker heartbeat detection.
 * :class:`PhaseProfiler` / :func:`capture_profile` — opt-in cProfile
   capture per planner phase or per worker task (``--profile-out``).
 """
 
-from .context import (
-    RemoteSpan,
-    TraceContext,
-    new_trace_id,
-    spans_payload,
-    stitch_snapshot,
-)
+from .context import TraceContext, new_trace_id, spans_payload, stitch_snapshot
 from .export import (
     CHROME_FORMAT,
     JSONL_FORMAT,
@@ -45,7 +42,7 @@ from .profile import (
     profile_blob,
     write_pstats,
 )
-from .span import Span, SpanRecorder
+from .span import Span, SpanRecorder, timed
 from .stream import (
     DEFAULT_STREAM_INTERVAL_S,
     FrameSender,
@@ -61,6 +58,7 @@ from .trace import SearchTrace, TraceEvent
 __all__ = [
     "Telemetry",
     "maybe_span",
+    "timed",
     "Span",
     "SpanRecorder",
     "Counter",
@@ -71,7 +69,6 @@ __all__ = [
     "SearchTrace",
     "TraceEvent",
     "TraceContext",
-    "RemoteSpan",
     "new_trace_id",
     "spans_payload",
     "stitch_snapshot",

@@ -1,4 +1,4 @@
-"""Cross-process trace propagation: contexts, remote spans, stitching.
+"""Cross-process trace propagation: contexts, stitched spans.
 
 A coordinator that fans planner work out over worker processes opens a
 dispatch span (``table2.fanout``, ``campaign.fanout``,
@@ -8,11 +8,11 @@ trace id plus the id of that dispatch span.  Workers build their :class:`~repro.
 that context; when the task result travels home, the worker's recorded
 spans ride along inside the metrics snapshot
 (:class:`repro.parallel.MetricsSnapshot`) and :func:`stitch_snapshot`
-grafts them into the coordinator's telemetry as :class:`RemoteSpan`
-records — re-identified (worker-local span ids collide across workers),
-re-parented (worker roots hang off the dispatch span), and re-based onto
-the coordinator's clock — so one export renders the whole fleet on one
-timeline, one lane per worker pid.
+grafts them into the coordinator's telemetry as :class:`~repro.obs.Span`
+records tagged with the worker's ``pid`` — re-identified (worker-local
+span ids collide across workers), re-parented (worker roots hang off the
+dispatch span), and re-based onto the coordinator's clock — so one
+export renders the whole fleet on one timeline, one lane per worker pid.
 
 Clock mapping: span timestamps are ``time.perf_counter`` seconds, which
 are only comparable within one process.  Every ``Telemetry`` therefore
@@ -29,11 +29,12 @@ latency on one machine — microseconds against millisecond spans.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .span import Span
 
 __all__ = [
     "TraceContext",
-    "RemoteSpan",
     "REMOTE_ID_BASE",
     "new_trace_id",
     "spans_payload",
@@ -66,34 +67,6 @@ class TraceContext:
     parent_span_id: int | None = None
 
 
-@dataclass(slots=True)
-class RemoteSpan:
-    """A worker span after stitching into the coordinator's telemetry.
-
-    Same shape as :class:`~repro.obs.Span` plus provenance: the worker
-    process pid (the trace lane) and, when the caller knows it, the
-    pool's worker index.  Timestamps are coordinator ``perf_counter``
-    seconds — already re-based, directly comparable to local spans.
-    """
-
-    id: int
-    name: str
-    start_s: float
-    end_s: float | None
-    parent: int | None
-    attrs: dict = field(default_factory=dict)
-    pid: int = 0
-    worker: int | None = None
-
-    @property
-    def duration_s(self) -> float:
-        return 0.0 if self.end_s is None else self.end_s - self.start_s
-
-    @property
-    def duration_ms(self) -> float:
-        return self.duration_s * 1e3
-
-
 def spans_payload(recorder) -> tuple[dict, ...]:
     """Flatten a :class:`~repro.obs.SpanRecorder` for the trip home.
 
@@ -116,7 +89,7 @@ def spans_payload(recorder) -> tuple[dict, ...]:
     )
 
 
-def stitch_snapshot(telemetry, snapshot, worker: int | None = None) -> list[RemoteSpan]:
+def stitch_snapshot(telemetry, snapshot, worker: int | None = None) -> list[Span]:
     """Graft a worker snapshot's spans into ``telemetry.remote_spans``.
 
     Re-identifies every span (fresh ids from the coordinator's remote
@@ -140,14 +113,14 @@ def stitch_snapshot(telemetry, snapshot, worker: int | None = None) -> list[Remo
         + (telemetry.perf_anchor_s - telemetry.epoch_anchor_s)
     )
     id_map: dict[int, int] = {}
-    grafted: list[RemoteSpan] = []
+    grafted: list[Span] = []
     for record in snapshot.spans:
         new_id = telemetry.allocate_remote_id()
         id_map[record["id"]] = new_id
         parent = record.get("parent")
         end_s = record.get("end_s")
         grafted.append(
-            RemoteSpan(
+            Span(
                 id=new_id,
                 name=record["name"],
                 start_s=record["start_s"] + shift,

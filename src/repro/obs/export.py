@@ -103,9 +103,13 @@ CHROME_EVENT_FIELDS = (
 CHROME_PHASES = ("X", "i", "C", "M")
 
 
+def _all_spans(telemetry: Telemetry) -> list:
+    """Local spans, then the spans stitched home from workers."""
+    return telemetry.spans.spans + telemetry.remote_spans
+
+
 def _time_base(telemetry: Telemetry) -> float:
-    starts = [sp.start_s for sp in telemetry.spans.spans]
-    starts.extend(sp.start_s for sp in telemetry.remote_spans)
+    starts = [sp.start_s for sp in _all_spans(telemetry)]
     if telemetry.trace is not None:
         starts.extend(e.ts for e in telemetry.trace.events if e.ts)
     return min(starts, default=0.0)
@@ -113,19 +117,7 @@ def _time_base(telemetry: Telemetry) -> float:
 
 def _span_records(telemetry: Telemetry, base_s: float) -> list[dict]:
     out = []
-    for sp in telemetry.spans.spans:
-        out.append(
-            {
-                "type": "span",
-                "id": sp.id,
-                "name": sp.name,
-                "parent": sp.parent,
-                "start_us": (sp.start_s - base_s) * 1e6,
-                "dur_us": sp.duration_s * 1e6,
-                "attrs": sp.attrs,
-            }
-        )
-    for sp in telemetry.remote_spans:
+    for sp in _all_spans(telemetry):
         record = {
             "type": "span",
             "id": sp.id,
@@ -134,10 +126,11 @@ def _span_records(telemetry: Telemetry, base_s: float) -> list[dict]:
             "start_us": (sp.start_s - base_s) * 1e6,
             "dur_us": sp.duration_s * 1e6,
             "attrs": sp.attrs,
-            "pid": sp.pid,
         }
-        if sp.worker is not None:
-            record["worker"] = sp.worker
+        if sp.pid is not None:  # stitched from a worker
+            record["pid"] = sp.pid
+            if sp.worker is not None:
+                record["worker"] = sp.worker
         out.append(record)
     return out
 
@@ -229,32 +222,16 @@ def export_chrome(telemetry: Telemetry, fp: IO[str]) -> int:
                 "args": {"name": label},
             }
         )
-    for sp in telemetry.spans.spans:
+    for sp in _all_spans(telemetry):
+        local = sp.pid is None
         events.append(
             {
                 "name": sp.name,
-                "cat": "planner",
+                "cat": "planner" if local else "worker",
                 "ph": "X",
                 "ts": (sp.start_s - base_s) * 1e6,
                 "dur": sp.duration_s * 1e6,
-                "pid": 1,
-                "tid": 1,
-                "args": {
-                    **sp.attrs,
-                    "span_id": sp.id,
-                    "parent_span_id": sp.parent,
-                },
-            }
-        )
-    for sp in telemetry.remote_spans:
-        events.append(
-            {
-                "name": sp.name,
-                "cat": "worker",
-                "ph": "X",
-                "ts": (sp.start_s - base_s) * 1e6,
-                "dur": sp.duration_s * 1e6,
-                "pid": sp.pid,
+                "pid": 1 if local else sp.pid,
                 "tid": 1,
                 "args": {
                     **sp.attrs,

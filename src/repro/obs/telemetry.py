@@ -8,9 +8,9 @@ One :class:`Telemetry` object bundles the three observability channels:
 
 Instrumentation is *off by default*: every hook in the planner takes
 ``telemetry=None`` and the hot paths guard on a single ``is not None``
-check, so a planner without telemetry runs the same instructions it ran
-before this subsystem existed (guarded by the overhead test in
-``tests/obs/test_overhead_guard.py``).
+check; a phase boundary without telemetry costs one detached
+:func:`~repro.obs.timed` span, whose duration the planner still reports
+(guarded by the overhead test in ``tests/obs/test_overhead_guard.py``).
 
 Spans and metrics accumulate across runs (an experiment harness records
 many scenario spans into one timeline); the search trace and the
@@ -29,17 +29,11 @@ the exporters render them as per-pid lanes.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
-from .context import (
-    REMOTE_ID_BASE,
-    RemoteSpan,
-    TraceContext,
-    new_trace_id,
-    stitch_snapshot,
-)
+from .context import REMOTE_ID_BASE, TraceContext, new_trace_id, stitch_snapshot
 from .metrics import MetricsRegistry
-from .span import SpanRecorder
+from .span import Span, SpanRecorder, timed
 from .trace import SearchTrace
 
 __all__ = ["Telemetry", "maybe_span"]
@@ -68,7 +62,7 @@ class Telemetry:
         self.trace_id = context.trace_id if context is not None else new_trace_id()
         self.epoch_anchor_s = time.time()
         self.perf_anchor_s = time.perf_counter()
-        self.remote_spans: list[RemoteSpan] = []
+        self.remote_spans: list[Span] = []
         self._next_remote_id = REMOTE_ID_BASE
         # Optional per-phase profiler (repro.obs.profile.PhaseProfiler);
         # when attached, every span entry/exit switches the active
@@ -120,17 +114,19 @@ class Telemetry:
         self._next_remote_id += 1
         return next_id
 
-    def stitch_snapshot(self, snapshot, worker: int | None = None) -> list[RemoteSpan]:
+    def stitch_snapshot(self, snapshot, worker: int | None = None) -> list[Span]:
         """Graft a worker snapshot's spans in (see :func:`stitch_snapshot`)."""
         return stitch_snapshot(self, snapshot, worker=worker)
 
 
 def maybe_span(telemetry: Telemetry | None, name: str, **attrs):
-    """``telemetry.span(...)`` or a no-op context when telemetry is off.
+    """``telemetry.span(...)``, or a detached :func:`~repro.obs.timed` span
+    when telemetry is off.
 
-    The ``with maybe_span(...) as sp`` target is the :class:`Span` (for
-    attaching result attributes) or ``None`` when disabled.
+    The ``with maybe_span(...) as sp`` target is always a :class:`Span`:
+    callers attach result attributes and read ``sp.duration_ms`` without
+    a ``None`` check, and a disabled run records nothing.
     """
     if telemetry is None:
-        return nullcontext(None)
+        return timed(name, **attrs)
     return telemetry.span(name, **attrs)

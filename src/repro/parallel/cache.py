@@ -33,13 +33,12 @@ and, when a :class:`~repro.obs.MetricsRegistry` is passed, as
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 
 from ..compile import CompiledProblem, compile_problem
 from ..model import AppSpec, Leveling
 from ..network import Network
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, timed
 from .fingerprint import app_fingerprint, digest, leveling_fingerprint, network_fingerprint
 
 __all__ = ["CompileCache", "default_compile_cache"]
@@ -144,9 +143,9 @@ class CompileCache:
                     self.analysis_hits += 1
                     if metrics is not None:
                         metrics.inc("cache.analysis.hit")
-            t0 = time.perf_counter()
-            fork = cached.fork()
-            fork.compile_seconds = time.perf_counter() - t0
+            with timed("compile.fork") as clock:
+                fork = cached.fork()
+            fork.compile_seconds = clock.duration_s
             fork.compile_source = "cache"
             return fork
         self.misses += 1

@@ -41,10 +41,13 @@ class SearchBudgetExceeded(PlanningError):
     ``budget``
         The configured node budget that was exceeded.
     ``elapsed_s``
-        Wall-clock seconds spent in the phase before giving up.  Kept out
-        of the auto-composed *message*: a node-budget failure is
-        deterministic for a given instance, and seeded fault campaigns
-        diff recorded failure strings across runs.
+        Wall-clock seconds spent in the phase before giving up: the
+        ``rg`` span's duration, filled in by :meth:`Planner.solve
+        <repro.planner.Planner.solve>` as the error leaves the phase (a
+        direct :func:`~repro.planner.regression_search` call reports
+        0.0).  Kept out of the auto-composed *message*: a node-budget
+        failure is deterministic for a given instance, and seeded fault
+        campaigns diff recorded failure strings across runs.
     """
 
     def __init__(
@@ -77,7 +80,10 @@ class DeadlineExceeded(SearchBudgetExceeded):
     seconds rather than nodes — so existing ``except SearchBudgetExceeded``
     handlers keep working.  ``time_limit_s`` holds the limit that expired;
     the inherited ``phase`` / ``nodes_expanded`` / ``nodes_created`` /
-    ``elapsed_s`` attributes say where and after how much work.
+    ``elapsed_s`` attributes say where and after how much work.  Here
+    ``elapsed_s`` is the expired :class:`~repro.planner.Deadline`'s
+    ``elapsed_s()`` — time since that limit was anchored — so it is at
+    least ``time_limit_s`` in every phase.
     """
 
     def __init__(

@@ -7,7 +7,6 @@ returns a validated, cost-optimized :class:`Plan`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -20,7 +19,13 @@ from ..model import AppSpec, Leveling
 from ..network import Network
 from ..obs import SearchTrace, Telemetry, maybe_span
 from .deadline import Deadline
-from .errors import DeadlineExceeded, ExecutionError, ResourceInfeasible, Unsolvable
+from .errors import (
+    DeadlineExceeded,
+    ExecutionError,
+    ResourceInfeasible,
+    SearchBudgetExceeded,
+    Unsolvable,
+)
 from .executor import execute_plan
 from .plan import Plan
 from .plrg import build_plrg
@@ -97,7 +102,8 @@ class PlannerConfig:
     """Full observability (see :mod:`repro.obs` and docs/OBSERVABILITY.md):
     phase spans, the metrics registry, and a per-run search trace.  ``None``
     (the default) disables every hook; the guarded hot paths then cost
-    nothing beyond a handful of ``is not None`` checks."""
+    nothing beyond a handful of ``is not None`` checks, and each phase is
+    timed by a detached span that is recorded nowhere."""
     branch_all_props: bool = True
     """RG branching rule: True (default) regresses achievers of every open
     proposition — the paper's rule, required for optimality when one action
@@ -215,10 +221,9 @@ class Planner:
                 raise ValueError("pass either problem= or both app= and network=")
             with maybe_span(tele, "compile", app=app.name, network=network.name) as sp:
                 problem = self.compile(app, network)
-                if sp is not None:
-                    sp.attrs["actions"] = len(problem.actions)
-                    sp.attrs["templates"] = problem.ground_templates
-                    sp.attrs["reach_pruned"] = problem.reachability_pruned
+                sp.attrs["actions"] = len(problem.actions)
+                sp.attrs["templates"] = problem.ground_templates
+                sp.attrs["reach_pruned"] = problem.reachability_pruned
 
         with maybe_span(
             tele,
@@ -227,9 +232,9 @@ class Planner:
             network=problem.network.name,
             leveling=problem.leveling.name,
         ) as solve_span:
-            # The clock starts *after* compilation so total_ms is search-only
-            # on both call paths; compile time is reported once, as compile_ms.
-            t_start = time.perf_counter()
+            # Phase times are span durations.  total_ms sums the search
+            # phases (plus an inline analysis), so it is search-only on both
+            # call paths; compile time is reported once, as compile_ms.
             stats = PlannerStats(
                 total_actions=len(problem.actions),
                 compile_ms=problem.compile_seconds * 1e3,
@@ -242,15 +247,17 @@ class Planner:
                 )
             dead_actions: frozenset[int] = frozenset()
             sym_hints = None
+            inline_analysis_ms = 0.0
             if mode in ("dead", "symmetry", "full"):
                 analysis = problem.analysis
                 if analysis is None:
                     # Lazy import: repro.analysis imports repro.compile.
                     from ..analysis import analyze_problem
 
-                    with maybe_span(tele, "analysis"):
+                    with maybe_span(tele, "analysis") as analysis_span:
                         analysis = analyze_problem(problem)
                     problem.analysis = analysis
+                    inline_analysis_ms = analysis_span.duration_ms
                 if mode in ("dead", "full"):
                     dead_actions = analysis.dead_indices()
                 if mode in ("symmetry", "full"):
@@ -266,20 +273,23 @@ class Planner:
                     m.set_gauge(
                         "analysis.envelope.tightened", analysis.envelopes.bounded
                     )
-                    m.set_gauge("analysis.ms", analysis.analysis_seconds * 1e3)
                     class_hist = m.histogram("analysis.sym.class_size")
                     for cls in analysis.symmetry.node_classes:
                         class_hist.observe(len(cls.members))
 
             try:
-                t0 = time.perf_counter()
                 try:
-                    plrg = build_plrg(
-                        problem,
-                        telemetry=tele,
-                        deadline=phase_deadline(),
-                        exclude_actions=dead_actions,
-                    )
+                    with maybe_span(tele, "plrg") as plrg_span:
+                        plrg = build_plrg(
+                            problem,
+                            deadline=phase_deadline(),
+                            exclude_actions=dead_actions,
+                        )
+                        plrg_span.attrs.update(
+                            prop_nodes=plrg.prop_nodes,
+                            action_nodes=plrg.action_nodes,
+                            usable_actions=len(plrg.usable_actions),
+                        )
                 except Unsolvable:
                     if problem.logically_solvable:
                         # The goal has logical support, but best-value reachability
@@ -293,7 +303,7 @@ class Planner:
                             f"({problem.reachability_pruned} actions pruned)\n{detail}"
                         ) from None
                     raise
-                stats.plrg_ms = (time.perf_counter() - t0) * 1e3
+                stats.plrg_ms = plrg_span.duration_ms
                 stats.plrg_prop_nodes = plrg.prop_nodes
                 stats.plrg_action_nodes = plrg.action_nodes
 
@@ -304,8 +314,7 @@ class Planner:
                     telemetry=tele,
                     deadline=phase_deadline(),
                 )
-                t0 = time.perf_counter()
-                with maybe_span(tele, "slrg", heuristic=self.config.heuristic.value):
+                with maybe_span(tele, "slrg", heuristic=self.config.heuristic.value) as slrg_span:
                     if self.config.heuristic is Heuristic.SLRG:
                         # Phase 2 proper: price the goal set, warming the cache.
                         slrg.query(frozenset(problem.goal_prop_ids))
@@ -314,9 +323,8 @@ class Planner:
                         heuristic = plrg.set_cost
                     else:
                         heuristic = lambda props: 0.0  # noqa: E731 - blind search
-                stats.slrg_ms = (time.perf_counter() - t0) * 1e3
+                stats.slrg_ms = slrg_span.duration_ms
 
-                t0 = time.perf_counter()
                 # SLRG queries issued from inside the RG loop observe the
                 # RG phase's deadline, not the (already spent) SLRG one.
                 rg_deadline = phase_deadline()
@@ -335,18 +343,22 @@ class Planner:
                         allow_incumbent=allow_incumbent,
                         symmetry=sym_hints,
                     )
-                    if rg_span is not None:
-                        rg_span.attrs.update(
-                            nodes_created=result.nodes_created,
-                            nodes_expanded=result.nodes_expanded,
-                            queue_left=result.nodes_left_in_queue,
-                        )
+                    rg_span.attrs.update(
+                        nodes_created=result.nodes_created,
+                        nodes_expanded=result.nodes_expanded,
+                        queue_left=result.nodes_left_in_queue,
+                    )
             except DeadlineExceeded as exc:
                 if tele is not None:
                     tele.metrics.inc("planner.deadline.hit")
                     tele.metrics.inc(f"planner.deadline.{exc.phase}")
                 raise
-            stats.rg_ms = (time.perf_counter() - t0) * 1e3
+            except SearchBudgetExceeded as exc:
+                # Only the RG raises a node-budget error; it reports the
+                # time the phase ran, which is the rg span's duration.
+                exc.elapsed_s = rg_span.duration_s
+                raise
+            stats.rg_ms = rg_span.duration_ms
             stats.slrg_set_nodes = slrg.nodes_created
             stats.rg_nodes = result.nodes_created
             stats.rg_queue_left = result.nodes_left_in_queue
@@ -357,7 +369,7 @@ class Planner:
             stats.rg_sym_pruned = result.symmetry_pruned
             stats.incumbent = 1 if result.incumbent else 0
             stats.deadline_hits = 1 if result.stop_reason == "deadline" else 0
-            stats.total_ms = (time.perf_counter() - t_start) * 1e3
+            stats.total_ms = inline_analysis_ms + stats.search_ms
             if result.incumbent and tele is not None:
                 tele.metrics.inc("planner.incumbent.returned")
                 if result.stop_reason == "deadline":
@@ -375,11 +387,7 @@ class Planner:
             )
             if tele is not None:
                 stats.publish(tele.metrics)
-                tele.metrics.set_gauge("slrg.nodes_created", slrg.nodes_created)
-                if solve_span is not None:
-                    solve_span.attrs.update(
-                        cost_lb=result.cost_lb, plan_actions=len(plan.actions)
-                    )
+            solve_span.attrs.update(cost_lb=result.cost_lb, plan_actions=len(plan.actions))
             if self.config.validate:
                 try:
                     execute_plan(problem, plan.actions, telemetry=tele)

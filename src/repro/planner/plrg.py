@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from ..compile import CompiledProblem
-from ..obs import Telemetry, maybe_span
 from .deadline import Deadline
 from .errors import DeadlineExceeded, Unsolvable
 
@@ -62,49 +61,39 @@ class PLRG:
 
 def build_plrg(
     problem: CompiledProblem,
-    telemetry: Telemetry | None = None,
     deadline: Deadline | None = None,
     exclude_actions: frozenset[int] = frozenset(),
 ) -> PLRG:
     """Build the PLRG; raises :class:`Unsolvable` if the goal is logically
-    unreachable from the initial state.  With ``telemetry``, the build is
-    wrapped in a ``plrg`` span and the graph sizes become gauges.  With a
-    ``deadline``, both passes poll it and raise :class:`DeadlineExceeded`
+    unreachable from the initial state.  (:meth:`Planner.solve
+    <repro.planner.Planner.solve>` times the call as the ``plrg`` span.)
+    With a ``deadline``, both passes poll it and raise :class:`DeadlineExceeded`
     (phase ``"plrg"``) on expiry — the PLRG has no meaningful partial
     result, so there is no anytime mode here.  ``exclude_actions`` removes
     statically refuted actions (:mod:`repro.analysis`) before relevance:
     they can never fire, so no plan — and no admissible bound — loses
     support."""
-    with maybe_span(telemetry, "plrg") as span:
-        relevant_props, relevant_actions = _relevance(problem, deadline, exclude_actions)
-        prop_cost = _forward_costs(problem, relevant_actions, deadline)
+    relevant_props, relevant_actions = _relevance(problem, deadline, exclude_actions)
+    prop_cost = _forward_costs(problem, relevant_actions, deadline)
 
-        unreachable = [pid for pid in problem.goal_prop_ids if prop_cost.get(pid, _INF) == _INF]
-        if unreachable:
-            names = ", ".join(problem.prop_str(p) for p in unreachable)
-            raise Unsolvable(f"goal propositions logically unreachable: {names}")
+    unreachable = [pid for pid in problem.goal_prop_ids if prop_cost.get(pid, _INF) == _INF]
+    if unreachable:
+        names = ", ".join(problem.prop_str(p) for p in unreachable)
+        raise Unsolvable(f"goal propositions logically unreachable: {names}")
 
-        usable = tuple(
-            a_idx
-            for a_idx in sorted(relevant_actions)
-            if all(prop_cost.get(p, _INF) < _INF for p in problem.actions[a_idx].pre_props)
-        )
-        if span is not None:
-            span.attrs.update(
-                prop_nodes=len(relevant_props),
-                action_nodes=len(relevant_actions),
-                usable_actions=len(usable),
-            )
-            telemetry.metrics.set_gauge("plrg.prop_nodes", len(relevant_props))
-            telemetry.metrics.set_gauge("plrg.action_nodes", len(relevant_actions))
-        return PLRG(
-            prop_cost=prop_cost,
-            relevant_props=frozenset(relevant_props),
-            relevant_actions=frozenset(relevant_actions),
-            usable_actions=usable,
-            prop_nodes=len(relevant_props),
-            action_nodes=len(relevant_actions),
-        )
+    usable = tuple(
+        a_idx
+        for a_idx in sorted(relevant_actions)
+        if all(prop_cost.get(p, _INF) < _INF for p in problem.actions[a_idx].pre_props)
+    )
+    return PLRG(
+        prop_cost=prop_cost,
+        relevant_props=frozenset(relevant_props),
+        relevant_actions=frozenset(relevant_actions),
+        usable_actions=usable,
+        prop_nodes=len(relevant_props),
+        action_nodes=len(relevant_actions),
+    )
 
 
 def _check(deadline: Deadline | None, expanded: int) -> None:

@@ -127,12 +127,11 @@ def post_optimize(
                 best_actions, best_report = result
                 best_factor = mid
 
-        if span is not None:
-            span.attrs.update(
-                throttle=round(best_factor, 6),
-                original_cost=original_report.total_cost,
-                optimized_cost=best_report.total_cost,
-            )
+        span.attrs.update(
+            throttle=round(best_factor, 6),
+            original_cost=original_report.total_cost,
+            optimized_cost=best_report.total_cost,
+        )
         return PostOptResult(
             throttle=best_factor,
             original_cost=original_report.total_cost,

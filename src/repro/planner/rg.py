@@ -167,10 +167,13 @@ def regression_search(
         greedy failure mode of Scenario 1.
     SearchBudgetExceeded
         When ``node_budget`` nodes have been created without a solution
-        (and no incumbent was available to return).
+        (and no incumbent was available to return).  Its ``elapsed_s``
+        is 0.0 here; :meth:`Planner.solve <repro.planner.Planner.solve>`
+        fills in the ``rg`` span's duration.
     DeadlineExceeded
         When ``deadline`` expired without a solution (and no incumbent
-        was available to return).
+        was available to return); ``elapsed_s`` is the expired
+        deadline's :meth:`~repro.planner.Deadline.elapsed_s`.
     """
     initial = problem.initial_prop_ids
     actions = problem.actions
@@ -213,7 +216,6 @@ def regression_search(
     # for the optimum when the search is cut short.
     incumbent: _Node | None = None
     symmetry_pruned = 0
-    t_phase = time.perf_counter()
 
     def _weighted_probe(cap: int, weight: float = 2.0) -> tuple[_Node | None, int]:
         """Weighted A* (``f' = g + weight·h``): find *some* complete plan fast.
@@ -308,21 +310,20 @@ def regression_search(
                 stop_reason=reason,
                 symmetry_pruned=symmetry_pruned,
             )
-        elapsed = time.perf_counter() - t_phase
         if reason == "deadline":
             raise DeadlineExceeded(
                 phase="rg",
-                time_limit_s=deadline.time_limit_s if deadline is not None else 0.0,
+                time_limit_s=deadline.time_limit_s,
                 nodes_expanded=nodes_expanded,
                 nodes_created=nodes_created,
-                elapsed_s=elapsed,
+                elapsed_s=deadline.elapsed_s(),
             )
+        # elapsed_s stays 0.0: Planner.solve fills in the rg span's time.
         raise SearchBudgetExceeded(
             phase="rg",
             nodes_expanded=nodes_expanded,
             nodes_created=nodes_created,
             budget=node_budget,
-            elapsed_s=elapsed,
         )
 
     while heap:

@@ -32,13 +32,13 @@ every rung walked after the hierarchical one missed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from ..model import AppSpec, Leveling, LevelSpec
 from ..network import Network
 from ..network.partition import PartitionError
-from ..obs import Telemetry, maybe_span
+from ..obs import Telemetry, maybe_span, timed
+from .deadline import Deadline
 from .errors import ResourceInfeasible, SearchBudgetExceeded, Unsolvable
 from .plan import Plan
 from .planner import Planner, PlannerConfig
@@ -257,7 +257,7 @@ def run_ladder(
     if region is None:
         region = _region(app, network, rungs, telemetry)
     budget = config.time_limit_s
-    walk_end = time.perf_counter() + budget if budget is not None else None
+    walk = Deadline.after(budget) if budget is not None else None
     attempts: list[RungAttempt | None] = [None] * len(rungs)
     outcome = SolveOutcome(plan=None)
     error = None
@@ -271,8 +271,8 @@ def run_ladder(
             if outcome.attempts and rungs[0].decompose:
                 metrics.inc("hierarchy.stitch.retries")
         rung_config = config
-        if walk_end is not None:
-            remaining = max(walk_end - time.perf_counter(), _MIN_SLICE_S)
+        if walk is not None:
+            remaining = max(walk.remaining_s(), _MIN_SLICE_S)
             limit = max(remaining * rung.share, _MIN_SLICE_S)
             rung_config = replace(config, time_limit_s=limit)
         plan, attempts[index], error = attempt_rung(rung, app, network, rung_config, region)
@@ -303,27 +303,30 @@ def attempt_rung(
     if region is None:
         region = _region(app, network, [rung], config.telemetry)
     rung_config = replace(config, leveling=rung.leveling, hierarchy=None)
-    t0 = time.perf_counter()
-    try:
-        if rung.decompose:
-            from ..hierarchy.solve import plan_decomposed
+    error = None
+    with timed("rung") as clock:
+        try:
+            if rung.decompose:
+                from ..hierarchy.solve import plan_decomposed
 
-            workers = config.hierarchy.workers if config.hierarchy is not None else 1
-            plan = plan_decomposed(app, network, region, rung_config, workers)
-        else:
-            scope = network if rung.scope == "full" else region.union_network()
-            plan = Planner(rung_config).solve(app, scope)
-    except (
-        SearchBudgetExceeded, Unsolvable, ResourceInfeasible,
-        PartitionError, ContractError, StitchError,
-    ) as exc:
-        detail = str(exc).partition("\n")[0]
-        elapsed = time.perf_counter() - t0
-        return None, RungAttempt(rung.name, False, detail, type(exc).__name__, elapsed), exc
+                workers = config.hierarchy.workers if config.hierarchy is not None else 1
+                plan = plan_decomposed(app, network, region, rung_config, workers)
+            else:
+                scope = network if rung.scope == "full" else region.union_network()
+                plan = Planner(rung_config).solve(app, scope)
+        except (
+            SearchBudgetExceeded, Unsolvable, ResourceInfeasible,
+            PartitionError, ContractError, StitchError,
+        ) as exc:
+            error = exc
+    if error is not None:
+        detail = str(error).partition("\n")[0]
+        attempt = RungAttempt(rung.name, False, detail, type(error).__name__, clock.duration_s)
+        return None, attempt, error
     detail = f"{len(plan)} actions, cost lower bound {plan.cost_lb:g}"
     if plan.incumbent:
         detail += " (incumbent)"
-    return plan, RungAttempt(rung.name, True, detail, "", time.perf_counter() - t0), None
+    return plan, RungAttempt(rung.name, True, detail, "", clock.duration_s), None
 
 
 def _region(app, network, rungs, telemetry):

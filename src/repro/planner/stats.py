@@ -26,6 +26,12 @@ class PlannerStats:
     (col. 6), total SLRG set nodes (col. 7), RG nodes created and nodes
     left in the A* queue at solution time (col. 8), and total vs
     search-only time in milliseconds (col. 9).
+
+    Every time is a span's duration (:func:`repro.obs.timed`, recorded
+    when telemetry is on): ``plrg_ms``/``slrg_ms``/``rg_ms`` are the
+    ``plrg``/``slrg``/``rg`` spans of :meth:`Planner.solve
+    <repro.planner.Planner.solve>`, so an exported trace's gauges and
+    spans agree exactly.
     """
 
     total_actions: int = 0
@@ -59,8 +65,10 @@ class PlannerStats:
     slrg_ms: float = 0.0
     rg_ms: float = 0.0
     total_ms: float = 0.0
-    """Search-phase wall clock: PLRG + SLRG + RG plus negligible glue.
+    """The span sum: ``plrg`` + ``slrg`` + ``rg`` spans, plus the ``analysis``
+    span when static analysis ran inline (0 when it came from the cache).
 
+    Without an inline analysis it equals :attr:`search_ms` exactly.
     Compilation time is *never* included — it is reported separately as
     ``compile_ms`` regardless of whether :meth:`Planner.solve` compiled
     internally or was handed a pre-compiled problem.

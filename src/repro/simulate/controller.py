@@ -31,13 +31,12 @@ time-to-recover differs (docs/ROBUSTNESS.md).
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..model import AppSpec, Leveling
 from ..network import Network
-from ..obs import Telemetry
+from ..obs import Telemetry, timed
 from ..planner import Planner, PlannerConfig, PlanningError, repair_by_names
 from .campaign import DEFAULT_RG_NODE_BUDGET, campaign_timeline
 from .events import apply_event, event_to_dict
@@ -88,7 +87,13 @@ def repair_member(
     """
     from ..parallel import RepairOutcome
 
-    t0 = time.perf_counter()
+    with timed("repair") as clock:
+        fields = _repair(task, telemetry, compile_cache)
+    return RepairOutcome(app=task.app.name, wall_ms=clock.duration_ms, **fields)
+
+
+def _repair(task: "RepairTask", telemetry, compile_cache) -> dict:
+    """:func:`repair_member`'s body: the outcome's fields but ``app``/``wall_ms``."""
     config = PlannerConfig(
         rg_node_budget=task.rg_node_budget,
         time_limit_s=task.time_limit_s,
@@ -97,11 +102,8 @@ def repair_member(
     try:
         if task.deployment_names is None:
             if not task.replan_from_scratch:
-                return RepairOutcome(
-                    app=task.app.name,
-                    outcome="outage",
-                    failure="deployment lost and replanning disabled",
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                return dict(
+                    outcome="outage", failure="deployment lost and replanning disabled"
                 )
             config.leveling = task.leveling
             planner = Planner(config)
@@ -117,15 +119,13 @@ def repair_member(
                 )
                 source = problem.compile_source
                 plan = planner.solve(problem=problem)
-            return RepairOutcome(
-                app=task.app.name,
+            return dict(
                 outcome="redeployed",
                 deployment_names=tuple(plan.action_names()),
                 repaired=len(plan),
                 repair_cost=plan.exact_cost,
                 total_cost=plan.exact_cost,
                 compile_source=source,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         result = repair_by_names(
             task.app,
@@ -137,8 +137,7 @@ def repair_member(
             compile_cache=compile_cache,
             use_delta=task.use_delta,
         )
-        return RepairOutcome(
-            app=task.app.name,
+        return dict(
             outcome="repaired",
             deployment_names=tuple(a.name for a in result.combined_actions()),
             survived=len(result.surviving_actions),
@@ -148,15 +147,9 @@ def repair_member(
             ),
             total_cost=result.total_cost,
             compile_source=result.compile_source,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
         )
     except (PlanningError, ValueError) as exc:
-        return RepairOutcome(
-            app=task.app.name,
-            outcome="outage",
-            failure=f"{type(exc).__name__}: {exc}",
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
+        return dict(outcome="outage", failure=f"{type(exc).__name__}: {exc}")
 
 
 def run_controller(
@@ -273,8 +266,6 @@ def run_controller(
             )
         return outcomes
 
-    t_run = time.perf_counter()
-
     def freeze_deployments(deployments: dict) -> dict:
         return {
             name: (list(names) if names is not None else None)
@@ -287,135 +278,136 @@ def run_controller(
             for name, names in payload.items()
         }
 
-    try:
-        # Initial deploys: every member solved from scratch on the
-        # starting network (these also warm each worker's cache with the
-        # member's first network state).
-        if journal is not None and "initial" in journal:
-            payload = journal.get("initial")
-            initial_records = payload["records"]
-            deployments: dict[str, tuple[str, ...] | None] = thaw_deployments(
-                payload["deployments"]
-            )
-        else:
-            initial_outcomes = run_batch([member_task(m, None, network) for m in members])
-            deployments = {
-                o.app: (o.deployment_names if not o.failed else None)
-                for o in initial_outcomes
-            }
-            initial_records = [
-                (
-                    {
-                        "app": o.app,
-                        "deployed": not o.failed,
-                        "actions": len(o.deployment_names),
-                        "cost": o.total_cost,
-                    }
-                    if not o.failed
-                    else {"app": o.app, "deployed": False, "failure": o.failure}
+    with timed("controller.run") as clock:
+        try:
+            # Initial deploys: every member solved from scratch on the
+            # starting network (these also warm each worker's cache with the
+            # member's first network state).
+            if journal is not None and "initial" in journal:
+                payload = journal.get("initial")
+                initial_records = payload["records"]
+                deployments: dict[str, tuple[str, ...] | None] = thaw_deployments(
+                    payload["deployments"]
                 )
-                for o in initial_outcomes
-            ]
-            if journal is not None:
-                journal.append(
-                    "initial",
-                    {
-                        "records": initial_records,
-                        "deployments": freeze_deployments(deployments),
-                    },
-                )
+            else:
+                initial_outcomes = run_batch([member_task(m, None, network) for m in members])
+                deployments = {
+                    o.app: (o.deployment_names if not o.failed else None)
+                    for o in initial_outcomes
+                }
+                initial_records = [
+                    (
+                        {
+                            "app": o.app,
+                            "deployed": not o.failed,
+                            "actions": len(o.deployment_names),
+                            "cost": o.total_cost,
+                        }
+                        if not o.failed
+                        else {"app": o.app, "deployed": False, "failure": o.failure}
+                    )
+                    for o in initial_outcomes
+                ]
+                if journal is not None:
+                    journal.append(
+                        "initial",
+                        {
+                            "records": initial_records,
+                            "deployments": freeze_deployments(deployments),
+                        },
+                    )
 
-        steps = []
-        repairs_total = 0
-        outages = 0
-        redeployments = 0
-        total_repair_cost = 0.0
-        current = network
-        for index, event in enumerate(timeline):
-            current = apply_event(current, event)
-            key = f"step-{index}"
-            if journal is not None and key in journal:
-                # Replay a journaled step: restore the record verbatim
-                # and the counters/state the later steps build on.
-                payload = journal.get(key)
-                step = payload["step"]
-                deployments = thaw_deployments(payload["deployments"])
-                delta_hits += int(payload["delta_hits"])
-                delta_full += int(payload["delta_full"])
-                for record in step["repairs"]:
+            steps = []
+            repairs_total = 0
+            outages = 0
+            redeployments = 0
+            total_repair_cost = 0.0
+            current = network
+            for index, event in enumerate(timeline):
+                current = apply_event(current, event)
+                key = f"step-{index}"
+                if journal is not None and key in journal:
+                    # Replay a journaled step: restore the record verbatim
+                    # and the counters/state the later steps build on.
+                    payload = journal.get(key)
+                    step = payload["step"]
+                    deployments = thaw_deployments(payload["deployments"])
+                    delta_hits += int(payload["delta_hits"])
+                    delta_full += int(payload["delta_full"])
+                    for record in step["repairs"]:
+                        repairs_total += 1
+                        if record["failed"]:
+                            outages += 1
+                        else:
+                            total_repair_cost += record["repair_cost"]
+                            if "ttr_ms" in record:
+                                ttr_ms.append(record["ttr_ms"])
+                            if record["outcome"] == "redeployed":
+                                redeployments += 1
+                    steps.append(step)
+                    continue
+                outcomes = run_batch(
+                    [member_task(m, deployments[m.name], current) for m in members]
+                )
+                repair_records = []
+                step_hits = 0
+                step_full = 0
+                for outcome in outcomes:
+                    deployments[outcome.app] = (
+                        outcome.deployment_names if not outcome.failed else None
+                    )
                     repairs_total += 1
-                    if record["failed"]:
+                    if outcome.failed:
                         outages += 1
                     else:
-                        total_repair_cost += record["repair_cost"]
-                        if "ttr_ms" in record:
-                            ttr_ms.append(record["ttr_ms"])
-                        if record["outcome"] == "redeployed":
+                        total_repair_cost += outcome.repair_cost
+                        ttr_ms.append(outcome.wall_ms)
+                        if outcome.outcome == "redeployed":
                             redeployments += 1
-                steps.append(step)
-                continue
-            outcomes = run_batch(
-                [member_task(m, deployments[m.name], current) for m in members]
-            )
-            repair_records = []
-            step_hits = 0
-            step_full = 0
-            for outcome in outcomes:
-                deployments[outcome.app] = (
-                    outcome.deployment_names if not outcome.failed else None
-                )
-                repairs_total += 1
-                if outcome.failed:
-                    outages += 1
-                else:
-                    total_repair_cost += outcome.repair_cost
-                    ttr_ms.append(outcome.wall_ms)
-                    if outcome.outcome == "redeployed":
-                        redeployments += 1
-                if outcome.compile_source in ("cache", "delta"):
-                    step_hits += 1
-                else:
-                    step_full += 1
-                if telemetry is not None:
-                    telemetry.metrics.observe("repair.ttr", outcome.wall_ms)
                     if outcome.compile_source in ("cache", "delta"):
-                        telemetry.metrics.inc("repair.delta.hit")
+                        step_hits += 1
                     else:
-                        telemetry.metrics.inc("repair.delta.full")
-                record = {
-                    "app": outcome.app,
-                    "outcome": outcome.outcome,
-                    "survived": outcome.survived,
-                    "repaired": outcome.repaired,
-                    "repair_cost": outcome.repair_cost,
-                    "total_cost": outcome.total_cost,
-                    "failed": outcome.failed,
-                    "failure": outcome.failure,
+                        step_full += 1
+                    if telemetry is not None:
+                        telemetry.metrics.observe("repair.ttr", outcome.wall_ms)
+                        if outcome.compile_source in ("cache", "delta"):
+                            telemetry.metrics.inc("repair.delta.hit")
+                        else:
+                            telemetry.metrics.inc("repair.delta.full")
+                    record = {
+                        "app": outcome.app,
+                        "outcome": outcome.outcome,
+                        "survived": outcome.survived,
+                        "repaired": outcome.repaired,
+                        "repair_cost": outcome.repair_cost,
+                        "total_cost": outcome.total_cost,
+                        "failed": outcome.failed,
+                        "failure": outcome.failure,
+                    }
+                    if include_timings:
+                        record["ttr_ms"] = outcome.wall_ms
+                    repair_records.append(record)
+                delta_hits += step_hits
+                delta_full += step_full
+                step = {
+                    "index": index,
+                    "event": event_to_dict(event),
+                    "repairs": repair_records,
                 }
-                if include_timings:
-                    record["ttr_ms"] = outcome.wall_ms
-                repair_records.append(record)
-            delta_hits += step_hits
-            delta_full += step_full
-            step = {
-                "index": index,
-                "event": event_to_dict(event),
-                "repairs": repair_records,
-            }
-            steps.append(step)
-            if journal is not None:
-                journal.append(
-                    key,
-                    {
-                        "step": step,
-                        "deployments": freeze_deployments(deployments),
-                        "delta_hits": step_hits,
-                        "delta_full": step_full,
-                    },
-                )
-    finally:
-        if pool is not None:
-            pool.close()
+                steps.append(step)
+                if journal is not None:
+                    journal.append(
+                        key,
+                        {
+                            "step": step,
+                            "deployments": freeze_deployments(deployments),
+                            "delta_hits": step_hits,
+                            "delta_full": step_full,
+                        },
+                    )
+        finally:
+            if pool is not None:
+                pool.close()
 
     summary = {
         "fleet": fleet_size,
@@ -441,5 +433,5 @@ def run_controller(
         "summary": summary,
     }
     if include_timings:
-        record["wall_ms"] = (time.perf_counter() - t_run) * 1e3
+        record["wall_ms"] = clock.duration_ms
     return record

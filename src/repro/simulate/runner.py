@@ -12,11 +12,11 @@ evaluating adaptive deployment policies (docs/ROBUSTNESS.md).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from ..model import AppSpec, Leveling
 from ..network import Network
+from ..obs import timed
 from ..planner import (
     Deployment,
     Plan,
@@ -275,14 +275,17 @@ class Simulation:
         (``result.initial_failure``), not an exception — a fault campaign
         over many seeds must survive instances that start out unsolvable.
         """
-        t_run = time.perf_counter()
+        with timed("simulation.run") as clock:
+            result = self._run(events)
+        result.wall_ms = clock.duration_ms
+        return result
+
+    def _run(self, events: list[Event]) -> SimulationResult:
         try:
             plan = self._solve(self.network)
         except PlanningError as exc:
             return SimulationResult(
-                initial_plan=None,
-                initial_failure=f"{type(exc).__name__}: {exc}",
-                wall_ms=(time.perf_counter() - t_run) * 1e3,
+                initial_plan=None, initial_failure=f"{type(exc).__name__}: {exc}"
             )
         result = SimulationResult(initial_plan=plan)
         network = self.network
@@ -298,33 +301,32 @@ class Simulation:
                 repair_cost=0.0,
                 total_plan_cost=0.0,
             )
-            t_step = time.perf_counter()
-            while True:
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector.attempt(i, step.attempts)
-                    deployment = self._step(step, network, deployment)
-                except TransientFault as exc:
-                    step.transient_failures += 1
-                    if step.attempts >= self.retry_policy.max_attempts:
+            with timed("simulation.step") as step_clock:
+                while True:
+                    try:
+                        if self.fault_injector is not None:
+                            self.fault_injector.attempt(i, step.attempts)
+                        deployment = self._step(step, network, deployment)
+                    except TransientFault as exc:
+                        step.transient_failures += 1
+                        if step.attempts >= self.retry_policy.max_attempts:
+                            step.failed = True
+                            step.failure = f"{type(exc).__name__}: {exc}"
+                            deployment = None
+                            break
+                        step.backoff_s += self.retry_policy.backoff_s(step.attempts)
+                        step.attempts += 1
+                        continue
+                    except (PlanningError, ValueError) as exc:
+                        # ValueError: app/network consistency validation rejects
+                        # e.g. a partitioned network before planning even starts
+                        # — an outage, not a campaign crash.
                         step.failed = True
                         step.failure = f"{type(exc).__name__}: {exc}"
                         deployment = None
-                        break
-                    step.backoff_s += self.retry_policy.backoff_s(step.attempts)
-                    step.attempts += 1
-                    continue
-                except (PlanningError, ValueError) as exc:
-                    # ValueError: app/network consistency validation rejects
-                    # e.g. a partitioned network before planning even starts
-                    # — an outage, not a campaign crash.
-                    step.failed = True
-                    step.failure = f"{type(exc).__name__}: {exc}"
-                    deployment = None
-                break
-            step.wall_ms = (time.perf_counter() - t_step) * 1e3
+                    break
+            step.wall_ms = step_clock.duration_ms
             result.steps.append(step)
-        result.wall_ms = (time.perf_counter() - t_run) * 1e3
         return result
 
     def _step(

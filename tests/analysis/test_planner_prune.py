@@ -79,7 +79,7 @@ def test_prune_telemetry_counters():
     )
     snap = {m["name"]: m for m in tele.metrics.snapshot()}
     assert snap["analysis.dead_actions"]["value"] == plan.stats.static_pruned == 2
-    assert "analysis.ms" in snap
+    assert "planner.analysis_ms" in snap
     assert "analysis.sym.classes" in snap
     assert "analysis.envelope.tightened" in snap
     span_names = [s.name for s in tele.spans.spans]

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.obs import SpanRecorder, Telemetry, maybe_span
+from repro.domains import media
+from repro.network import pair_network
+from repro.obs import Span, SpanRecorder, Telemetry, maybe_span, timed
+from repro.planner import Planner, PlannerConfig
 
 
 class TestSpanRecorder:
@@ -69,9 +72,21 @@ class TestSpanRecorder:
 
 
 class TestMaybeSpan:
-    def test_none_telemetry_yields_none(self):
-        with maybe_span(None, "anything", k=1) as sp:
-            assert sp is None
+    def test_none_telemetry_yields_detached_span(self):
+        with maybe_span(None, "x", k=1) as sp:
+            assert isinstance(sp, Span)
+            sum(range(1000))
+        assert sp.duration_s > 0.0
+        assert sp.attrs == {"k": 1}
+        assert sp.id == -1 and sp.parent is None
+
+    def test_timed_records_nowhere(self):
+        tele = Telemetry()
+        with tele.span("outer"):
+            with timed("detached") as sp:
+                pass
+        assert sp.end_s is not None
+        assert [s.name for s in tele.spans.spans] == ["outer"]
 
     def test_enabled_telemetry_records(self):
         tele = Telemetry()
@@ -95,3 +110,29 @@ class TestTelemetryRuns:
         tele = Telemetry(trace=False)
         assert tele.begin_run() is None
         assert tele.trace is None
+
+
+class TestStatsAreSpans:
+    """``PlannerStats`` phase times are the phase spans' durations."""
+
+    def test_phase_times_equal_span_durations(self):
+        tele = Telemetry(trace=False)
+        config = PlannerConfig(
+            leveling=media.proportional_leveling((90.0, 100.0)), telemetry=tele
+        )
+        plan = Planner(config).solve(
+            media.build_app("n0", "n1"), pair_network(cpu=30.0, link_bw=70.0)
+        )
+        spans = {sp.name: sp for sp in tele.spans.spans}
+        assert plan.stats.plrg_ms == spans["plrg"].duration_ms
+        assert plan.stats.slrg_ms == spans["slrg"].duration_ms
+        assert plan.stats.rg_ms == spans["rg"].duration_ms
+        assert plan.stats.total_ms == plan.stats.search_ms
+        for field in ("plrg_ms", "slrg_ms", "rg_ms", "total_ms"):
+            assert tele.metrics.get(f"planner.{field}").value == getattr(plan.stats, field)
+        # The plrg span is Planner.solve's child and keeps its graph sizes.
+        plrg = spans["plrg"]
+        assert plrg.parent == spans["plan.solve"].id
+        assert set(plrg.attrs) == {"prop_nodes", "action_nodes", "usable_actions"}
+        assert plrg.attrs["prop_nodes"] == plan.stats.plrg_prop_nodes
+        assert plrg.attrs["action_nodes"] == plan.stats.plrg_action_nodes

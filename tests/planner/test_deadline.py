@@ -4,7 +4,10 @@ import time
 
 import pytest
 
+from repro.compile import compile_problem
 from repro.domains import media
+from repro.experiments.scaling import scaling_network
+from repro.experiments.scenarios import scenario
 from repro.network import chain_network
 from repro.obs import Telemetry
 from repro.planner import (
@@ -13,6 +16,8 @@ from repro.planner import (
     Planner,
     PlannerConfig,
     SearchBudgetExceeded,
+    build_plrg,
+    regression_search,
     solve,
 )
 
@@ -118,3 +123,55 @@ class TestAnytimePlanning:
         app, net = chain_instance()
         with pytest.raises(SearchBudgetExceeded):
             solve(app, net, LEV, rg_node_budget=1, anytime=False, time_limit_s=60.0)
+
+
+class TestElapsedSeconds:
+    """What ``elapsed_s`` reports, phase by phase (docs/ROBUSTNESS.md)."""
+
+    SLEEP_S = 0.2
+
+    @pytest.fixture()
+    def slow_compile(self, monkeypatch):
+        """Pad compilation so it spends most of the total deadline."""
+        import repro.planner.planner as planner_mod
+
+        real = planner_mod.compile_problem
+
+        def padded(*args, **kwargs):
+            time.sleep(self.SLEEP_S)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(planner_mod, "compile_problem", padded)
+
+    def test_deadline_elapsed_counts_from_its_anchor(self, slow_compile):
+        # The total deadline is anchored at solve() entry, so the padded
+        # compile spends 0.2 s of it and the RG (~0.2 s on this instance)
+        # is still searching when it fires.  The error must report the
+        # deadline's age, not the time since the RG phase began.
+        net, server, client = scaling_network(3)
+        config = PlannerConfig(
+            leveling=scenario("B").leveling(), time_limit_s=0.25, anytime=False
+        )
+        with pytest.raises(DeadlineExceeded) as info:
+            Planner(config).solve(media.build_app(server, client), net)
+        exc = info.value
+        assert exc.time_limit_s == 0.25
+        assert exc.elapsed_s >= exc.time_limit_s
+        assert f"after {exc.elapsed_s:.3f}s" in str(exc)
+
+    def test_node_budget_elapsed_is_the_rg_span(self):
+        app, net = chain_instance()
+        tele = Telemetry(trace=False)
+        config = PlannerConfig(leveling=LEV, rg_node_budget=1, telemetry=tele)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            Planner(config).solve(app, net)
+        (rg,) = [sp for sp in tele.spans.spans if sp.name == "rg"]
+        assert info.value.elapsed_s == rg.duration_s > 0.0
+
+    def test_direct_regression_search_reports_zero(self):
+        app, net = chain_instance()
+        problem = compile_problem(app, net, LEV)
+        plrg = build_plrg(problem)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            regression_search(problem, plrg.set_cost, plrg.usable_actions, node_budget=1)
+        assert info.value.elapsed_s == 0.0
