@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from ..expr import condition_satisfiable, variables
 from ..intervals import Interval
-from .actions import GroundAction
+from .actions import GroundAction, iface_prop_var
 from .problem import CompiledProblem
-from .reachability import _input_vars, _try_action
+from .reachability import _best_value_fixed_point, _input_specs
 
 __all__ = ["Diagnosis", "diagnose"]
 
@@ -33,35 +33,21 @@ class Diagnosis:
 
 
 def _best_values(problem: CompiledProblem) -> dict[str, float]:
-    """Recompute the best-value fixed point over the *kept* actions."""
-    from collections import deque
-
-    best: dict[str, float] = {}
-    for iface, node, value, _d, _u, prop in problem._initial_streams:
-        from .actions import iface_prop_var
-
-        best[iface_prop_var(prop, iface, node)] = value
-
-    queue = deque(problem.actions)
-    guard = len(problem.actions) * 60 + 100
-    while queue and guard:
-        guard -= 1
-        action = queue.popleft()
-        outputs = _try_action(action, best)
-        if outputs is None:
-            continue
-        for gvar, hi in outputs.items():
-            if hi > best.get(gvar, float("-inf")) + 1e-9:
-                best[gvar] = hi
-                queue.extend(problem.actions)
-                break
+    """The best-value fixed point over the *kept* actions."""
+    stream_values = {
+        iface_prop_var(prop, iface, node): value
+        for iface, node, value, _d, _u, prop in problem._initial_streams
+    }
+    best, _feasible = _best_value_fixed_point(problem.actions, stream_values)
     return best
 
 
 def _explain_action(action: GroundAction, best: dict[str, float]) -> str | None:
     """Why this action is unusable under the best-value map, or None."""
     env: dict[str, Interval] = {}
-    for spec_var, gvar, committed in _input_vars(action):
+    for spec_var in _input_specs(action):
+        gvar = action.var_map[spec_var]
+        committed = action.committed[spec_var]
         avail = best.get(gvar)
         if avail is None:
             return (

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable
 
 from ..expr import EvalError, compile_condition_satisfiable, compile_interval
 from ..intervals import Interval
@@ -32,7 +31,10 @@ from .actions import EffectKind, GroundAction
 
 __all__ = ["prune_unreachable_actions", "logically_reachable"]
 
-_MAX_PASSES = 50
+_MAX_PASSES = 50  # safety budget only; widening converges first
+_WIDEN_AFTER = 8  # strict increases of a best value; the next one widens it to +inf
+
+_RESOURCE_PREFIXES = ("Node.", "Link.")
 
 _PRODUCE_KINDS = (
     EffectKind.PRODUCE,
@@ -41,76 +43,159 @@ _PRODUCE_KINDS = (
 )
 
 
-def _input_vars(action: GroundAction) -> list[tuple[str, str, Interval]]:
-    """(spec var, ground var, committed interval) for stream inputs."""
-    out = []
-    for spec_var, gvar in action.var_map.items():
-        committed = action.committed.get(spec_var)
-        if committed is None or spec_var.startswith(("Node.", "Link.")):
-            continue
-        out.append((spec_var, gvar, committed))
-    return out
+def _input_specs(action: GroundAction) -> tuple[str, ...]:
+    """Spec variables of the action's stream inputs, in ``var_map`` order.
 
-
-def _closure(closures: dict, node, compile_fn: Callable) -> Callable:
-    """``compile_fn(node)``, resolved once per formula object.
-
-    Ground actions share their spec's condition and effect ASTs by
-    reference, so keying on ``id(node)`` skips rehashing the frozen AST
-    through the compile memo on every evaluation.  (A formula is either a
-    condition or an effect right-hand side, never both, so one key space
-    serves both kinds.)  Grounding has already compiled each of these
-    formulas, so compilation cannot fail here.
+    A stream input is a committed variable that is not a resource.  The
+    list depends only on the action's grounding template.
     """
-    fn = closures.get(id(node))
-    if fn is None:
-        fn = closures[id(node)] = compile_fn(node)
-    return fn
+    committed = action.committed
+    return tuple(
+        spec_var
+        for spec_var in action.var_map
+        if spec_var in committed and not spec_var.startswith(_RESOURCE_PREFIXES)
+    )
 
 
-def _try_action(
-    action: GroundAction,
-    best: dict[str, float],
-    inputs: list[tuple[str, str, Interval]] | None = None,
-    closures: dict | None = None,
-) -> dict[str, float] | None:
-    """Best output values of ``action`` under ``best``; None if infeasible.
+class _Template:
+    """What reachability reads of one grounding template, plus its memo.
 
-    ``inputs`` is ``_input_vars(action)`` when the caller already has it;
-    ``closures`` is a dict the caller keeps across calls (see
-    :func:`_closure`).
+    Every ground action of a template shares the template's ``committed``
+    dict, conditions, effects and effect kinds (clones share them too), so
+    an action's evaluation depends only on its template and on the best
+    values of its input streams: ``memo`` maps those values to the
+    produced best values (by effect position), or to ``None`` when the
+    action is infeasible under them.
+
+    Conditions and produced right-hand sides are held as compiled
+    closures.  Grounding has already compiled each of these formulas
+    (a template exists only if all of them evaluated), so compilation
+    cannot fail here.
     """
-    if inputs is None:
-        inputs = _input_vars(action)
-    if closures is None:
-        closures = {}
-    env: dict[str, Interval] = {}
-    for spec_var, gvar, committed in inputs:
-        avail = best.get(gvar)
-        if avail is None:
-            return None  # input stream not (yet) reachable here
-        if committed.lo > avail + 1e-9:
-            return None  # committed level above anything achievable
-        clipped = committed.intersect(Interval.closed(0.0, avail))
-        if clipped.is_empty():
-            return None
-        env[spec_var] = clipped
-    # Resources enter at their static grounding ranges.
-    for spec_var, committed in action.committed.items():
-        if spec_var.startswith(("Node.", "Link.")):
-            env[spec_var] = committed
 
-    try:
-        for cond in action.conditions:
-            if not _closure(closures, cond, compile_condition_satisfiable)(env):
+    __slots__ = ("specs", "committed", "resources", "conditions", "produce", "memo")
+
+    def __init__(self, action: GroundAction):
+        self.specs = _input_specs(action)
+        self.committed = tuple(action.committed[s] for s in self.specs)
+        # Resources enter at their static grounding ranges.
+        self.resources = tuple(
+            (s, iv) for s, iv in action.committed.items() if s.startswith(_RESOURCE_PREFIXES)
+        )
+        self.conditions = tuple(compile_condition_satisfiable(c) for c in action.conditions)
+        self.produce = tuple(
+            (position, compile_interval(assign.expr))
+            for position, (assign, (_gvar, kind)) in enumerate(
+                zip(action.effects, action.effect_targets)
+            )
+            if kind in _PRODUCE_KINDS
+        )
+        self.memo: dict[tuple, tuple[float, ...] | None] = {}
+
+    def evaluate(self, values: tuple) -> tuple[float, ...] | None:
+        """Best produced values under input best ``values``; None if infeasible."""
+        env: dict[str, Interval] = {}
+        for spec_var, committed, avail in zip(self.specs, self.committed, values):
+            if avail is None:
+                return None  # input stream not (yet) reachable here
+            if committed.lo > avail + 1e-9:
+                return None  # committed level above anything achievable
+            clipped = committed.intersect(Interval.closed(0.0, avail))
+            if clipped.is_empty():
                 return None
+            env[spec_var] = clipped
+        env.update(self.resources)
+        try:
+            if not all(cond(env) for cond in self.conditions):
+                return None
+            return tuple(fn(env).hi for _position, fn in self.produce)
+        except EvalError:
+            return None  # unresolvable (e.g. unregistered function): keep out
+
+
+def _best_value_fixed_point(
+    actions: list[GroundAction],
+    initial_stream_values: dict[str, float],
+) -> tuple[dict[str, float], bytearray]:
+    """Best value of every reachable stream variable, and which actions
+    are feasible under those values (one flag per position in ``actions``).
+
+    A worklist: an action is (re-)evaluated only when the best value of
+    one of its input variables improves, which keeps the fixed point
+    near-linear in practice.  Evaluations are memoized per (template,
+    input best values), so interchangeable bindings are evaluated once.
+
+    Once a best value has strictly increased :data:`_WIDEN_AFTER` times,
+    its next increase widens it to ``+inf``: additive properties (the grid domain's latency)
+    grow around network cycles without ever converging.  Widening only
+    raises upper bounds, so it stays sound.  Should the safety budget
+    still trip, the best map has not converged and proves nothing
+    infeasible, so every action is reported feasible.
+    """
+    best: dict[str, float] = dict(initial_stream_values)
+    feasible = bytearray(len(actions))
+
+    # Per position: the action's template and the tuple of its input
+    # ground variables.  Only these and the dependents index live through
+    # the fixed point: every object that does is promoted by the garbage
+    # collector, and on a large heap (a compile cache of forked problems)
+    # that buys full collections.
+    templates: dict[int, _Template] = {}
+    template_of: list[_Template] = []
+    inputs: list[tuple[str, ...]] = []
+    dependents: dict[str, list[int]] = {}
+    for position, action in enumerate(actions):
+        template = templates.get(id(action.committed))
+        if template is None:
+            template = templates[id(action.committed)] = _Template(action)
+        var_map = action.var_map
+        gvars = tuple([var_map[s] for s in template.specs])
+        template_of.append(template)
+        inputs.append(gvars)
+        for gvar in gvars:
+            dependents.setdefault(gvar, []).append(position)
+
+    increases: dict[str, int] = {}
+    queue: deque[int] = deque(range(len(actions)))
+    queued = bytearray(b"\x01") * len(actions)
+    iterations = 0
+    budget = len(actions) * _MAX_PASSES
+
+    while queue:
+        iterations += 1
+        if iterations > budget:  # pragma: no cover - widening converges first
+            feasible = bytearray(b"\x01") * len(actions)
+            break
+        position = queue.popleft()
+        queued[position] = 0
+        template = template_of[position]
+        values = tuple(map(best.get, inputs[position]))
+        memo = template.memo
+        if values in memo:
+            out = memo[values]
+        else:
+            out = memo[values] = template.evaluate(values)
+        if out is None:
+            continue
+        feasible[position] = 1
+        # Map the produced values onto this binding's targets; where two
+        # effects write one variable, the last writer wins.
+        targets = actions[position].effect_targets
         produced: dict[str, float] = {}
-        for assign, (gvar, kind) in zip(action.effects, action.effect_targets):
-            if kind in _PRODUCE_KINDS:
-                produced[gvar] = _closure(closures, assign.expr, compile_interval)(env).hi
-        return produced
-    except EvalError:
-        return None  # unresolvable (e.g. unregistered function): keep out
+        for (effect, _fn), hi in zip(template.produce, out):
+            produced[targets[effect][0]] = hi
+        for gvar, hi in produced.items():
+            if math.isnan(hi):
+                continue
+            if hi > best.get(gvar, -math.inf) + 1e-9:
+                count = increases.get(gvar, 0) + 1
+                increases[gvar] = count
+                best[gvar] = math.inf if count > _WIDEN_AFTER else hi
+                for dep in dependents.get(gvar, ()):
+                    if not queued[dep]:
+                        queue.append(dep)
+                        queued[dep] = 1
+    return best, feasible
 
 
 def prune_unreachable_actions(
@@ -120,55 +205,12 @@ def prune_unreachable_actions(
     """Fixed-point best-value propagation; returns (kept, pruned) actions.
 
     ``initial_stream_values`` maps ground stream variables produced by
-    pre-placed components to their exact values.
-
-    Implemented as a worklist: an action is (re-)evaluated only when the
-    best value of one of its input variables improves, which keeps the
-    fixed point near-linear in practice (this is the compile hotspot on
-    the 93-node network).  Each action's inputs are computed once, and each
-    formula's compiled closure is resolved once per call.
+    pre-placed components to their exact values.  Kept actions are
+    renumbered in order.
     """
-    best: dict[str, float] = dict(initial_stream_values)
-    feasible: set[int] = set()
-
-    # Dependents index: input ground var -> actions reading it.  Only
-    # the inputs are kept per action: every object that lives through the
-    # fixed point is promoted by the garbage collector, and on a large heap
-    # (a compile cache of forked problems) that buys full collections.
-    inputs = {action.index: _input_vars(action) for action in actions}
-    closures: dict = {}
-    dependents: dict[str, list[GroundAction]] = {}
-    for action in actions:
-        for _spec, gvar, _iv in inputs[action.index]:
-            dependents.setdefault(gvar, []).append(action)
-
-    queue: deque[GroundAction] = deque(actions)
-    queued: set[int] = {a.index for a in actions}
-    iterations = 0
-    budget = len(actions) * _MAX_PASSES
-
-    while queue:
-        iterations += 1
-        if iterations > budget:  # pragma: no cover - cyclic-amplifier guard
-            break
-        action = queue.popleft()
-        queued.discard(action.index)
-        outputs = _try_action(action, best, inputs[action.index], closures)
-        if outputs is None:
-            continue
-        feasible.add(action.index)
-        for gvar, hi in outputs.items():
-            if math.isnan(hi):
-                continue
-            if hi > best.get(gvar, -math.inf) + 1e-9:
-                best[gvar] = hi
-                for dep in dependents.get(gvar, ()):
-                    if dep.index not in queued:
-                        queue.append(dep)
-                        queued.add(dep.index)
-
-    kept = [a for a in actions if a.index in feasible]
-    removed = [a for a in actions if a.index not in feasible]
+    _best, feasible = _best_value_fixed_point(actions, initial_stream_values)
+    kept = [a for a, ok in zip(actions, feasible) if ok]
+    removed = [a for a, ok in zip(actions, feasible) if not ok]
     for new_index, action in enumerate(kept):
         action.index = new_index
     return kept, removed
