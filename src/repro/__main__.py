@@ -247,30 +247,50 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_task_failure(args: argparse.Namespace, exc) -> int:
-    """Render a multi-task :class:`~repro.parallel.TaskFailed` loudly.
+def _write_json(path: str, doc) -> None:
+    """Write a ``--json`` document: ``-`` is stdout, else the file.
 
-    Every failed index is reported — the message carries them all, and
+    ``wrote …`` goes to stderr: stdout must stay byte-identical across
+    same-seed runs regardless of the output path (the fault-smoke and
+    controller-smoke CI jobs diff it).
+    """
+    payload = json.dumps(doc, indent=2, sort_keys=True)
+    if path == "-":
+        print(payload)
+    else:
+        with open(path, "w") as fh:
+            fh.write(payload + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+
+
+def _report_run_failure(args: argparse.Namespace, exc: Exception) -> int:
+    """Render why a ``simulate``/``controller`` run stopped; returns 1.
+
+    A bad fault model (``TypeError``) or event (``ValueError``) is one
+    stderr line.  A multi-task :class:`~repro.parallel.TaskFailed` is
+    reported loudly: the message carries every failed index, and
     ``--json`` gets a structured failure document (``error`` /
     ``failed_indices`` / per-index messages) instead of a partial or
     missing record.
     """
-    print(exc, file=sys.stderr)
-    if args.json:
-        payload_doc = {
-            "error": "task_failed",
-            "failed_indices": list(exc.indices),
-            "failures": {
-                str(i): {"message": message, "remote_traceback": remote_tb}
-                for i, (message, remote_tb) in sorted(exc.failures.items())
-            },
-        }
-        payload = json.dumps(payload_doc, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            open(args.json, "w").write(payload + "\n")
-            print(f"wrote {args.json}", file=sys.stderr)
+    if isinstance(exc, TypeError):
+        print(f"invalid campaign fault model: {exc}", file=sys.stderr)
+    elif isinstance(exc, ValueError):
+        print(f"invalid campaign event: {exc}", file=sys.stderr)
+    else:
+        print(exc, file=sys.stderr)
+        if args.json:
+            _write_json(
+                args.json,
+                {
+                    "error": "task_failed",
+                    "failed_indices": list(exc.indices),
+                    "failures": {
+                        str(i): {"message": message, "remote_traceback": remote_tb}
+                        for i, (message, remote_tb) in sorted(exc.failures.items())
+                    },
+                },
+            )
     return 1
 
 
@@ -346,15 +366,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
             print(result.describe())
             payload_doc = result.to_dict(include_timings=args.timings)
-            ok = result.initial_plan is not None
-    except TypeError as exc:
-        print(f"invalid campaign fault model: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"invalid campaign event: {exc}", file=sys.stderr)
-        return 1
-    except TaskFailed as exc:
-        return _report_task_failure(args, exc)
+            ok = result.initial_deployment is not None
+    except (TypeError, ValueError, TaskFailed) as exc:
+        return _report_run_failure(args, exc)
     finally:
         if journal is not None:
             journal.close()
@@ -366,14 +380,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(telemetry.metrics.render_text())
     _export_trace_to_stderr(args, telemetry)
     if args.json:
-        payload = json.dumps(payload_doc, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            open(args.json, "w").write(payload + "\n")
-            # stderr: stdout must stay byte-identical across same-seed runs
-            # regardless of the output path (the fault-smoke CI job diffs it).
-            print(f"wrote {args.json}", file=sys.stderr)
+        _write_json(args.json, payload_doc)
     return 0 if ok else 1
 
 
@@ -418,14 +425,8 @@ def _cmd_controller(args: argparse.Namespace) -> int:
             journal=journal,
             inject_kill=args.inject_kill or (),
         )
-    except TypeError as exc:
-        print(f"invalid campaign fault model: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"invalid campaign event: {exc}", file=sys.stderr)
-        return 1
-    except TaskFailed as exc:
-        return _report_task_failure(args, exc)
+    except (TypeError, ValueError, TaskFailed) as exc:
+        return _report_run_failure(args, exc)
     finally:
         if journal is not None:
             journal.close()
@@ -448,14 +449,7 @@ def _cmd_controller(args: argparse.Namespace) -> int:
         print(telemetry.metrics.render_text())
     _export_trace_to_stderr(args, telemetry)
     if args.json:
-        payload = json.dumps(record, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            open(args.json, "w").write(payload + "\n")
-            # stderr: stdout must stay byte-identical across same-seed runs
-            # (the controller-smoke CI job diffs it).
-            print(f"wrote {args.json}", file=sys.stderr)
+        _write_json(args.json, record)
     initial_ok = all(entry["deployed"] for entry in record["initial"])
     return 0 if initial_ok else 1
 

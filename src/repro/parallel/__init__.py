@@ -33,11 +33,9 @@ Consumers: ``run_tasks`` serves ``run_table2(workers=N)``,
 
 from .cache import CompileCache, default_compile_cache
 from .envelope import (
-    ENVELOPE_TYPES,
     EnvelopeError,
     MetricsSnapshot,
     PlanEnvelope,
-    ProblemEnvelope,
     check_picklable,
 )
 from .fingerprint import (
@@ -90,10 +88,8 @@ __all__ = [
     "default_compile_cache",
     "EnvelopeError",
     "check_picklable",
-    "ProblemEnvelope",
     "PlanEnvelope",
     "MetricsSnapshot",
-    "ENVELOPE_TYPES",
     "digest",
     "app_fingerprint",
     "network_fingerprint",

@@ -5,10 +5,6 @@ configuration) and return *summaries* (plans by action name, stats
 fields, metrics snapshots) — never live planner state.  The envelope
 types here define that contract explicitly:
 
-* :class:`ProblemEnvelope` — everything needed to compile a problem in a
-  worker (the compiled form itself is deliberately not shipped: its
-  pickle is large and rebuilding replay closures on load costs more than
-  compiling against the worker's warm cache).
 * :class:`PlanEnvelope` — a finished plan flattened to action names,
   costs, stats, and stop metadata; :meth:`PlanEnvelope.restore` rebinds
   it to a compiled problem in the parent.
@@ -29,14 +25,11 @@ import pickle
 from dataclasses import dataclass, fields, is_dataclass
 
 from ..compile import CompiledProblem
-from ..model import AppSpec, Leveling
-from ..network import Network
 from ..planner import Plan, PlannerStats
 
 __all__ = [
     "EnvelopeError",
     "check_picklable",
-    "ProblemEnvelope",
     "PlanEnvelope",
     "MetricsSnapshot",
 ]
@@ -85,41 +78,6 @@ def check_picklable(obj, label: str = "envelope") -> None:
         raise EnvelopeError(
             f"{label} is not picklable at {where}: {type(exc).__name__}: {exc}"
         ) from exc
-
-
-@dataclass(frozen=True)
-class ProblemEnvelope:
-    """Inputs of one compilation, ready to ship to a worker."""
-
-    app: AppSpec
-    network: Network
-    leveling: Leveling | None = None
-    bound_overrides: dict | None = None
-    strict: bool = False
-
-    @staticmethod
-    def from_problem(problem: CompiledProblem) -> "ProblemEnvelope":
-        return ProblemEnvelope(
-            app=problem.app, network=problem.network, leveling=problem.leveling
-        )
-
-    def compile(self, cache=None, metrics=None) -> CompiledProblem:
-        """Compile in the receiving process (through its warm cache)."""
-        if cache is None:
-            from .cache import default_compile_cache
-
-            cache = default_compile_cache()
-        return cache.compile(
-            self.app,
-            self.network,
-            self.leveling,
-            self.bound_overrides,
-            self.strict,
-            metrics=metrics,
-        )
-
-    def validate(self) -> None:
-        check_picklable(self, "problem envelope")
 
 
 @dataclass(frozen=True)
@@ -229,8 +187,3 @@ class MetricsSnapshot:
 
     def validate(self) -> None:
         check_picklable(self, "metrics snapshot")
-
-
-# Re-exported for test parametrization convenience.
-ENVELOPE_TYPES = (ProblemEnvelope, PlanEnvelope, MetricsSnapshot)
-__all__.append("ENVELOPE_TYPES")

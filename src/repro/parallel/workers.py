@@ -184,10 +184,9 @@ class CellTask:
 
 @dataclass(frozen=True)
 class CellResult:
-    """A solved cell: the row (plan stripped), its plan, worker metrics."""
+    """A solved cell: the row (plan stripped to names), worker metrics."""
 
     row: object  # Table2Row with plan=None and plan_names filled
-    plan: PlanEnvelope | None
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     profile: bytes = b""
     """Marshal pstats blob of the whole task, when profiling was asked."""
@@ -214,11 +213,9 @@ def run_cell_task(
             compile_cache=compile_cache,
             static_prune=task.static_prune,
         )
-    envelope = PlanEnvelope.from_plan(row.plan) if row.plan is not None else None
     row.plan = None  # the full Plan holds the compiled problem; too big to ship
     return CellResult(
         row=row,
-        plan=envelope,
         profile=blobs[0] if blobs else b"",
         pid=os.getpid(),
     )
@@ -366,9 +363,10 @@ def run_domain_task(
 
 @dataclass(frozen=True)
 class RepairTask:
-    """One fleet member's repair against the current network state.
+    """One deployment's repair against the current network state.
 
-    Its core is :func:`repro.simulate.controller.repair_member`.
+    Its core is :func:`repro.simulate.controller.repair_member`, the one
+    repair path of the fleet controller and the churn simulator.
     ``deployment_names`` is the member's running deployment as ground-
     action names (the serializable identity used by
     :func:`repro.planner.repair_by_names`) — or ``None`` when the member

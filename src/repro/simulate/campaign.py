@@ -26,12 +26,11 @@ from dataclasses import replace
 from ..model import AppSpec, Leveling
 from ..network import Network
 from ..obs import Telemetry
-from ..planner import PlannerConfig
 from .events import Event, event_from_dict
 from .faults import FaultInjector, FaultModel, RetryPolicy, generate_timeline
 from .runner import Simulation, SimulationResult
 
-__all__ = ["campaign_timeline", "run_campaign_run", "run_campaign"]
+__all__ = ["campaign_timeline", "repair_template", "run_campaign_run", "run_campaign"]
 
 _DEFAULT_CACHE = Simulation._DEFAULT_CACHE
 """Sentinel: let the simulation use the process-global compile cache
@@ -74,6 +73,40 @@ def campaign_timeline(
     return generate_timeline(network, faults)
 
 
+def repair_template(
+    app: AppSpec,
+    network: Network,
+    leveling: Leveling,
+    spec: dict,
+    time_limit_s: float | None = None,
+):
+    """The spec's repair policy as a :class:`~repro.parallel.RepairTask`.
+
+    The one reader of the repair-policy keys for both drivers
+    (:func:`run_campaign_run` and
+    :func:`~repro.simulate.controller.run_controller`):
+    ``rg_node_budget`` (default :data:`DEFAULT_RG_NODE_BUDGET`),
+    ``time_limit_s`` (the spec's value wins over the argument),
+    ``migration_cost_factor``, ``delta_replanning`` and
+    ``replan_from_scratch_on_outage``.  The template deploys ``app`` on
+    ``network`` from scratch; callers ``replace`` the app, network and
+    deployment per repair.
+    """
+    from ..parallel import RepairTask
+
+    return RepairTask(
+        app=app,
+        network=network,
+        leveling=leveling,
+        deployment_names=None,
+        migration_cost_factor=float(spec.get("migration_cost_factor", 0.5)),
+        rg_node_budget=int(spec.get("rg_node_budget", DEFAULT_RG_NODE_BUDGET)),
+        time_limit_s=spec.get("time_limit_s", time_limit_s),
+        use_delta=bool(spec.get("delta_replanning", False)),
+        replan_from_scratch=bool(spec.get("replan_from_scratch_on_outage", True)),
+    )
+
+
 def run_campaign_run(
     app: AppSpec,
     network: Network,
@@ -97,24 +130,20 @@ def run_campaign_run(
     timeline = campaign_timeline(network, spec, seed=seed, events=events)
     injector = FaultInjector(**spec["injector"]) if "injector" in spec else None
     retry = RetryPolicy(**spec["retry"]) if "retry" in spec else None
-    config = PlannerConfig(
-        rg_node_budget=int(spec.get("rg_node_budget", DEFAULT_RG_NODE_BUDGET)),
-        time_limit_s=spec.get("time_limit_s", time_limit_s),
-        telemetry=telemetry,
-    )
+    policy = repair_template(app, network, leveling, spec, time_limit_s)
     sim = Simulation(
         app,
         network,
         leveling,
-        migration_cost_factor=float(spec.get("migration_cost_factor", 0.5)),
-        replan_from_scratch_on_outage=bool(
-            spec.get("replan_from_scratch_on_outage", True)
-        ),
+        migration_cost_factor=policy.migration_cost_factor,
+        replan_from_scratch_on_outage=policy.replan_from_scratch,
         fault_injector=injector,
         retry_policy=retry,
-        planner_config=config,
+        rg_node_budget=policy.rg_node_budget,
+        time_limit_s=policy.time_limit_s,
+        telemetry=telemetry,
         compile_cache=compile_cache,
-        delta_replanning=bool(spec.get("delta_replanning", False)),
+        delta_replanning=policy.use_delta,
     )
     return sim.run(timeline)
 

@@ -38,7 +38,7 @@ from ..model import AppSpec, Leveling
 from ..network import Network
 from ..obs import Telemetry, timed
 from ..planner import Planner, PlannerConfig, PlanningError, repair_by_names
-from .campaign import DEFAULT_RG_NODE_BUDGET, campaign_timeline
+from .campaign import campaign_timeline, repair_template
 from .events import apply_event, event_to_dict
 from .runner import Simulation
 
@@ -75,10 +75,14 @@ def repair_member(
 ) -> "RepairOutcome":
     """Run one :class:`~repro.parallel.RepairTask` to its outcome.
 
-    The repair task's core: :func:`run_controller` hands it to
-    :func:`repro.parallel.run_tasks`, which calls it inline with the
-    controller's telemetry and cache, or in a worker with the worker's
-    own telemetry and process-global cache.  :func:`run_controller`
+    The one repair path, shared by both drivers.  :func:`run_controller`
+    hands it to :func:`repro.parallel.run_tasks`, which calls it inline
+    with the controller's telemetry and cache, or in a worker with the
+    worker's own telemetry and process-global cache;
+    :class:`~repro.simulate.Simulation` calls it for its initial deploy
+    and after each event.  A task without a deployment is deployed from
+    scratch, or is an outage when ``replan_from_scratch`` is off (both
+    drivers force it on for the initial deploy).  :func:`run_controller`
     reads this module global once per batch and passes keywords only,
     so a ``repair_member(task, **kwargs)`` wrapper assigned here sees
     every inline repair.  Planning failures —
@@ -102,9 +106,7 @@ def _repair(task: "RepairTask", telemetry, compile_cache) -> dict:
     try:
         if task.deployment_names is None:
             if not task.replan_from_scratch:
-                return dict(
-                    outcome="outage", failure="deployment lost and replanning disabled"
-                )
+                raise PlanningError("deployment lost and replanning disabled")
             config.leveling = task.leveling
             planner = Planner(config)
             if compile_cache is None:
@@ -204,7 +206,7 @@ def run_controller(
     itself before running them, once, in the *first non-replayed batch*
     (fault injection for tests/CI).
     """
-    from ..parallel import RepairOutcome, RepairTask, Supervisor, resolve_workers, run_tasks
+    from ..parallel import RepairOutcome, Supervisor, resolve_workers, run_tasks
 
     if compile_cache is _DEFAULT_CACHE:
         from ..parallel import default_compile_cache
@@ -214,24 +216,7 @@ def run_controller(
     fleet_size = int(fleet if fleet is not None else spec.get("fleet", DEFAULT_FLEET))
     members = replicate_apps(app, fleet_size)
     timeline = campaign_timeline(network, spec, seed=seed, events=events)
-    migration_cost_factor = float(spec.get("migration_cost_factor", 0.5))
-    rg_node_budget = int(spec.get("rg_node_budget", DEFAULT_RG_NODE_BUDGET))
-    limit = spec.get("time_limit_s", time_limit_s)
-    use_delta = bool(spec.get("delta_replanning", False))
-    replan = bool(spec.get("replan_from_scratch_on_outage", True))
-
-    def member_task(member: AppSpec, names: tuple[str, ...] | None, net: Network):
-        return RepairTask(
-            app=member,
-            network=net,
-            leveling=leveling,
-            deployment_names=names,
-            migration_cost_factor=migration_cost_factor,
-            rg_node_budget=rg_node_budget,
-            time_limit_s=limit,
-            use_delta=use_delta,
-            replan_from_scratch=replan,
-        )
+    template = repair_template(app, network, leveling, spec, time_limit_s)
 
     delta_hits = 0
     delta_full = 0
@@ -290,7 +275,11 @@ def run_controller(
                     payload["deployments"]
                 )
             else:
-                initial_outcomes = run_batch([member_task(m, None, network) for m in members])
+                # The replan flag governs redeploys after an outage, not
+                # the first deploy.
+                initial_outcomes = run_batch(
+                    [replace(template, app=m, replan_from_scratch=True) for m in members]
+                )
                 deployments = {
                     o.app: (o.deployment_names if not o.failed else None)
                     for o in initial_outcomes
@@ -346,9 +335,10 @@ def run_controller(
                                 redeployments += 1
                     steps.append(step)
                     continue
-                outcomes = run_batch(
-                    [member_task(m, deployments[m.name], current) for m in members]
-                )
+                outcomes = run_batch([
+                    replace(template, app=m, network=current, deployment_names=deployments[m.name])
+                    for m in members
+                ])
                 repair_records = []
                 step_hits = 0
                 step_full = 0

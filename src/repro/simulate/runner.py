@@ -16,15 +16,8 @@ from dataclasses import dataclass, field, replace
 
 from ..model import AppSpec, Leveling
 from ..network import Network
-from ..obs import timed
-from ..planner import (
-    Deployment,
-    Plan,
-    Planner,
-    PlannerConfig,
-    PlanningError,
-    repair_deployment,
-)
+from ..obs import Telemetry, timed
+from ..planner import PlannerConfig
 from .events import Event, apply_event, event_to_dict
 from .faults import FaultInjector, RetryPolicy, TransientFault
 
@@ -87,7 +80,11 @@ class SimulationStep:
 class SimulationResult:
     """Full simulation record."""
 
-    initial_plan: Plan | None
+    initial_deployment: tuple[str, ...] | None
+    """The initial deployment as ground-action names (``None`` when it
+    failed)."""
+    initial_cost: float = 0.0
+    """The initial deployment's exact cost."""
     initial_failure: str = ""
     """Why the very first deployment failed (empty on success); a failed
     initial solve yields an empty-steps result instead of an exception."""
@@ -123,10 +120,10 @@ class SimulationResult:
         return sum(s.backoff_s for s in self.steps)
 
     def describe(self) -> str:
-        if self.initial_plan is None:
+        if self.initial_deployment is None:
             return f"initial deployment FAILED: {self.initial_failure}"
-        lines = [f"initial deployment: {len(self.initial_plan)} actions, "
-                 f"exact cost {self.initial_plan.exact_cost:g}"]
+        lines = [f"initial deployment: {len(self.initial_deployment)} actions, "
+                 f"exact cost {self.initial_cost:g}"]
         lines += [s.describe() for s in self.steps]
         lines.append(
             f"total repair cost {self.total_repair_cost:g}, "
@@ -150,10 +147,10 @@ class SimulationResult:
         data: dict = {
             "initial": (
                 {
-                    "actions": len(self.initial_plan),
-                    "exact_cost": self.initial_plan.exact_cost,
+                    "actions": len(self.initial_deployment),
+                    "exact_cost": self.initial_cost,
                 }
-                if self.initial_plan is not None
+                if self.initial_deployment is not None
                 else {"failure": self.initial_failure}
             ),
             "steps": [s.to_dict(include_timings) for s in self.steps],
@@ -174,15 +171,21 @@ class SimulationResult:
 class Simulation:
     """Deploy an application, then play a sequence of network events.
 
+    The initial deployment and every repair run through the fleet
+    controller's repair core (:func:`repro.simulate.controller.repair_member`),
+    one :class:`~repro.parallel.RepairTask` at a time; between steps the
+    deployment travels as a tuple of ground-action names.
+
     Parameters
     ----------
     migration_cost_factor:
-        Passed through to :func:`repair_deployment`.
+        Passed through to :func:`~repro.planner.repair_by_names`.
     replan_from_scratch_on_outage:
         When an event leaves the deployment unrepairable (e.g. the network
         partitioned), later events may restore connectivity; with this
         flag (default) the simulator attempts a full re-deployment at each
-        subsequent step until one succeeds.
+        subsequent step until one succeeds.  The initial deployment is
+        always attempted.
     fault_injector:
         Optional seeded :class:`FaultInjector` making some repair attempts
         raise :class:`TransientFault`; the simulator then retries under
@@ -190,13 +193,15 @@ class Simulation:
     retry_policy:
         Attempt/backoff schedule for transient failures (defaulted when a
         fault injector is attached).
-    planner_config:
-        Base config for the initial solve and every repair (its
-        ``leveling`` is overridden by ``leveling``).  Fault campaigns
-        should bound it — proving a degraded step *infeasible* with the
-        default 500k-node RG budget can take minutes, while a tight
-        ``rg_node_budget`` or ``time_limit_s`` turns that proof into a
-        fast, honestly-reported outage.
+    rg_node_budget, time_limit_s:
+        Bounds on every solve (the initial one, each repair, each
+        from-scratch redeploy); the budget defaults to the planner's.
+        Fault campaigns should bound them — proving a degraded step
+        *infeasible* with the default 500k-node RG budget can take
+        minutes, while a tight ``rg_node_budget`` or ``time_limit_s``
+        turns that proof into a fast, honestly-reported outage.
+    telemetry:
+        Receives every solve's planner metrics and compile provenance.
     compile_cache:
         Warm-start compile cache (:class:`repro.parallel.CompileCache`)
         serving every compilation in the run: the initial solve, both
@@ -230,43 +235,35 @@ class Simulation:
         replan_from_scratch_on_outage: bool = True,
         fault_injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
-        planner_config: PlannerConfig | None = None,
+        rg_node_budget: int = PlannerConfig.rg_node_budget,
+        time_limit_s: float | None = None,
+        telemetry: Telemetry | None = None,
         compile_cache=_DEFAULT_CACHE,
         delta_replanning: bool = False,
     ):
-        self.app = app
-        self.network = network
-        self.leveling = leveling
-        self.migration_cost_factor = migration_cost_factor
-        self.replan_from_scratch_on_outage = replan_from_scratch_on_outage
+        from ..parallel import RepairTask
+
+        # Every solve is this task with the current network and
+        # deployment filled in.
+        self.task = RepairTask(
+            app=app,
+            network=network,
+            leveling=leveling,
+            deployment_names=None,
+            migration_cost_factor=migration_cost_factor,
+            rg_node_budget=rg_node_budget,
+            time_limit_s=time_limit_s,
+            use_delta=delta_replanning,
+            replan_from_scratch=replan_from_scratch_on_outage,
+        )
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy or RetryPolicy()
-        self.planner_config = replace(planner_config or PlannerConfig(), leveling=leveling)
-        self._planner = Planner(self.planner_config)
+        self.telemetry = telemetry
         if compile_cache is Simulation._DEFAULT_CACHE:
             from ..parallel import default_compile_cache
 
             compile_cache = default_compile_cache()
         self.compile_cache = compile_cache
-        self.delta_replanning = delta_replanning
-
-    def _solve(self, network: Network) -> Plan:
-        """Full solve against ``network``, through the cache when present."""
-        if self.compile_cache is None:
-            return self._planner.solve(self.app, network)
-        problem = self.compile_cache.compile(
-            self.app,
-            network,
-            self.planner_config.leveling,
-            self.planner_config.bound_overrides or None,
-            self.planner_config.strict,
-            metrics=(
-                self.planner_config.telemetry.metrics
-                if self.planner_config.telemetry is not None
-                else None
-            ),
-        )
-        return self._planner.solve(problem=problem)
 
     def run(self, events: list[Event]) -> SimulationResult:
         """Deploy, then apply every event in order, repairing after each.
@@ -281,15 +278,23 @@ class Simulation:
         return result
 
     def _run(self, events: list[Event]) -> SimulationResult:
-        try:
-            plan = self._solve(self.network)
-        except PlanningError as exc:
-            return SimulationResult(
-                initial_plan=None, initial_failure=f"{type(exc).__name__}: {exc}"
+        from .controller import repair_member
+
+        def repair(task):
+            return repair_member(
+                task, telemetry=self.telemetry, compile_cache=self.compile_cache
             )
-        result = SimulationResult(initial_plan=plan)
-        network = self.network
-        deployment: Deployment | None = Deployment.from_plan(plan)
+
+        initial = repair(replace(self.task, replan_from_scratch=True))
+        if initial.failed:
+            return SimulationResult(
+                initial_deployment=None, initial_failure=initial.failure
+            )
+        result = SimulationResult(
+            initial_deployment=initial.deployment_names, initial_cost=initial.total_cost
+        )
+        network = self.task.network
+        names: tuple[str, ...] | None = initial.deployment_names
 
         for i, event in enumerate(events):
             network = apply_event(network, event)
@@ -302,63 +307,34 @@ class Simulation:
                 total_plan_cost=0.0,
             )
             with timed("simulation.step") as step_clock:
-                while True:
+                while self.fault_injector is not None:
                     try:
-                        if self.fault_injector is not None:
-                            self.fault_injector.attempt(i, step.attempts)
-                        deployment = self._step(step, network, deployment)
+                        self.fault_injector.attempt(i, step.attempts)
+                        break
                     except TransientFault as exc:
                         step.transient_failures += 1
                         if step.attempts >= self.retry_policy.max_attempts:
                             step.failed = True
                             step.failure = f"{type(exc).__name__}: {exc}"
-                            deployment = None
                             break
                         step.backoff_s += self.retry_policy.backoff_s(step.attempts)
                         step.attempts += 1
-                        continue
-                    except (PlanningError, ValueError) as exc:
-                        # ValueError: app/network consistency validation rejects
-                        # e.g. a partitioned network before planning even starts
-                        # — an outage, not a campaign crash.
-                        step.failed = True
-                        step.failure = f"{type(exc).__name__}: {exc}"
-                        deployment = None
-                    break
+                if not step.failed:
+                    outcome = repair(
+                        replace(self.task, network=network, deployment_names=names)
+                    )
+                    step.failed = outcome.failed
+                    step.failure = outcome.failure
+                    step.survived_actions = outcome.survived
+                    step.repair_actions = outcome.repaired
+                    step.repair_cost = outcome.repair_cost
+                    # The deployment's exact cost after this step: surviving
+                    # prefix plus repair delta, measured undiscounted on the
+                    # stitched validation — not just the repair delta (which
+                    # drops the prefix and is cheapened by the migration
+                    # discount).
+                    step.total_plan_cost = outcome.total_cost
+                names = None if step.failed else outcome.deployment_names
             step.wall_ms = step_clock.duration_ms
             result.steps.append(step)
         return result
-
-    def _step(
-        self, step: SimulationStep, network: Network, deployment: Deployment | None
-    ) -> Deployment:
-        """One repair attempt; returns the post-step deployment."""
-        if deployment is None:
-            if not self.replan_from_scratch_on_outage:
-                raise PlanningError("deployment lost and replanning disabled")
-            fresh = self._solve(network)
-            step.repair_actions = len(fresh)
-            step.repair_cost = fresh.exact_cost
-            step.total_plan_cost = fresh.exact_cost
-            return Deployment.from_plan(fresh)
-        repair = repair_deployment(
-            self.app,
-            network,
-            deployment,
-            leveling=self.leveling,
-            migration_cost_factor=self.migration_cost_factor,
-            planner_config=replace(self.planner_config),
-            compile_cache=self.compile_cache,
-            use_delta=self.delta_replanning,
-        )
-        step.survived_actions = len(repair.surviving_actions)
-        step.repair_actions = len(repair.repair_plan)
-        step.repair_cost = (
-            repair.repair_plan.exact_cost if repair.repair_plan.actions else 0.0
-        )
-        # The deployment's exact cost after this step: surviving prefix
-        # plus repair delta, measured undiscounted on the stitched
-        # validation — not just the repair delta (which drops the prefix
-        # and is cheapened by the migration discount).
-        step.total_plan_cost = repair.total_cost
-        return Deployment(problem=repair.repair_plan.problem, actions=repair.combined_actions())

@@ -19,7 +19,6 @@ from repro.parallel import (
     EnvelopeError,
     MetricsSnapshot,
     PlanEnvelope,
-    ProblemEnvelope,
     check_picklable,
 )
 from repro.planner import Planner, PlannerConfig, PlannerStats
@@ -35,30 +34,6 @@ def small_instance():
 def solved_plan():
     app, net = small_instance()
     return Planner(PlannerConfig(leveling=LEV)).solve(app, net)
-
-
-class TestProblemEnvelope:
-    def test_round_trip_compiles_identically(self):
-        app, net = small_instance()
-        env = ProblemEnvelope(app=app, network=net, leveling=LEV)
-        env.validate()
-        clone = pickle.loads(pickle.dumps(env))
-        from repro.compile import compile_problem
-
-        p1 = compile_problem(env.app, env.network, env.leveling)
-        p2 = compile_problem(clone.app, clone.network, clone.leveling)
-        assert [a.name for a in p1.actions] == [a.name for a in p2.actions]
-        assert p1.initial_prop_ids == p2.initial_prop_ids
-        assert p1.goal_prop_ids == p2.goal_prop_ids
-
-    def test_from_problem(self):
-        from repro.compile import compile_problem
-
-        app, net = small_instance()
-        problem = compile_problem(app, net, LEV)
-        env = ProblemEnvelope.from_problem(problem)
-        assert env.app is app and env.network is net
-        env.validate()
 
 
 class TestPlanEnvelope:

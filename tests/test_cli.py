@@ -441,6 +441,72 @@ class TestController:
         assert capsys.readouterr().out == first
 
 
+class TestRunFailureReport:
+    """``simulate`` and ``controller`` share one ``--json`` writer and one
+    error report."""
+
+    FAILED = {1: ("boom", "tb-1"), 3: ("bang", "tb-3")}
+
+    def _raise_task_failed(self, *args, **kwargs):
+        from repro.parallel import TaskFailed
+
+        raise TaskFailed(1, "boom", "tb-1", failures=self.FAILED)
+
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [
+            ("simulate", "repro.simulate.campaign", "run_campaign_run"),
+            ("controller", "repro.simulate.controller", "run_controller"),
+        ],
+    )
+    def test_task_failure_document(self, workdir, capsys, monkeypatch, command, module, name):
+        import importlib
+
+        monkeypatch.setattr(importlib.import_module(module), name, self._raise_task_failed)
+        args = TestSimulate()._args(workdir)
+        args[0] = command
+        expected = json.dumps(
+            {
+                "error": "task_failed",
+                "failed_indices": [1, 3],
+                "failures": {
+                    "1": {"message": "boom", "remote_traceback": "tb-1"},
+                    "3": {"message": "bang", "remote_traceback": "tb-3"},
+                },
+            },
+            indent=2,
+            sort_keys=True,
+        )
+
+        assert main(args + ["--json", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == expected + "\n"
+        assert captured.err.startswith("task 1 failed in worker: boom")
+
+        out_file = workdir / "failure.json"
+        assert main(args + ["--json", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"wrote {out_file}\n")
+        assert out_file.read_text() == expected + "\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "controller"])
+    def test_bad_campaign_is_one_stderr_line(self, workdir, capsys, command):
+        args = TestSimulate()._args(workdir)
+        args[0] = command
+        for spec, message in (
+            ({"faults": {"bogus": 1}}, "invalid campaign fault model: "),
+            ({"events": [{"kind": "nope"}]}, "invalid campaign event: "),
+        ):
+            campaign = workdir / "campaign.json"
+            campaign.write_text(json.dumps(spec))
+            assert main(args + ["--campaign", str(campaign)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(message)
+            assert captured.err.count("\n") == 1
+
+
 class TestBench:
     def test_serial_quick_cells_with_cache(self, tmp_path, capsys):
         out_file = tmp_path / "bench.json"

@@ -7,16 +7,19 @@ replanning on or off (only the ``summary.delta_hits`` /
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.domains import media
-from repro.network import chain_network
+from repro.model import AppSpec, Leveling, LevelSpec, parse_spec_text
+from repro.network import chain_network, load_network
 from repro.obs import Telemetry
 from repro.parallel import CompileCache, RepairTask
-from repro.simulate import repair_member, replicate_apps, run_controller
+from repro.simulate import repair_member, replicate_apps, run_campaign_run, run_controller
 
 LEV = media.proportional_leveling((90, 100))
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def fleet_net():
@@ -80,6 +83,8 @@ class TestRepairMember:
         assert outcome.outcome == "outage"
         assert outcome.failed
         assert "replanning disabled" in outcome.failure
+        # docs/ROBUSTNESS.md: every outage reads "ErrorType: message".
+        assert outcome.failure == "PlanningError: deployment lost and replanning disabled"
 
     def test_planning_failure_is_an_outage_not_an_exception(self):
         starved = chain_network([(10, "LAN"), (10, "LAN")], cpu=30.0, name="weak")
@@ -204,3 +209,63 @@ class TestControllerWorkers:
         )
         fanned = run_controller(app, net, LEV, spec, workers=2)
         assert strip_provenance(inline) == strip_provenance(fanned)
+
+
+class TestReplanFlag:
+    """``replan_from_scratch_on_outage`` governs redeploys after an
+    outage only; the initial deploy always runs."""
+
+    def test_initial_deploy_ignores_disabled_replanning(self):
+        spec = dict(SPEC, replan_from_scratch_on_outage=False)
+        record = run_controller(
+            media.build_app("n0", "n2"), fleet_net(), LEV, spec,
+            compile_cache=CompileCache(max_entries=32),
+        )
+        assert len(record["initial"]) == 2
+        assert all(entry["deployed"] for entry in record["initial"])
+
+
+def examples_instance():
+    """The CLI smoke jobs' instance: examples/net.json + examples/app.spec."""
+    spec_path = EXAMPLES / "app.spec"
+    parsed = parse_spec_text(spec_path.read_text())
+    app = AppSpec.build(
+        name=str(spec_path),
+        interfaces=parsed.interfaces,
+        components=parsed.components,
+        initial=[("Server", "n0")],
+        goals=[("Client", "n1")],
+    )
+    leveling = Leveling({"M.ibw": LevelSpec((90.0, 100.0))}, name="cli")
+    return app, load_network(str(EXAMPLES / "net.json")), leveling
+
+
+class TestOneRepairPath:
+    """The churn simulator and a one-member fleet repair through the same
+    core, so they agree step for step."""
+
+    @pytest.mark.parametrize("replan", [True, False])
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_simulator_matches_one_member_fleet(self, seed, replan):
+        spec = json.loads((EXAMPLES / "campaign.json").read_text())
+        del spec["injector"]  # transient retries are the simulator's alone
+        spec["replan_from_scratch_on_outage"] = replan
+        app, net, leveling = examples_instance()
+        sim = run_campaign_run(
+            app, net, leveling, spec, seed=seed,
+            compile_cache=CompileCache(max_entries=32),
+        )
+        fleet = run_controller(
+            app, net, leveling, spec, fleet=1, seed=seed,
+            compile_cache=CompileCache(max_entries=32),
+        )
+        simulated = [
+            (s.survived_actions, s.repair_actions, s.repair_cost, s.total_plan_cost, s.failed)
+            for s in sim.steps
+        ]
+        controlled = [
+            (r["survived"], r["repaired"], r["repair_cost"], r["total_cost"], r["failed"])
+            for step in fleet["steps"]
+            for r in step["repairs"]
+        ]
+        assert simulated and simulated == controlled

@@ -6,7 +6,6 @@ import pytest
 
 from repro.domains import media
 from repro.network import chain_network, ring_network
-from repro.planner import PlannerConfig
 from repro.simulate import (
     FaultInjector,
     FaultModel,
@@ -137,7 +136,7 @@ class TestFaultCampaign:
             LEV,
             fault_injector=FaultInjector(rate=0.5, max_failures=2, seed=13),
             retry_policy=RetryPolicy(max_attempts=4, base_backoff_s=0.1),
-            planner_config=PlannerConfig(rg_node_budget=20_000),
+            rg_node_budget=20_000,
         )
         return sim.run(generate_timeline(net, model))
 

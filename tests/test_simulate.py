@@ -140,7 +140,7 @@ class TestOutagePaths:
         net = chain_network([(10, "LAN"), (10, "LAN")], cpu=30.0)  # starved
         sim = Simulation(media.build_app("n0", "n2"), net, LEV)
         result = sim.run([self.QUIET])
-        assert result.initial_plan is None
+        assert result.initial_deployment is None
         assert result.initial_failure
         assert ":" in result.initial_failure
         assert result.steps == []
@@ -172,9 +172,7 @@ class TestTotalPlanCost:
         result = sim.run([NodeChange("n0", "cpu", 29.0)])
         step = result.steps[0]
         assert step.repair_actions == 0
-        assert step.total_plan_cost == pytest.approx(
-            result.initial_plan.exact_cost
-        )
+        assert step.total_plan_cost == pytest.approx(result.initial_cost)
 
     def test_from_scratch_step_total_is_fresh_plan_cost(self):
         sim = self._sim(replan_from_scratch_on_outage=True)
