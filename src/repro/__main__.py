@@ -55,6 +55,18 @@ Subcommands
     format, auto-detected) and print its span tree, Table-2 stat gauges,
     metric distributions, and search-event account.
 
+Output
+------
+Reports go to stdout.  ``--json FILE`` writes the run's document with
+sorted keys (``-`` writes it to stdout), and every ``wrote …``
+confirmation (``--json``, ``--trace-out``, ``--profile-out``,
+``gen-network -o``) goes to stderr, so a fixed-seed run's stdout is
+byte-identical whatever its output paths.  A malformed ``COMP=NODE`` or
+``VAR=c1,c2,...`` value, or an input file that cannot be read, exits 2
+with one stderr line.  The app is named after the ``--spec`` file's
+name, so records and checkpoint fingerprints do not depend on how the
+path is spelled.
+
 Examples
 --------
 ::
@@ -82,51 +94,64 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
+from pathlib import Path
 
 from .model import AppSpec, Leveling, LevelSpec, SpecError, parse_spec_text
-from .network import TransitStubParams, load_network, network_to_dict, transit_stub_network
+from .network import TransitStubParams, network_from_dict, network_to_dict, transit_stub_network
 from .planner import PlannerConfig, PlanningError, ladder, run_ladder
 
 __all__ = ["main"]
 
 
-def _placement_pairs(items) -> list[tuple[str, str]]:
-    out = []
-    for item in items:
-        comp, _, node = item.partition("=")
-        if not node:
-            raise SystemExit(f"expected COMPONENT=NODE, got {item!r}")
-        out.append((comp, node))
-    return out
+def _placement(item: str) -> tuple[str, str]:
+    """``--initial``/``--goal`` converter: ``COMP=NODE`` -> ``(comp, node)``."""
+    comp, _, node = item.partition("=")
+    if not node:
+        raise argparse.ArgumentTypeError(f"expected COMPONENT=NODE, got {item!r}")
+    return comp, node
 
 
-def _leveling_from_args(items) -> Leveling:
-    specs = {}
-    for item in items or ():
-        var, _, cuts = item.partition("=")
-        if not cuts:
-            raise SystemExit(f"expected VAR=c1,c2,..., got {item!r}")
-        specs[var] = LevelSpec(tuple(float(c) for c in cuts.split(",")))
-    return Leveling(specs, name="cli")
+def _level_cuts(item: str) -> tuple[str, LevelSpec]:
+    """``--levels`` converter: ``VAR=c1,c2,...`` -> ``(var, LevelSpec)``."""
+    var, _, cuts = item.partition("=")
+    try:
+        return var, LevelSpec(tuple(float(c) for c in cuts.split(",")))
+    except (ValueError, SpecError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected VAR=c1,c2,..., got {item!r} ({exc})"
+        ) from None
+
+
+def _read_input(path: str) -> str:
+    """The text of an input file; an unreadable one exits 2 with one stderr line."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        print(f"repro: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _load_instance(args: argparse.Namespace) -> tuple[AppSpec, object, Leveling]:
-    network = load_network(args.network)
-    parsed = parse_spec_text(open(args.spec).read())
+    network = network_from_dict(json.loads(_read_input(args.network)))
+    parsed = parse_spec_text(_read_input(args.spec))
     app = AppSpec.build(
-        name=args.spec,
+        # The file name, not the path as typed: the app name feeds records
+        # and checkpoint fingerprints, which must not depend on spelling.
+        name=os.path.basename(args.spec),
         interfaces=parsed.interfaces,
         components=parsed.components,
-        initial=_placement_pairs(args.initial),
-        goals=_placement_pairs(args.goal),
+        initial=args.initial,
+        goals=args.goal,
     )
-    return app, network, _leveling_from_args(args.levels)
+    return app, network, Leveling(dict(args.levels or ()), name="cli")
 
 
 def _make_live_monitor(args: argparse.Namespace):
     """A LiveMonitor (stderr) when ``--live`` was given, else ``None``."""
-    if not getattr(args, "live", False):
+    if not args.live:
         return None
     from .obs import LiveMonitor
 
@@ -146,30 +171,20 @@ def _make_telemetry(args: argparse.Namespace, profile: bool = False):
     return telemetry
 
 
-def _open_journal(args: argparse.Namespace, fingerprint: str, unit: str):
-    """The ``--checkpoint`` journal, or ``None`` when it cannot resume."""
-    from .simulate import JournalMismatch, RunJournal
+def _finish_run(args: argparse.Namespace, telemetry, doc, monitor=None, report=None) -> None:
+    """The epilogue of ``plan``, ``simulate``, ``controller`` and ``bench``.
 
-    try:
-        journal = RunJournal(args.checkpoint, fingerprint, resume=args.resume)
-    except JournalMismatch as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return None
-    if args.resume and len(journal):
-        print(
-            f"resuming: {len(journal)} {unit} replayed from {args.checkpoint}",
-            file=sys.stderr,
-        )
-    return journal
-
-
-def _export_trace_to_stderr(args: argparse.Namespace, telemetry) -> None:
-    """Handle ``--trace-out`` for the streaming commands.
-
-    The confirmation goes to *stderr*: simulate/controller/bench stdout
-    must stay byte-identical across runs regardless of trace flags.
+    Closes the ``--live`` view, prints the ``--metrics`` report
+    (``report(telemetry)``, by default the merged metrics registry),
+    exports ``--trace-out`` and writes ``doc`` to ``--json``.  Every
+    confirmation goes to stderr.
     """
-    if getattr(args, "trace_out", None) and telemetry is not None:
+    if monitor is not None:
+        monitor.finish()
+    if args.metrics:
+        print()
+        print(report(telemetry) if report else telemetry.metrics.render_text())
+    if args.trace_out:
         from .obs import export_trace
 
         records = export_trace(telemetry, args.trace_out, args.trace_format)
@@ -177,13 +192,16 @@ def _export_trace_to_stderr(args: argparse.Namespace, telemetry) -> None:
             f"wrote {args.trace_out} ({args.trace_format}, {records} records)",
             file=sys.stderr,
         )
+    if args.json:
+        _write_json(args.json, doc)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .hierarchy import HierarchyConfig
+    from .obs import render_phase_report
+
     app, network, leveling = _load_instance(args)
     telemetry = _make_telemetry(args, profile=bool(args.profile_out))
-    from .hierarchy import HierarchyConfig
-
     config = PlannerConfig(
         leveling=leveling,
         strict=args.strict,
@@ -222,33 +240,21 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     )
     print(f"rg nodes         : {s.rg_nodes} created, {s.rg_expanded} expanded")
     print(f"replay work      : {s.replay_summary()}")
-    if args.metrics:
-        from .obs import render_phase_report
-
-        print()
-        print(render_phase_report(telemetry))
-    if args.trace_out:
-        from .obs import export_trace
-
-        records = export_trace(telemetry, args.trace_out, args.trace_format)
-        print(f"wrote {args.trace_out} ({args.trace_format}, {records} records)")
     if args.profile_out:
         paths = telemetry.profiler.write(args.profile_out)
-        print(f"wrote {len(paths)} profile file(s): {', '.join(paths)}")
-    if args.json:
-        payload = {
-            "actions": plan.action_names(),
-            "cost_lower_bound": plan.cost_lb,
-            "exact_cost": report.total_cost,
-            "consumed": report.consumed,
-        }
-        open(args.json, "w").write(json.dumps(payload, indent=2))
-        print(f"wrote {args.json}")
+        print(f"wrote {len(paths)} profile file(s): {', '.join(paths)}", file=sys.stderr)
+    payload = {
+        "actions": plan.action_names(),
+        "cost_lower_bound": plan.cost_lb,
+        "exact_cost": report.total_cost,
+        "consumed": report.consumed,
+    }
+    _finish_run(args, telemetry, payload, report=render_phase_report)
     return 0
 
 
 def _write_json(path: str, doc) -> None:
-    """Write a ``--json`` document: ``-`` is stdout, else the file.
+    """Write a JSON document: ``-`` is stdout, else the file.
 
     ``wrote …`` goes to stderr: stdout must stay byte-identical across
     same-seed runs regardless of the output path (the fault-smoke and
@@ -294,131 +300,51 @@ def _report_run_failure(args: argparse.Namespace, exc: Exception) -> int:
     return 1
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _journaled_run(
+    args: argparse.Namespace, fingerprint, run, render, unit: str, spec_overrides=None
+) -> int:
+    """The body ``simulate`` and ``controller`` share.
+
+    Loads the instance and the ``--campaign`` spec (plus
+    ``spec_overrides``), opens the ``--checkpoint`` journal under
+    ``fingerprint(app, network, leveling, spec, ...)`` and calls ``run``
+    with the same arguments and the run's telemetry, workers, live
+    stream, journal and kill list.  A bad campaign or a failed task goes
+    to :func:`_report_run_failure`.  ``render(result)`` prints the run's
+    stdout and returns its ``--json`` document and whether it succeeded.
+    """
     from .parallel import TaskFailed
-    from .simulate.campaign import run_campaign, run_campaign_run
 
     app, network, leveling = _load_instance(args)
-    spec = json.load(open(args.campaign)) if args.campaign else {}
+    spec = json.loads(_read_input(args.campaign)) if args.campaign else {}
+    spec = {**spec, **(spec_overrides or {})}
     telemetry = _make_telemetry(args)
     monitor = _make_live_monitor(args)
-
+    window = dict(
+        events=args.events, time_limit_s=args.time_limit, include_timings=args.timings
+    )
     journal = None
     if args.checkpoint:
-        if not args.seeds:
-            print("--checkpoint requires --seeds (multi-seed campaign)", file=sys.stderr)
-            return 2
-        from .simulate import campaign_fingerprint
+        from .simulate import JournalMismatch, RunJournal
 
-        fingerprint = campaign_fingerprint(
-            app, network, leveling, spec,
-            seeds=args.seeds, events=args.events,
-            time_limit_s=args.time_limit, include_timings=args.timings,
-        )
-        journal = _open_journal(args, fingerprint, "run(s)")
-        if journal is None:
+        digest = fingerprint(app, network, leveling, spec, **window)
+        try:
+            journal = RunJournal(args.checkpoint, digest, resume=args.resume)
+        except JournalMismatch as exc:
+            print(f"cannot resume: {exc}", file=sys.stderr)
             return 2
-
-    try:
-        if args.seeds:
-            # Multi-seed campaign: one run per seed, optionally fanned out
-            # over supervised worker processes; the document is
-            # byte-identical at any worker count for fixed seeds, worker
-            # deaths and checkpoint resume included.
-            doc = run_campaign(
-                app,
-                network,
-                leveling,
-                spec,
-                seeds=args.seeds,
-                events=args.events,
-                time_limit_s=args.time_limit,
-                include_timings=args.timings,
-                telemetry=telemetry,
-                workers=args.workers,
-                on_frame=monitor.on_frame if monitor is not None else None,
-                journal=journal,
-                inject_kill=args.inject_kill or (),
+        if args.resume and len(journal):
+            print(
+                f"resuming: {len(journal)} {unit} replayed from {args.checkpoint}",
+                file=sys.stderr,
             )
-            failed = 0
-            for run in doc["runs"]:
-                print(f"--- seed {run['seed']} ---")
-                print(run["description"])
-                if run["record"] is None or "failure" in run["record"]["initial"]:
-                    failed += 1
-            payload_doc = {
-                "format": doc["format"],
-                "runs": [
-                    {"seed": r["seed"], "record": r["record"]} for r in doc["runs"]
-                ],
-            }
-            ok = failed == 0
-        else:
-            result = run_campaign_run(
-                app,
-                network,
-                leveling,
-                spec,
-                seed=args.seed,
-                events=args.events,
-                time_limit_s=args.time_limit,
-                telemetry=telemetry,
-            )
-            print(result.describe())
-            payload_doc = result.to_dict(include_timings=args.timings)
-            ok = result.initial_deployment is not None
-    except (TypeError, ValueError, TaskFailed) as exc:
-        return _report_run_failure(args, exc)
-    finally:
-        if journal is not None:
-            journal.close()
-
-    if monitor is not None:
-        monitor.finish()
-    if args.metrics:
-        print()
-        print(telemetry.metrics.render_text())
-    _export_trace_to_stderr(args, telemetry)
-    if args.json:
-        _write_json(args.json, payload_doc)
-    return 0 if ok else 1
-
-
-def _cmd_controller(args: argparse.Namespace) -> int:
-    from .parallel import TaskFailed
-    from .simulate.controller import run_controller
-
-    app, network, leveling = _load_instance(args)
-    spec = json.load(open(args.campaign)) if args.campaign else {}
-    if args.delta:
-        spec = dict(spec, delta_replanning=True)
-    telemetry = _make_telemetry(args)
-    monitor = _make_live_monitor(args)
-
-    journal = None
-    if args.checkpoint:
-        from .simulate import controller_fingerprint
-
-        fingerprint = controller_fingerprint(
-            app, network, leveling, spec,
-            fleet=args.fleet, seed=args.seed, events=args.events,
-            time_limit_s=args.time_limit, include_timings=args.timings,
-        )
-        journal = _open_journal(args, fingerprint, "step(s)")
-        if journal is None:
-            return 2
-
     try:
-        record = run_controller(
+        result = run(
             app,
             network,
             leveling,
             spec,
-            fleet=args.fleet,
-            seed=args.seed,
-            events=args.events,
-            time_limit_s=args.time_limit,
-            include_timings=args.timings,
+            **window,
             telemetry=telemetry,
             workers=args.workers,
             on_frame=monitor.on_frame if monitor is not None else None,
@@ -430,28 +356,83 @@ def _cmd_controller(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
+    doc, ok = render(result)
+    _finish_run(args, telemetry, doc, monitor=monitor)
+    return 0 if ok else 1
 
-    summary = record["summary"]
-    print(
-        f"fleet {summary['fleet']}, events {summary['events']}: "
-        f"{summary['repairs']} repairs, {summary['outages']} outages, "
-        f"{summary['redeployments']} redeployments, "
-        f"availability {summary['availability']:.3f}"
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import campaign_fingerprint
+    from .simulate.campaign import run_campaign, run_campaign_run
+
+    if args.seeds:
+        # Multi-seed campaign: one run per seed, optionally fanned out
+        # over supervised worker processes; the document is
+        # byte-identical at any worker count for fixed seeds, worker
+        # deaths and checkpoint resume included.
+        def render(doc):
+            for run in doc["runs"]:
+                print(f"--- seed {run['seed']} ---")
+                print(run["description"])
+            runs = [{"seed": r["seed"], "record": r["record"]} for r in doc["runs"]]
+            ok = all(
+                r["record"] is not None and "failure" not in r["record"]["initial"]
+                for r in runs
+            )
+            return {"format": doc["format"], "runs": runs}, ok
+
+        return _journaled_run(
+            args,
+            partial(campaign_fingerprint, seeds=args.seeds),
+            partial(run_campaign, seeds=args.seeds),
+            render,
+            "run(s)",
+        )
+    if args.checkpoint:
+        print("--checkpoint requires --seeds (multi-seed campaign)", file=sys.stderr)
+        return 2
+
+    def run_one(app, network, leveling, spec, *, events, time_limit_s, telemetry, **_):
+        return run_campaign_run(
+            app, network, leveling, spec, seed=args.seed, events=events,
+            time_limit_s=time_limit_s, telemetry=telemetry,
+        )
+
+    def render_one(result):
+        print(result.describe())
+        ok = result.initial_deployment is not None
+        return result.to_dict(include_timings=args.timings), ok
+
+    return _journaled_run(args, None, run_one, render_one, "run(s)")
+
+
+def _cmd_controller(args: argparse.Namespace) -> int:
+    from .simulate import controller_fingerprint
+    from .simulate.controller import run_controller
+
+    def render(record):
+        summary = record["summary"]
+        print(
+            f"fleet {summary['fleet']}, events {summary['events']}: "
+            f"{summary['repairs']} repairs, {summary['outages']} outages, "
+            f"{summary['redeployments']} redeployments, "
+            f"availability {summary['availability']:.3f}"
+        )
+        print(
+            f"repair compiles: {summary['delta_hits']} warm (cache/delta), "
+            f"{summary['delta_full']} full"
+        )
+        return record, all(entry["deployed"] for entry in record["initial"])
+
+    fleet = dict(fleet=args.fleet, seed=args.seed)
+    return _journaled_run(
+        args,
+        partial(controller_fingerprint, **fleet),
+        partial(run_controller, **fleet),
+        render,
+        "step(s)",
+        spec_overrides={"delta_replanning": True} if args.delta else None,
     )
-    print(
-        f"repair compiles: {summary['delta_hits']} warm (cache/delta), "
-        f"{summary['delta_full']} full"
-    )
-    if monitor is not None:
-        monitor.finish()
-    if args.metrics:
-        print()
-        print(telemetry.metrics.render_text())
-    _export_trace_to_stderr(args, telemetry)
-    if args.json:
-        _write_json(args.json, record)
-    initial_ok = all(entry["deployed"] for entry in record["initial"])
-    return 0 if initial_ok else 1
 
 
 def _cmd_bench_hierarchy(args: argparse.Namespace) -> int:
@@ -484,19 +465,15 @@ def _cmd_bench_hierarchy(args: argparse.Namespace) -> int:
         )
     )
     if args.json:
-        payload = {
-            "format": 1,
-            "suite": "hierarchy",
-            "workers": args.workers,
-            "points": [p.to_dict() for p in points],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.json}")
+        _write_json(
+            args.json,
+            {
+                "format": 1,
+                "suite": "hierarchy",
+                "workers": args.workers,
+                "points": [p.to_dict() for p in points],
+            },
+        )
     return 0
 
 
@@ -542,22 +519,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if pool is not None:
             pool.close()
 
-    if monitor is not None:
-        monitor.finish()
+    # Includes analysis_hits/analysis_misses when --static-prune rode the
+    # analysis result along on the cache entries.
+    cache_stats = cache.stats() if cache is not None and workers == 1 else None
     print(render_table2(rows))
     print()
     print(f"workers {workers}, rounds {args.rounds}, cache {'off' if args.no_cache else 'on'}")
     for i, s in enumerate(round_s):
         print(f"  round {i}: {s * 1e3:.0f} ms")
     print(f"  best: {min(round_s) * 1e3:.0f} ms")
-    if cache is not None and workers == 1:
-        # Includes analysis_hits/analysis_misses when --static-prune rode
-        # the analysis result along on the cache entries.
-        print(f"  cache: {cache.stats()}")
-    if args.metrics:
-        print()
-        print(telemetry.metrics.render_text())
-    _export_trace_to_stderr(args, telemetry)
+    if cache_stats is not None:
+        print(f"  cache: {cache_stats}")
     if profile_sink is not None:
         from .obs import merge_profile_blobs, write_pstats
 
@@ -579,22 +551,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"wrote {len(written)} profile file(s): {', '.join(written)}",
             file=sys.stderr,
         )
-    if args.json:
-        payload = {
-            "format": 1,
-            "workers": workers,
-            "static_prune": args.static_prune,
-            "rounds_s": [round(s, 6) for s in round_s],
-            "cache": cache.stats() if cache is not None and workers == 1 else None,
-            "cells": [row.to_record() for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.json}")
+    payload = {
+        "format": 1,
+        "workers": workers,
+        "static_prune": args.static_prune,
+        "rounds_s": [round(s, 6) for s in round_s],
+        "cache": cache_stats,
+        "cells": [row.to_record() for row in rows],
+    }
+    _finish_run(args, telemetry, payload, monitor=monitor)
     return 0
 
 
@@ -638,7 +603,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             progress=lambda name: print(f"auditing {name} ...", file=sys.stderr),
         )
         if args.format == "json":
-            print(json.dumps([r.to_record() for r in rows], indent=2, sort_keys=True))
+            _write_json("-", [r.to_record() for r in rows])
         else:
             for r in rows:
                 verdict = "ok" if r.ok else "MISMATCH"
@@ -668,23 +633,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     problem = compile_problem(app, network, leveling, analyze=True)
     result = problem.analysis
     if args.format == "json":
-        print(json.dumps(result.to_payload(), indent=2, sort_keys=True))
+        _write_json("-", result.to_payload())
     else:
         print(result.render_text())
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    from .experiments import render_table1, render_table2, run_cell
+    from .experiments import render_table1, render_table2, run_table2
 
     print(render_table1())
     print()
-    rows = [
-        run_cell(net, scen)
-        for net in args.networks
-        for scen in args.scenarios
-    ]
-    print(render_table2(rows))
+    print(render_table2(run_table2(tuple(args.networks), tuple(args.scenarios))))
     return 0
 
 
@@ -698,13 +658,7 @@ def _cmd_gen_network(args: argparse.Namespace) -> int:
         wan_bandwidth=args.wan_bw,
         seed=args.seed,
     )
-    net = transit_stub_network(params)
-    payload = json.dumps(network_to_dict(net), indent=2, sort_keys=True)
-    if args.output == "-":
-        print(payload)
-    else:
-        open(args.output, "w").write(payload)
-        print(f"wrote {args.output}: {len(net)} nodes, {len(net.links)} links")
+    _write_json(args.output, network_to_dict(transit_stub_network(params)))
     return 0
 
 
@@ -715,54 +669,113 @@ def build_parser() -> argparse.ArgumentParser:
     def add_instance_args(p: argparse.ArgumentParser, required: bool = True) -> None:
         p.add_argument("--network", required=required, help="network JSON file")
         p.add_argument("--spec", required=required, help="pseudo-XML spec file")
-        p.add_argument("--initial", nargs="+", default=[], metavar="COMP=NODE")
-        p.add_argument("--goal", nargs="+", required=required, metavar="COMP=NODE")
-        p.add_argument("--levels", nargs="*", metavar="VAR=c1,c2,...")
-
-    def add_streaming_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--live",
+            "--initial", nargs="+", default=[], type=_placement, metavar="COMP=NODE"
+        )
+        p.add_argument(
+            "--goal", nargs="+", required=required, type=_placement, metavar="COMP=NODE"
+        )
+        p.add_argument("--levels", nargs="*", type=_level_cuts, metavar="VAR=c1,c2,...")
+
+    def add_output_args(p: argparse.ArgumentParser, live: bool = False) -> None:
+        p.add_argument(
+            "--json",
+            metavar="FILE",
+            help="write the run's JSON document ('-' for stdout)",
+        )
+        p.add_argument(
+            "--metrics",
             action="store_true",
-            help="render a live fleet view on stderr while the run streams "
-            "worker telemetry frames (docs/OBSERVABILITY.md)",
+            help="print the run's metrics after it: plan's search-progress "
+            "account (spans, histograms, prune reasons), else the merged "
+            "metrics registry (cache, repair and analysis counters)",
         )
         p.add_argument(
             "--trace-out",
             metavar="FILE",
-            help="export the run's telemetry — including worker spans "
-            "stitched into per-process lanes — after the run",
+            help="export the run's telemetry (spans, metrics, search trace; "
+            "worker spans stitched into per-process lanes) after the run",
         )
         p.add_argument(
             "--trace-format",
             choices=("jsonl", "chrome"),
             default="jsonl",
-            help="trace file format: JSONL event stream or Chrome "
-            "trace-event JSON",
+            help="trace file format: JSONL event stream or Chrome trace-event JSON",
+        )
+        if live:
+            p.add_argument(
+                "--live",
+                action="store_true",
+                help="render a live fleet view on stderr while the run streams "
+                "worker telemetry frames (docs/OBSERVABILITY.md)",
+            )
+
+    def add_campaign_args(p: argparse.ArgumentParser) -> None:
+        add_output_args(p, live=True)
+        p.add_argument(
+            "--campaign",
+            metavar="FILE",
+            help="JSON campaign spec: fault model, explicit events, injector, "
+            "retry policy, planner bounds; controller adds 'fleet' and "
+            "'delta_replanning' (see docs/ROBUSTNESS.md)",
+        )
+        p.add_argument(
+            "--seed", type=int, help="override the fault model's timeline seed"
+        )
+        p.add_argument(
+            "--events", type=int, help="override the fault model's timeline length"
+        )
+        p.add_argument(
+            "--time-limit",
+            type=float,
+            metavar="SECONDS",
+            help="per-repair wall-clock budget (campaign spec takes precedence)",
+        )
+        p.add_argument(
+            "--timings",
+            action="store_true",
+            help="include wall-clock timings (time-to-recover) in the JSON "
+            "record; without them records are deterministic for fixed seeds",
+        )
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            metavar="N",
+            help="fan the seeds' runs (simulate --seeds) or each event's "
+            "repairs (controller) out over N worker processes; records are "
+            "identical to --workers 1",
+        )
+        p.add_argument(
+            "--checkpoint",
+            metavar="FILE",
+            help="journal each completed run (simulate --seeds) or the initial "
+            "deploy and each step (controller) to a crash-safe JSONL "
+            "checkpoint (docs/ROBUSTNESS.md)",
+        )
+        p.add_argument(
+            "--resume",
+            action="store_true",
+            help="replay an existing --checkpoint journal and skip finished "
+            "work; the resumed record is byte-identical to an uninterrupted run",
+        )
+        p.add_argument(
+            "--inject-kill",
+            type=int,
+            nargs="+",
+            metavar="TASK",
+            help="fault injection: SIGKILL the worker assigned each listed "
+            "task index (for controller, in the first executed batch) right "
+            "before it runs, once (supervision testing)",
         )
 
     p_plan = sub.add_parser("plan", help="plan a deployment")
     add_instance_args(p_plan)
-    p_plan.add_argument("--json", help="also write the plan as JSON")
+    add_output_args(p_plan)
     p_plan.add_argument(
         "--strict",
         action="store_true",
         help="lint the spec first and refuse to plan on lint errors",
-    )
-    p_plan.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="export the run's telemetry (spans, metrics, search trace)",
-    )
-    p_plan.add_argument(
-        "--trace-format",
-        choices=("jsonl", "chrome"),
-        default="jsonl",
-        help="trace file format: JSONL event stream or Chrome trace-event JSON",
-    )
-    p_plan.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the search-progress account (spans, histograms, prune reasons)",
     )
     p_plan.add_argument(
         "--time-limit",
@@ -806,35 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a churn/fault campaign")
     add_instance_args(p_sim)
-    p_sim.add_argument(
-        "--campaign",
-        metavar="FILE",
-        help="JSON campaign spec: fault model, explicit events, injector, "
-        "retry policy, planner bounds (see docs/ROBUSTNESS.md)",
-    )
-    p_sim.add_argument(
-        "--seed", type=int, help="override the fault model's timeline seed"
-    )
-    p_sim.add_argument(
-        "--events", type=int, help="override the fault model's timeline length"
-    )
-    p_sim.add_argument(
-        "--time-limit",
-        type=float,
-        metavar="SECONDS",
-        help="per-repair wall-clock budget (campaign spec takes precedence)",
-    )
-    p_sim.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write the campaign record as JSON ('-' for stdout); "
-        "deterministic for fixed seeds unless --timings is given",
-    )
-    p_sim.add_argument(
-        "--timings",
-        action="store_true",
-        help="include wall-clock timings in the JSON record",
-    )
+    add_campaign_args(p_sim)
     p_sim.add_argument(
         "--seeds",
         type=int,
@@ -843,42 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the campaign once per seed (multi-run document); "
         "combine with --workers to fan the runs out over processes",
     )
-    p_sim.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --seeds: run campaigns in N worker processes (one run "
-        "per task); records are identical to --workers 1 for fixed seeds",
-    )
-    p_sim.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the merged metrics registry after the run(s), "
-        "including cache.hit / cache.miss compile-cache counters",
-    )
-    p_sim.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="with --seeds: journal each completed run to a crash-safe "
-        "JSONL checkpoint as it finishes (docs/ROBUSTNESS.md)",
-    )
-    p_sim.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay an existing --checkpoint journal and skip finished "
-        "runs; the resumed document is byte-identical to an "
-        "uninterrupted run",
-    )
-    p_sim.add_argument(
-        "--inject-kill",
-        type=int,
-        nargs="+",
-        metavar="TASK",
-        help="fault injection: SIGKILL the worker assigned each listed "
-        "task index right before it runs, once (supervision testing)",
-    )
-    add_streaming_args(p_sim)
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_ctl = sub.add_parser(
@@ -886,12 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a fault timeline against a fleet of deployments",
     )
     add_instance_args(p_ctl)
-    p_ctl.add_argument(
-        "--campaign",
-        metavar="FILE",
-        help="JSON campaign spec (same format as simulate, plus 'fleet' "
-        "and 'delta_replanning'; see docs/ROBUSTNESS.md)",
-    )
+    add_campaign_args(p_ctl)
     p_ctl.add_argument(
         "--fleet", type=int, help="fleet size (overrides the spec's 'fleet')"
     )
@@ -902,70 +846,12 @@ def build_parser() -> argparse.ArgumentParser:
         "network state (spec key 'delta_replanning'); records are "
         "identical with or without, only time-to-recover changes",
     )
-    p_ctl.add_argument(
-        "--seed", type=int, help="override the fault model's timeline seed"
-    )
-    p_ctl.add_argument(
-        "--events", type=int, help="override the fault model's timeline length"
-    )
-    p_ctl.add_argument(
-        "--time-limit",
-        type=float,
-        metavar="SECONDS",
-        help="per-repair wall-clock budget (campaign spec takes precedence)",
-    )
-    p_ctl.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write the controller record as JSON ('-' for stdout); "
-        "deterministic for fixed seeds unless --timings is given",
-    )
-    p_ctl.add_argument(
-        "--timings",
-        action="store_true",
-        help="include wall-clock time-to-recover figures in the record",
-    )
-    p_ctl.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the per-event repair queue out over N worker processes "
-        "(one member per task); records are identical to --workers 1",
-    )
-    p_ctl.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the metrics registry after the run, including the "
-        "repair.ttr histogram and repair.delta.hit/full counters",
-    )
-    p_ctl.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="journal the initial deploy and each completed step to a "
-        "crash-safe JSONL checkpoint (docs/ROBUSTNESS.md)",
-    )
-    p_ctl.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay an existing --checkpoint journal and skip finished "
-        "steps; the resumed record is byte-identical to an "
-        "uninterrupted run",
-    )
-    p_ctl.add_argument(
-        "--inject-kill",
-        type=int,
-        nargs="+",
-        metavar="TASK",
-        help="fault injection: SIGKILL the worker assigned each listed "
-        "batch-task index in the first executed batch (supervision testing)",
-    )
-    add_streaming_args(p_ctl)
     p_ctl.set_defaults(fn=_cmd_controller)
 
     p_bench = sub.add_parser(
         "bench", help="time the Table-2 sweep (serial or parallel)"
     )
+    add_output_args(p_bench, live=True)
     p_bench.add_argument("--networks", nargs="+", default=["Tiny", "Small", "Large"])
     p_bench.add_argument("--scenarios", nargs="+", default=["B", "C", "D", "E"])
     p_bench.add_argument(
@@ -997,15 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the analysis result is cached alongside the compiled problem",
     )
     p_bench.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the merged metrics registry after the sweep, including "
-        "cache.hit/miss and cache.analysis.hit/miss counters",
-    )
-    p_bench.add_argument(
-        "--json", metavar="FILE", help="write timings and cell records ('-' for stdout)"
-    )
-    p_bench.add_argument(
         "--profile-out",
         metavar="PREFIX",
         help="capture a cProfile per cell (in the workers, when parallel) "
@@ -1033,7 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="with --hierarchical: wall-clock budget per flat solve",
     )
-    add_streaming_args(p_bench)
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_lint = sub.add_parser(

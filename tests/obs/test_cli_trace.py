@@ -57,7 +57,7 @@ class TestPlanTraceFlags:
         out = workdir / "t.jsonl"
         rc = main(_plan_args(workdir, "--trace-out", str(out)))
         assert rc == 0
-        assert f"wrote {out} (jsonl," in capsys.readouterr().out
+        assert f"wrote {out} (jsonl," in capsys.readouterr().err
         first = json.loads(out.read_text().splitlines()[0])
         # The header also carries the run's trace_id and writer pid.
         assert first.pop("trace_id")

@@ -552,3 +552,96 @@ class TestBench:
         per_pid = sorted(tmp_path.glob("prof.bench.pid*.pstats"))
         assert len(per_pid) == 2
         assert all(pstats.Stats(str(path)).total_calls > 0 for path in per_pid)
+
+
+def _plan_args(workdir, *extra):
+    return [
+        "plan",
+        "--network", str(workdir / "net.json"),
+        "--spec", str(workdir / "app.spec"),
+        "--initial", "Server=n0",
+        "--goal", "Client=n1",
+        "--levels", "M.ibw=90,100",
+        *extra,
+    ]
+
+
+class TestBadInput:
+    """Bad flag values and unreadable files are usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--levels", "M.ibw=abc"),
+            ("--levels", "M.ibw=100,90"),
+            ("--levels", "M.ibw"),
+            ("--initial", "Server@n0"),
+            ("--goal", "Client"),
+        ],
+    )
+    def test_bad_flag_value_exits_two(self, workdir, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(_plan_args(workdir, flag, value))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("plan", "--network"),
+            ("plan", "--spec"),
+            ("lint", "--spec"),
+            ("simulate", "--campaign"),
+        ],
+    )
+    def test_unreadable_file_is_one_stderr_line(self, workdir, capsys, command, flag):
+        absent = workdir / "absent.json"
+        args = _plan_args(workdir, flag, str(absent))
+        args[0] = command
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: cannot read {absent}: No such file or directory\n"
+
+
+class TestSpecSpelling:
+    def test_app_name_ignores_how_the_spec_path_is_spelled(
+        self, workdir, capsys, monkeypatch
+    ):
+        # The app is named after the spec's file name, so the record and
+        # the checkpoint fingerprint (which --resume checks) are the same
+        # however the path is typed.
+        monkeypatch.chdir(workdir)
+        records, fingerprints = [], []
+        for i, spelling in enumerate(("app.spec", "./app.spec", str(workdir / "app.spec"))):
+            journal = workdir / f"journal{i}.jsonl"
+            args = TestController()._args(workdir, "--json", "-", "--checkpoint", str(journal))
+            args[args.index("--spec") + 1] = spelling
+            assert main(args) == 0
+            records.append(capsys.readouterr().out)
+            header = json.loads(journal.read_text().splitlines()[0])
+            fingerprints.append(header["fingerprint"])
+        assert records[0] == records[1] == records[2]
+        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        record = json.loads(records[0][records[0].index("{"):])
+        assert record["fleet"] == ["app.spec-0", "app.spec-1"]
+
+
+def test_every_opened_file_is_closed(workdir, capsys):
+    import warnings
+
+    campaign = workdir / "campaign.json"
+    campaign.write_text(json.dumps({"faults": {"seed": 2, "events": 2}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(_plan_args(workdir, "--json", str(workdir / "plan.json"))) == 0
+        for command in ("simulate", "controller"):
+            args = _plan_args(workdir, "--campaign", str(campaign))
+            args[0] = command
+            assert main(args) == 0
+        assert main(["gen-network", "--stub-size", "2", "-o", str(workdir / "gen.json")]) == 0
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
