@@ -99,8 +99,15 @@ import sys
 from functools import partial
 from pathlib import Path
 
+from .expr import ParseError
 from .model import AppSpec, Leveling, LevelSpec, SpecError, parse_spec_text
-from .network import TransitStubParams, network_from_dict, network_to_dict, transit_stub_network
+from .network import (
+    NetworkError,
+    TransitStubParams,
+    network_from_dict,
+    network_to_dict,
+    transit_stub_network,
+)
 from .planner import PlannerConfig, PlanningError, ladder, run_ladder
 
 __all__ = ["main"]
@@ -134,9 +141,20 @@ def _read_input(path: str) -> str:
         raise SystemExit(2) from None
 
 
+def _parse_input(path: str, parse):
+    """``parse`` of an input file's text; a file that does not parse exits 2
+    with one stderr line, as an unreadable one does."""
+    text = _read_input(path)
+    try:
+        return parse(text)
+    except (json.JSONDecodeError, NetworkError, SpecError, ParseError) as exc:
+        print(f"repro: cannot parse {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _load_instance(args: argparse.Namespace) -> tuple[AppSpec, object, Leveling]:
-    network = network_from_dict(json.loads(_read_input(args.network)))
-    parsed = parse_spec_text(_read_input(args.spec))
+    network = _parse_input(args.network, lambda text: network_from_dict(json.loads(text)))
+    parsed = _parse_input(args.spec, parse_spec_text)
     app = AppSpec.build(
         # The file name, not the path as typed: the app name feeds records
         # and checkpoint fingerprints, which must not depend on spelling.

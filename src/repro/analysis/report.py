@@ -125,12 +125,15 @@ class AnalysisResult:
         return report
 
     def to_payload(self) -> dict[str, object]:
-        """JSON-ready artifact: diagnostics plus the full machine data."""
+        """JSON-ready artifact: diagnostics plus the full machine data.
+
+        No timings: the artifact of one instance is the same on every run
+        (the text report carries the analysis time).
+        """
         env = self.envelopes
         return {
             "app": self.app_name,
             "network": self.network_name,
-            "analysis_seconds": round(self.analysis_seconds, 6),
             "actions": {
                 "total": self.total_actions,
                 "dead": len(self.dead),

@@ -6,23 +6,24 @@ node's CPU jittered, one link failed and later recovered.  A full
 compilation re-grounds every (component × node) and (interface × edge)
 group even though a single-element event touches a handful of them.
 
-:func:`patch_problem` instead starts from a previously compiled base
-problem and
+:func:`patch_problem` is an ordinary compile that reuses a previously
+compiled base problem's untouched groups:
 
-1. re-grounds **only** the groups whose network element changed (a
-   restricted :class:`~repro.compile.grounding.Grounder` sharing the
-   base's proposition table);
-2. splices the kept base groups and the fresh groups back together in
-   canonical grounding order (components in app order × nodes in network
-   order, then interfaces × directed edges), using the base's recorded
-   pre-prune order to restore the exact interleave;
-3. rebuilds the initial state exactly and re-runs the global
-   reachability analyses (logical solvability and best-value pruning)
-   over the spliced action set.
+1. it groups the base's actions by the (kind, subject, location) they
+   were emitted under, in the base's recorded pre-prune order;
+2. it runs the grounder's one canonical walk
+   (:meth:`~repro.compile.grounding.Grounder.walk`) over the new
+   network, sharing the base's proposition table: each untouched group
+   is handed back from the base and renumbered in place, and only the
+   groups whose node or link changed are grounded afresh;
+3. it assembles the problem exactly as
+   :func:`~repro.compile.compile_problem` does (initial state, goal, and
+   the global reachability analyses: logical solvability and
+   best-value pruning).
 
 The result is *equivalent* to a fresh :func:`~repro.compile.compile_problem`
-of the same triple: identical ground actions — same names, same order,
-same committed intervals, costs, and replay programs — and identical
+of the same triple: identical ground actions (same names, same order,
+same committed intervals, costs, and replay programs) and identical
 initial/goal state, differing only in proposition-id numbering (ids are
 interned into the shared base table and never serialized).  Step 3 is
 what keeps the patch *sound* rather than merely fast: property bounds
@@ -43,25 +44,16 @@ from typing import TYPE_CHECKING
 
 from ..model.validation import require_valid
 from ..obs import timed
-from .actions import GroundAction, iface_prop_var
+from .actions import GroundAction
 from .bounds import compute_property_bounds
-from .grounding import Grounder
-from .problem import CompiledProblem, _build_initial_state
-from .propositions import PlacedProp
-from .reachability import logically_reachable, prune_unreachable_actions
+from .grounding import Grounder, group_key
+from .problem import CompiledProblem, assemble_problem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids a package cycle
     from ..network import Network
     from ..parallel.fingerprint import NetworkDelta
 
 __all__ = ["patch_problem"]
-
-
-def _group_key(action: GroundAction) -> tuple:
-    """The (kind, subject, location) group an action was emitted under."""
-    if action.kind == "place":
-        return ("place", action.subject, action.node)
-    return ("cross", action.subject, action.src, action.dst)
 
 
 def patch_problem(
@@ -94,7 +86,7 @@ def patch_problem(
     with timed("compile.delta") as clock:
         if not delta.patchable or not base._ground_names:
             return None
-        app, leveling = base.app, base.leveling
+        app = base.app
 
         require_valid(app, network)
 
@@ -105,96 +97,30 @@ def patch_problem(
             # everywhere, not just at the changed element.
             return None
 
-        changed_nodes = frozenset(delta.changed_nodes)
-        touched_links = delta.touched_links()
-
-        # Re-ground only the touched groups, interning into the shared table
-        # (interning is append-only, so base ids stay stable).
-        props = base.props
-        grounder = Grounder(app, network, leveling, bounds, props)
-        initial_comps = {p.component for p in app.initial_placements}
-        if changed_nodes:
-            for comp in app.components.values():
-                if comp.name in initial_comps:
-                    continue
-                grounder._ground_component(comp, only_nodes=changed_nodes)
-        if touched_links:
-            for iface in app.interfaces.values():
-                grounder._ground_interface(iface, only_links=touched_links)
-
-        fresh_groups: dict[tuple, list[GroundAction]] = {}
-        for action in grounder.actions:
-            fresh_groups.setdefault(_group_key(action), []).append(action)
-
         # Base actions in their original pre-prune order (pruning renumbered
         # the kept ones; pruned ones are cloned because a fork shares them
-        # with the pristine cache entry).
+        # with the pristine cache entry), grouped as the walk emits them.
         order = {name: i for i, name in enumerate(base._ground_names)}
         base_all = list(base.actions) + [a.clone() for a in base.pruned_actions]
         base_all.sort(key=lambda a: order[a.name])
         base_groups: dict[tuple, list[GroundAction]] = {}
         for action in base_all:
-            base_groups.setdefault(_group_key(action), []).append(action)
+            base_groups.setdefault(group_key(action), []).append(action)
 
-        # Splice in canonical grounding order over the *new* network.
-        spliced: list[GroundAction] = []
-        for comp in app.components.values():
-            if comp.name in initial_comps:
-                continue
-            candidate_nodes = [
-                n.id for n in network.nodes.values() if n.allows(comp.name)
-            ]
-            for node_id in app.placeable_nodes(comp.name, candidate_nodes):
-                groups = fresh_groups if node_id in changed_nodes else base_groups
-                spliced.extend(groups.get(("place", comp.name, node_id), ()))
-        for iface in app.interfaces.values():
-            if not iface.cross_effects:
-                continue
-            for src, dst, link in network.directed_edges():
-                groups = fresh_groups if link.key in touched_links else base_groups
-                spliced.extend(groups.get(("cross", iface.name, src, dst), ()))
+        # A group is touched when its node changed or its link (either
+        # direction) changed or appeared; a removed link's groups are simply
+        # never asked for.
+        touched = {(node,) for node in delta.changed_nodes}
+        for a, b in delta.touched_links():
+            touched.update(((a, b), (b, a)))
 
-        for index, action in enumerate(spliced):
-            action.index = index
-        ground_names = tuple(a.name for a in spliced)
+        def supplied(key: tuple) -> list[GroundAction] | None:
+            return None if key[2:] in touched else base_groups.get(key, [])
 
-        initial_ids, initial_values, initial_streams = _build_initial_state(
-            app, network, leveling, props
-        )
-        goal_ids = frozenset(
-            props.intern(PlacedProp(p.component, p.node)) for p in app.goal_placements
-        )
-        logically_solvable = logically_reachable(spliced, initial_ids, goal_ids)
-
-        stream_values = {
-            iface_prop_var(prop, iface, node): value
-            for iface, node, value, _deg, _upg, prop in initial_streams
-        }
-        actions, removed_actions = prune_unreachable_actions(spliced, stream_values)
-
-        achievers: dict[int, list[int]] = {}
-        for action in actions:
-            for pid in action.add_props:
-                achievers.setdefault(pid, []).append(action.index)
-
-        problem = CompiledProblem(
-            app=app,
-            network=network,
-            leveling=leveling,
-            bounds=bounds,
-            props=props,
-            actions=actions,
-            achievers=achievers,
-            initial_prop_ids=initial_ids,
-            goal_prop_ids=goal_ids,
-            initial_values=initial_values,
-            logically_solvable=logically_solvable,
-            reachability_pruned=len(removed_actions),
-            ground_templates=grounder.templates,
-            compile_source="delta",
-        )
-        problem._initial_streams = initial_streams
-        problem.pruned_actions = removed_actions
-        problem._ground_names = ground_names
+        # Interning into the base's table is append-only, so its ids stay
+        # stable and the reused groups' propositions stay valid.
+        grounder = Grounder(app, network, base.leveling, bounds, base.props)
+        grounder.walk(supplied)
+        problem = assemble_problem(grounder, compile_source="delta")
     problem.compile_seconds = clock.duration_s
     return problem

@@ -121,5 +121,5 @@ def diagnose(problem: CompiledProblem) -> Diagnosis:
 
 def _all_candidate_actions(problem: CompiledProblem, component: str | None):
     """Placement actions for ``component`` among kept + pruned actions."""
-    pool = list(problem.actions) + list(getattr(problem, "pruned_actions", []) or [])
+    pool = list(problem.actions) + problem.pruned_actions
     return [a for a in pool if a.kind == "place" and a.subject == component]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..expr import Node as ExprNode
 from ..expr import (
@@ -54,7 +54,7 @@ from .actions import (
 )
 from .propositions import AvailProp, PlacedProp, Prop, dominated_level_tuples
 
-__all__ = ["Grounder", "PropTable"]
+__all__ = ["Grounder", "PropTable", "group_key"]
 
 _EPS = 1e-9
 _UNIT_COST = Num(1.0)
@@ -62,6 +62,17 @@ _UNIT_COST = Num(1.0)
 # Binding sites a template's ground variables end in: a place binds one
 # site, its node (_SRC); a cross binds (src, dst, link site).
 _SRC, _DST, _LINK = 0, 1, 2
+
+# An action group: ("place", component, node) or ("cross", interface, src, dst).
+GroupKey = tuple
+Supplier = Callable[[GroupKey], list[GroundAction] | None]
+
+
+def group_key(action: GroundAction) -> GroupKey:
+    """The group :meth:`Grounder.walk` emitted ``action`` under."""
+    if action.kind == "place":
+        return ("place", action.subject, action.node)
+    return ("cross", action.subject, action.src, action.dst)
 
 
 class PropTable:
@@ -301,26 +312,40 @@ class Grounder:
 
     def ground_all(self) -> list[GroundAction]:
         """Ground every place and cross action; returns the action list."""
+        return self.walk()
+
+    def walk(self, supplied: Supplier | None = None) -> list[GroundAction]:
+        """Emit every action group in canonical grounding order.
+
+        The order is components in app order × placeable nodes in network
+        order, then interfaces × directed edges; a group is keyed as
+        :func:`group_key` keys its actions.  ``supplied(key)`` may return
+        a group's actions, grounded earlier (the delta compile's untouched
+        base groups): they are appended and renumbered in place, and the
+        group's templates are not evaluated.  ``None`` grounds the group
+        here.  Returns the action list.
+        """
         initial_comps = {p.component for p in self.app.initial_placements}
         for comp in self.app.components.values():
             if comp.name in initial_comps:
                 continue
-            self._ground_component(comp)
+            self._ground_component(comp, supplied)
         for iface in self.app.interfaces.values():
-            self._ground_interface(iface)
+            self._ground_interface(iface, supplied)
         return self.actions
 
-    def _ground_component(
-        self, comp: ComponentSpec, only_nodes: frozenset[str] | None = None
-    ) -> None:
-        """Ground one component; ``only_nodes`` restricts the node domain.
+    def _take_supplied(self, supplied: Supplier | None, key: GroupKey) -> bool:
+        """Append the caller's actions for group ``key``, if it has them."""
+        kept = supplied(key) if supplied is not None else None
+        if kept is None:
+            return False
+        for action in kept:
+            action.index = len(self.actions)
+            self.actions.append(action)
+        return True
 
-        The restriction (used by the delta-aware compile to re-ground
-        only changed nodes) filters *after* the placeable-node
-        computation, so the surviving nodes keep their canonical order
-        and every emitted action is byte-equivalent to its unrestricted
-        counterpart.
-        """
+    def _ground_component(self, comp: ComponentSpec, supplied: Supplier | None) -> None:
+        """Emit one component's place groups, node by node."""
         mentioned: set[str] = set()
         for f in comp.all_formulas():
             mentioned |= variables(f)
@@ -328,8 +353,6 @@ class Grounder:
             n.id for n in self.network.nodes.values() if n.allows(comp.name)
         ]
         nodes = self.app.placeable_nodes(comp.name, candidate_nodes)
-        if only_nodes is not None:
-            nodes = [n for n in nodes if n in only_nodes]
 
         base_env, input_axes = self._input_env_and_axes(comp.requires)
 
@@ -338,6 +361,8 @@ class Grounder:
         # profile's surviving combos are evaluated and templated once.
         classes: dict[tuple, list[_Template]] = {}
         for node_id in nodes:
+            if self._take_supplied(supplied, ("place", comp.name, node_id)):
+                continue
             node = self.network.node(node_id)
             caps = {r.name: node.capacity(r.name) for r in self.app.node_resources()}
             cap_key = tuple(sorted(caps.items()))
@@ -493,14 +518,8 @@ class Grounder:
 
     # ------------------------------------------------------------------ cross
 
-    def _ground_interface(
-        self,
-        iface: InterfaceType,
-        only_links: frozenset[tuple[str, str]] | None = None,
-    ) -> None:
-        """Ground one interface's crossings; ``only_links`` restricts the
-        edge domain to the given canonical link keys (both directions of
-        each kept link, in their canonical iteration order)."""
+    def _ground_interface(self, iface: InterfaceType, supplied: Supplier | None) -> None:
+        """Emit one interface's cross groups, directed edge by directed edge."""
         if not iface.cross_effects:
             return  # a non-transferable interface (e.g. a local-only service)
         mentioned: set[str] = set()
@@ -513,7 +532,7 @@ class Grounder:
         base_env, input_axes = self._input_env_and_axes((iface.name,))
         classes: dict[tuple, list[_Template]] = {}
         for src, dst, link in self.network.directed_edges():
-            if only_links is not None and link.key not in only_links:
+            if self._take_supplied(supplied, ("cross", iface.name, src, dst)):
                 continue
             caps = {r.name: link.capacity(r.name) for r in self.app.link_resources()}
             cap_key = tuple(sorted(caps.items()))

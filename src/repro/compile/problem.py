@@ -108,7 +108,7 @@ class CompiledProblem:
     def holds_initially(self, pid: int) -> bool:
         return pid in self.initial_prop_ids
 
-    # populated by compile_problem
+    # populated by assemble_problem
     _initial_streams: list[tuple[str, str, float, bool, bool, str]] = field(default_factory=list)
     pruned_actions: list[GroundAction] = field(default_factory=list, repr=False)
     """Actions removed by best-value reachability pruning (kept for
@@ -116,8 +116,8 @@ class CompiledProblem:
     _ground_names: tuple[str, ...] = field(default=(), repr=False)
     """Action names in pre-prune grounding order.  Reachability pruning
     renumbers the kept actions, losing the original interleave of kept
-    and pruned; the delta-aware compile needs that order to splice
-    re-grounded groups back in at exactly the canonical positions."""
+    and pruned; the delta-aware compile needs that order to hand the
+    base's untouched groups back to the grounder's walk intact."""
     analysis: object | None = field(default=None, repr=False)
     """Static-analysis result (:class:`repro.analysis.AnalysisResult`) when
     compiled with ``analyze=True``, else ``None``.  The result holds no
@@ -168,52 +168,9 @@ def compile_problem(
             leveling = app.default_leveling()
 
         bounds = compute_property_bounds(app, network, bound_overrides)
-        props = PropTable()
-        grounder = Grounder(app, network, leveling, bounds, props)
-        actions = grounder.ground_all()
-        ground_names = tuple(a.name for a in actions)
-
-        initial_ids, initial_values, initial_streams = _build_initial_state(
-            app, network, leveling, props
-        )
-
-        goal_ids = frozenset(
-            props.intern(PlacedProp(p.component, p.node)) for p in app.goal_placements
-        )
-
-        # Logical solvability is judged before resource-aware pruning so the
-        # planner can distinguish Unsolvable from ResourceInfeasible.
-        logically_solvable = logically_reachable(actions, initial_ids, goal_ids)
-
-        stream_values = {
-            iface_prop_var(prop, iface, node): value
-            for iface, node, value, _deg, _upg, prop in initial_streams
-        }
-        actions, removed_actions = prune_unreachable_actions(actions, stream_values)
-
-        achievers: dict[int, list[int]] = {}
-        for action in actions:
-            for pid in action.add_props:
-                achievers.setdefault(pid, []).append(action.index)
-
-        problem = CompiledProblem(
-            app=app,
-            network=network,
-            leveling=leveling,
-            bounds=bounds,
-            props=props,
-            actions=actions,
-            achievers=achievers,
-            initial_prop_ids=initial_ids,
-            goal_prop_ids=goal_ids,
-            initial_values=initial_values,
-            logically_solvable=logically_solvable,
-            reachability_pruned=len(removed_actions),
-            ground_templates=grounder.templates,
-        )
-        problem._initial_streams = initial_streams
-        problem.pruned_actions = removed_actions
-        problem._ground_names = ground_names
+        grounder = Grounder(app, network, leveling, bounds, PropTable())
+        grounder.ground_all()
+        problem = assemble_problem(grounder)
     problem.compile_seconds = clock.duration_s
     if analyze:
         # Lazy import: repro.analysis imports this module.
@@ -221,6 +178,61 @@ def compile_problem(
 
         problem.analysis = analyze_problem(problem)
     return problem
+
+
+def assemble_problem(grounder: Grounder, compile_source: str = "fresh") -> CompiledProblem:
+    """Build the :class:`CompiledProblem` over a walked grounder's actions.
+
+    Adds the initial state and goal, judges logical solvability, then
+    runs best-value pruning, which renumbers the kept actions; the
+    pre-prune order survives as ``_ground_names`` for the delta compile.
+    """
+    app, network, leveling, props = (
+        grounder.app, grounder.network, grounder.leveling, grounder.props
+    )
+    actions = grounder.actions
+    ground_names = tuple(a.name for a in actions)
+    initial_ids, initial_values, initial_streams = _build_initial_state(
+        app, network, leveling, props
+    )
+    goal_ids = frozenset(
+        props.intern(PlacedProp(p.component, p.node)) for p in app.goal_placements
+    )
+
+    # Logical solvability is judged before resource-aware pruning so the
+    # planner can distinguish Unsolvable from ResourceInfeasible.
+    logically_solvable = logically_reachable(actions, initial_ids, goal_ids)
+
+    stream_values = {
+        iface_prop_var(prop, iface, node): value
+        for iface, node, value, _deg, _upg, prop in initial_streams
+    }
+    actions, removed_actions = prune_unreachable_actions(actions, stream_values)
+
+    achievers: dict[int, list[int]] = {}
+    for action in actions:
+        for pid in action.add_props:
+            achievers.setdefault(pid, []).append(action.index)
+
+    return CompiledProblem(
+        app=app,
+        network=network,
+        leveling=leveling,
+        bounds=grounder.bounds,
+        props=props,
+        actions=actions,
+        achievers=achievers,
+        initial_prop_ids=initial_ids,
+        goal_prop_ids=goal_ids,
+        initial_values=initial_values,
+        logically_solvable=logically_solvable,
+        reachability_pruned=len(removed_actions),
+        ground_templates=grounder.templates,
+        compile_source=compile_source,
+        _initial_streams=initial_streams,
+        pruned_actions=removed_actions,
+        _ground_names=ground_names,
+    )
 
 
 def _build_initial_state(

@@ -13,10 +13,9 @@ re-plan unchanged cells.  :class:`CompileCache` memoizes
 mutate what they receive (deployment repair rewrites initial state and
 discounts action costs) without poisoning the cache.
 
-Cross-validation of the (app, network) pair — :func:`require_valid` — is
-memoized the same way at its own, coarser key, so a campaign that plans
-hundreds of repairs against a handful of recurring network states stops
-re-walking the topology for every solve.
+Every entry sits under one key (:func:`_entry_key`) and enters through
+one path (:meth:`CompileCache._store`), whether compiled or patched by
+the delta-aware compile (:meth:`CompileCache.compile_delta`).
 
 Semantically the cache is transparent: a hit returns a problem byte-for-
 byte equivalent to a fresh compilation (guarded by the determinism tests
@@ -27,8 +26,7 @@ milliseconds for Fig-10/C's 5,228 actions, not zero.
 
 Hits and misses are counted both on the cache object (for benchmarks)
 and, when a :class:`~repro.obs.MetricsRegistry` is passed, as
-``cache.hit`` / ``cache.miss`` / ``cache.validate.hit`` /
-``cache.validate.miss`` counters visible in ``--metrics`` output.
+``cache.hit`` / ``cache.miss`` counters visible in ``--metrics`` output.
 """
 
 from __future__ import annotations
@@ -45,24 +43,20 @@ __all__ = ["CompileCache", "default_compile_cache"]
 
 
 class CompileCache:
-    """LRU cache of compiled problems plus an (app, network) validation memo.
+    """LRU cache of compiled problems.
 
     Parameters
     ----------
     max_entries:
         Compiled problems kept (LRU eviction).  Large-network problems
-        run to a few tens of MB, so the default stays small; validation
-        memo entries are a few bytes and keep ``4 * max_entries``.
+        run to a few tens of MB, so the default stays small.
     """
 
     def __init__(self, max_entries: int = 16):
         self.max_entries = max_entries
         self._problems: OrderedDict[tuple, CompiledProblem] = OrderedDict()
-        self._validated: OrderedDict[tuple[str, str], None] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.validate_hits = 0
-        self.validate_misses = 0
         self.analysis_hits = 0
         self.analysis_misses = 0
         self.delta_hits = 0
@@ -73,7 +67,6 @@ class CompileCache:
 
     def clear(self) -> None:
         self._problems.clear()
-        self._validated.clear()
 
     def stats(self) -> dict:
         """JSON-ready counters (benchmarks and ``--metrics`` summaries)."""
@@ -83,8 +76,6 @@ class CompileCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hits / total, 4) if total else 0.0,
-            "validate_hits": self.validate_hits,
-            "validate_misses": self.validate_misses,
             "analysis_hits": self.analysis_hits,
             "analysis_misses": self.analysis_misses,
             "delta_hits": self.delta_hits,
@@ -118,13 +109,7 @@ class CompileCache:
         result holds no action references, so sharing is safe.  Reuse is
         counted as ``cache.analysis.hit`` / ``cache.analysis.miss``.
         """
-        key = (
-            app_fingerprint(app),
-            network_fingerprint(network),
-            leveling_fingerprint(leveling),
-            digest(bound_overrides),
-            strict,
-        )
+        key = _entry_key(app, network, leveling, bound_overrides, strict)
         cached = self._problems.get(key)
         if cached is not None:
             self._problems.move_to_end(key)
@@ -158,11 +143,7 @@ class CompileCache:
         problem = compile_problem(
             app, network, leveling, bound_overrides, strict, analyze=analyze
         )
-        self._problems[key] = problem.fork()  # pristine copy, caller may mutate
-        while len(self._problems) > self.max_entries:
-            self._problems.popitem(last=False)
-        # A successful compilation implies the pair validated; remember it.
-        self._remember_valid(key[0], key[1])
+        self._store(key, problem)
         return problem
 
     # -- the delta-aware compile -----------------------------------------------
@@ -201,13 +182,7 @@ class CompileCache:
         pair raises ``ValueError`` whether patched or compiled.  The
         ``strict`` path never patches (the lint pass reads the network).
         """
-        key = (
-            app_fingerprint(app),
-            network_fingerprint(network),
-            leveling_fingerprint(leveling),
-            digest(bound_overrides),
-            strict,
-        )
+        key = _entry_key(app, network, leveling, bound_overrides, strict)
         if key in self._problems:
             return self.compile(
                 app, network, leveling, bound_overrides, strict, metrics=metrics
@@ -235,10 +210,7 @@ class CompileCache:
                 if metrics is not None:
                     metrics.inc("cache.miss")
                     metrics.inc("cache.delta.hit")
-                self._problems[key] = patched.fork()
-                while len(self._problems) > self.max_entries:
-                    self._problems.popitem(last=False)
-                self._remember_valid(key[0], key[1])
+                self._store(key, patched)
                 return patched
 
         self.delta_fallbacks += 1
@@ -248,39 +220,32 @@ class CompileCache:
             app, network, leveling, bound_overrides, strict, metrics=metrics
         )
 
-    # -- the memoized validation ----------------------------------------------
+    def _store(self, key: tuple, problem: CompiledProblem) -> None:
+        """Keep a pristine fork of ``problem`` (the caller may mutate it)."""
+        self._problems[key] = problem.fork()
+        while len(self._problems) > self.max_entries:
+            self._problems.popitem(last=False)
 
-    def require_valid(
-        self,
-        app: AppSpec,
-        network: Network,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        """Memoized :func:`repro.model.validation.require_valid`.
 
-        Only *successful* validations are remembered — an invalid pair
-        re-raises with its full message on every call.
-        """
-        from ..model.validation import require_valid
+def _entry_key(
+    app: AppSpec,
+    network: Network,
+    leveling: Leveling | None,
+    bound_overrides: dict[str, float] | None,
+    strict: bool,
+) -> tuple:
+    """``(app, network, leveling, overrides, strict)`` fingerprints.
 
-        key = (app_fingerprint(app), network_fingerprint(network))
-        if key in self._validated:
-            self._validated.move_to_end(key)
-            self.validate_hits += 1
-            if metrics is not None:
-                metrics.inc("cache.validate.hit")
-            return
-        self.validate_misses += 1
-        if metrics is not None:
-            metrics.inc("cache.validate.miss")
-        require_valid(app, network)
-        self._remember_valid(*key)
-
-    def _remember_valid(self, app_fp: str, net_fp: str) -> None:
-        self._validated[(app_fp, net_fp)] = None
-        while len(self._validated) > 4 * self.max_entries:
-            self._validated.popitem(last=False)
+    Entries that differ only in the network fingerprint (index 1) are
+    the patch bases :meth:`CompileCache.compile_delta` looks for.
+    """
+    return (
+        app_fingerprint(app),
+        network_fingerprint(network),
+        leveling_fingerprint(leveling),
+        digest(bound_overrides),
+        strict,
+    )
 
 
 _default: CompileCache | None = None

@@ -198,7 +198,7 @@ def repair_deployment(
         :meth:`~repro.parallel.CompileCache.compile_delta`: when the
         cache holds the *previous* network state of this app, only the
         ground actions touching changed elements are re-ground and the
-        rest are spliced from the cached base.  Semantically transparent
+        rest are reused from the cached base.  Semantically transparent
         (the patched problem is equivalent to a fresh compilation);
         ignored without a cache.
 

@@ -72,5 +72,13 @@ def test_cli_analyze_json(capsys):
     assert "envelopes" in payload
 
 
+def test_cli_analyze_json_is_deterministic(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(_EXAMPLE_ARGS + ["--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_analyze_requires_instance():
     assert main(["analyze"]) == 2

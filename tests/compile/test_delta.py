@@ -31,6 +31,11 @@ def chain():
     return chain_network([(150, "LAN"), (150, "LAN")], cpu=30.0, name="net")
 
 
+def prop_strs(problem, pids):
+    """Proposition ids as their strings: ids differ between the two tables."""
+    return sorted(problem.prop_str(p) for p in pids)
+
+
 def assert_equivalent(patched, scratch):
     """Patched and scratch compilations agree on everything observable."""
     assert [a.name for a in patched.actions] == [a.name for a in scratch.actions]
@@ -41,6 +46,21 @@ def assert_equivalent(patched, scratch):
         assert {k: (iv.lo, iv.hi) for k, iv in pa.committed.items()} == {
             k: (iv.lo, iv.hi) for k, iv in sa.committed.items()
         }
+        assert prop_strs(patched, pa.pre_props) == prop_strs(scratch, sa.pre_props)
+        assert prop_strs(patched, pa.add_props) == prop_strs(scratch, sa.add_props)
+        assert [patched.prop_str(p) for p in pa.primary_adds] == [
+            scratch.prop_str(p) for p in sa.primary_adds
+        ]
+        assert [(v, iv.lo, iv.hi) for v, iv in pa.seeds] == [
+            (v, iv.lo, iv.hi) for v, iv in sa.seeds
+        ]
+        assert pa.effect_targets == sa.effect_targets
+    assert prop_strs(patched, patched.initial_prop_ids) == prop_strs(
+        scratch, scratch.initial_prop_ids
+    )
+    assert prop_strs(patched, patched.goal_prop_ids) == prop_strs(
+        scratch, scratch.goal_prop_ids
+    )
     assert patched.initial_values == scratch.initial_values
     assert patched._initial_streams == scratch._initial_streams
     assert patched._ground_names == scratch._ground_names
@@ -97,7 +117,7 @@ class TestPatchEquivalence:
     def test_link_failure_and_recovery_on_ring(self):
         # Failure then recovery re-inserts the link at the *end* of the
         # links dict: grounding order over directed_edges changes, and the
-        # splice must follow the new network's order, not the base's.
+        # walk must follow the new network's order, not the base's.
         app = media.build_app("n0", "n2")
         ring = ring_network(4, link_bw=150.0, cpu=30.0)
         failed = apply_event(ring, LinkFailure("n0", "n1"))
@@ -144,7 +164,7 @@ class TestPatchRefusal:
     def test_shifted_bounds_returns_none(self):
         # When the recomputed property bounds differ from the base's,
         # every committed interval may differ — the patch must refuse
-        # rather than splice inconsistent groups.  (The media domain's
+        # rather than reuse inconsistent groups.  (The media domain's
         # bounds are network-independent, so the shift is forced through
         # overrides here; a capacity-driven shift takes the same guard.)
         app = media.build_app("n0", "n2")

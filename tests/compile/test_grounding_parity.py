@@ -10,7 +10,10 @@ problem's pre-prune ``_ground_names``, its proposition table in id order
 
 The digests were recorded from the grounder that built every action per
 binding; any change to how grounding is organised must reproduce them
-exactly.  A digest mismatch means some action field changed — diff the
+exactly.  The patched cases do the same for the delta compile: a Fig-10
+base patched across one network event, digested with the base's shared
+proposition table, so the patch path's emission order, its renumbering
+and the order it interns fresh propositions are pinned too.  A digest mismatch means some action field changed — diff the
 ``_action_record`` output of the two trees to find which.
 """
 
@@ -18,9 +21,11 @@ import hashlib
 
 import pytest
 
-from repro.compile import compile_problem
+from repro.compile import compile_problem, patch_problem
 from repro.domains.media import build_app
 from repro.experiments import large_case, scaling_network, scenario
+from repro.parallel import network_delta
+from repro.simulate import LinkChange, LinkFailure, NodeChange, apply_event
 
 
 def _iv(iv):
@@ -113,3 +118,56 @@ def test_grounding_matches_pinned_digest(case):
     build, key, expected = CASES[case]
     problem = compile_problem(*build(key))
     assert grounding_digest(problem) == expected
+
+
+# Mid-list elements of the 181-link, 93-node Fig-10 network: a failure
+# that keeps it connected, a link capacity that forms a new capacity
+# class, and a node CPU change.
+EVENTS = {
+    "link-failure": LinkFailure("t0_1_s1_1", "t0_1_s1_7"),
+    "link-change": LinkChange("t0_1_s1_0", "t0_1_s1_7", "lbw", 95.0),
+    "node-change": NodeChange("t0_1_s1_4", "cpu", 12.0),
+}
+
+# (case) -> (templates the patch evaluates, digest): a patch evaluates
+# templates for the touched groups only.
+PATCHED = {
+    ("C", "link-failure"): (
+        0,
+        "666f1bd4acc2b4cc6fcbbcef34cdd1006154d78dae07d9d8535f74279528eeb4"
+    ),
+    ("C", "link-change"): (
+        11,
+        "f8f2ef9f657302583a1f0e4839ac4989eb8afe2884217df26e18e3ee89a3fe23"
+    ),
+    ("C", "node-change"): (
+        4,
+        "459ff384f4b7fc17b4b55d3a2694ae7823de68884305050f506bf0380b940d29"
+    ),
+    ("E", "link-failure"): (
+        0,
+        "c0cda0a5e5dba8bde6bdbbd93329a3065e2751dddc7356492784a79f98cb2d7a"
+    ),
+    ("E", "link-change"): (
+        46,
+        "437ad3349057deb7568773abeb3fb9ced5626e36c9935d938d272388f8d48eb6"
+    ),
+    ("E", "node-change"): (
+        10,
+        "36a402a9be264bf8b1d80cc1286d50404126fd89188b6c3a6bfec839f9facf8c"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATCHED), ids="/".join)
+def test_patched_grounding_matches_pinned_digest(case):
+    key, event = case
+    app, network, leveling = _fig10(key)
+    base = compile_problem(app, network, leveling)
+    new_network = apply_event(network, EVENTS[event])
+    delta = network_delta(network, new_network)
+    patched = patch_problem(base.fork(), new_network, delta, None)
+    assert patched is not None and patched.compile_source == "delta"
+    templates, expected = PATCHED[case]
+    assert patched.ground_templates == templates
+    assert grounding_digest(patched) == expected

@@ -16,7 +16,6 @@ from collections import deque
 import pytest
 
 from repro.compile import compile_problem, diagnose, patch_problem
-from repro.compile import delta as delta_module
 from repro.compile import problem as problem_module
 from repro.compile import reachability
 from repro.compile.actions import EffectKind
@@ -232,7 +231,7 @@ class TestDifferential:
         new_net = apply_event(case.network, LinkFailure(*links[len(links) // 2]))
         checked = []
         monkeypatch.setattr(
-            delta_module, "prune_unreachable_actions", _checked_prune(monkeypatch, checked)
+            problem_module, "prune_unreachable_actions", _checked_prune(monkeypatch, checked)
         )
         patched = patch_problem(base.fork(), new_net, network_delta(case.network, new_net), None)
         assert patched is not None and patched.compile_source == "delta"

@@ -112,29 +112,14 @@ class TestCompileCache:
         cache.compile(app, net, LEV)
         assert cache.stats()["misses"] == 3
 
-    def test_validation_memo(self):
-        app, net = instance()
-        cache = CompileCache()
-        cache.require_valid(app, net)
-        cache.require_valid(app, net)
-        stats = cache.stats()
-        assert stats["validate_misses"] == 1 and stats["validate_hits"] == 1
-
-    def test_compile_success_seeds_validation_memo(self):
-        app, net = instance()
-        cache = CompileCache()
-        cache.compile(app, net, LEV)
-        cache.require_valid(app, net)
-        assert cache.stats()["validate_hits"] == 1
-
     def test_validation_failures_are_never_cached(self):
         app, _ = instance()
         lonely = chain_network([(150, "LAN")])  # n2 (goal pin) does not exist
         cache = CompileCache()
         for _ in range(2):
             with pytest.raises(ValueError):
-                cache.require_valid(app, lonely)
-        assert cache.stats()["validate_misses"] == 2
+                cache.compile(app, lonely, LEV)
+        assert cache.stats()["misses"] == 2
 
 
 class TestRepairThroughCache:

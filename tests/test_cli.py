@@ -608,6 +608,33 @@ class TestBadInput:
         assert captured.err == f"repro: cannot read {absent}: No such file or directory\n"
 
 
+    @pytest.mark.parametrize(
+        "command, flag, text, reason",
+        [
+            ("lint", "--network", "{", "Expecting property name enclosed in double quotes"),
+            ("plan", "--network", '{"format": 99}', "unsupported network format version 99"),
+            ("plan", "--spec", "<interface>\n", "line 1: <interface> needs a name attribute"),
+            ("plan", "--spec", "<component name=A>\n<effects>\nNode.cpu -= (\n", "unexpected token"),
+        ],
+        ids=["bad-json", "network-format", "spec-syntax", "spec-formula"],
+    )
+    def test_unparsable_file_is_one_stderr_line(
+        self, workdir, capsys, command, flag, text, reason
+    ):
+        bad = workdir / "bad.input"
+        bad.write_text(text)
+        args = _plan_args(workdir, flag, str(bad))
+        args[0] = command
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: cannot parse {bad}: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestSpecSpelling:
     def test_app_name_ignores_how_the_spec_path_is_spelled(
         self, workdir, capsys, monkeypatch
