@@ -334,7 +334,7 @@ def _journaled_run(
     from .parallel import TaskFailed
 
     app, network, leveling = _load_instance(args)
-    spec = json.loads(_read_input(args.campaign)) if args.campaign else {}
+    spec = _parse_input(args.campaign, json.loads) if args.campaign else {}
     spec = {**spec, **(spec_overrides or {})}
     telemetry = _make_telemetry(args)
     monitor = _make_live_monitor(args)

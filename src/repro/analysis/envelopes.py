@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..compile import CompiledProblem, EffectKind, GroundAction, iface_prop_var
+from ..compile.actions import is_resource_var
 from ..expr import EvalError, condition_satisfiable, eval_interval
 from ..intervals import Interval, iadd, imax, imin, isub
 
@@ -52,8 +53,6 @@ __all__ = [
 _EPS = 1e-6  # must match repro.planner.executor._EPS
 _WIDEN_AFTER = 8
 _MAX_PASSES = 50  # safety budget only; widening guarantees convergence
-
-_RESOURCE_PREFIXES = ("Node.", "Link.")
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,6 @@ class AbstractStep:
     writes: tuple[tuple[str, Interval], ...]
 
 
-def _is_resource_var(spec_var: str) -> bool:
-    return spec_var.startswith(_RESOURCE_PREFIXES)
-
-
 def abstract_step(
     action: GroundAction, envelopes: dict[str, Interval]
 ) -> AbstractStep | Refutation:
@@ -122,7 +117,7 @@ def abstract_step(
         if committed is None:
             continue  # output-only mapping: written by effects below
         raw = envelopes.get(gvar)
-        if _is_resource_var(spec_var):
+        if is_resource_var(spec_var):
             if raw is None or raw.is_empty():
                 return Refutation(
                     kind="missing-input",

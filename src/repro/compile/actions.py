@@ -40,6 +40,7 @@ __all__ = [
     "iface_prop_var",
     "node_res_var",
     "link_res_var",
+    "is_resource_var",
     "link_site",
 ]
 
@@ -109,6 +110,12 @@ def node_res_var(res: str, node: str) -> str:
 def link_res_var(res: str, a: str, b: str) -> str:
     """Ground variable for a link resource (canonical endpoint order)."""
     return node_res_var(res, link_site(a, b))
+
+
+def is_resource_var(spec_var: str) -> bool:
+    """A ``Node.*``/``Link.*`` spec variable, ground by :func:`node_res_var`
+    or :func:`link_res_var`; every other spec variable is a stream property."""
+    return spec_var.startswith(("Node.", "Link."))
 
 
 def link_site(a: str, b: str) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..expr import condition_satisfiable, variables
 from ..intervals import Interval
-from .actions import GroundAction, iface_prop_var
+from .actions import GroundAction, iface_prop_var, is_resource_var
 from .problem import CompiledProblem
 from .reachability import _best_value_fixed_point, _input_specs
 
@@ -61,7 +61,7 @@ def _explain_action(action: GroundAction, best: dict[str, float]) -> str | None:
             )
         env[spec_var] = committed.intersect(Interval.closed(0.0, avail))
     for spec_var, committed in action.committed.items():
-        if spec_var.startswith(("Node.", "Link.")):
+        if is_resource_var(spec_var):
             env[spec_var] = committed
     for cond in action.conditions:
         try:

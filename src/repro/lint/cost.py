@@ -15,6 +15,7 @@ interface crossing cost over the reachable value ranges:
 
 from __future__ import annotations
 
+from ..compile.actions import is_resource_var
 from ..expr import Direction, monotonicity, variables
 from ..expr.ast_nodes import Node
 from ..expr.errors import EvalError
@@ -24,10 +25,6 @@ from .context import LintContext, comp_loc, iface_loc
 from .diagnostics import LintReport, Severity, SourceLocation
 
 __all__ = ["run"]
-
-
-def _is_stream_var(var: str) -> bool:
-    return not var.startswith(("Node.", "Link."))
 
 
 def _check_cost(
@@ -57,7 +54,7 @@ def _check_cost(
             loc,
         )
     for var in sorted(variables(cost)):
-        if not _is_stream_var(var):
+        if is_resource_var(var):
             continue
         direction = monotonicity(cost, var)
         if direction in (Direction.NONINCREASING, Direction.UNKNOWN):

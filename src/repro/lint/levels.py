@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+from ..compile.actions import is_resource_var
 from ..expr import variables
 from ..expr.ast_nodes import Assign
 from ..expr.errors import EvalError
@@ -34,10 +35,6 @@ from .diagnostics import LintReport, Severity, SourceLocation
 __all__ = ["run"]
 
 _REL_TOL = 1e-6
-
-
-def _is_stream_var(var: str) -> bool:
-    return not var.startswith(("Node.", "Link."))
 
 
 def _close(a: float, b: float) -> bool:
@@ -83,7 +80,7 @@ def _check_effect_image(
     loc: SourceLocation,
 ) -> None:
     target = assign.target.name
-    if not _is_stream_var(target) or assign.op != ":=":
+    if is_resource_var(target) or assign.op != ":=":
         return
     try:
         image = eval_interval(assign.expr, env)

@@ -17,6 +17,7 @@ This pass proves both syntactically:
 
 from __future__ import annotations
 
+from ..compile.actions import is_resource_var
 from ..expr import Direction, monotonicity, variables
 from ..expr.ast_nodes import And, Assign, BinOp, Call, Compare, Node
 from ..expr.evaluator import eval_interval
@@ -27,10 +28,6 @@ from .context import LintContext, comp_loc, iface_loc
 from .diagnostics import LintReport, Severity, SourceLocation
 
 __all__ = ["run"]
-
-
-def _is_stream_var(var: str) -> bool:
-    return not var.startswith(("Node.", "Link."))
 
 
 def _comparison_sides(cond: Node):
@@ -104,7 +101,7 @@ def _check_effect_degradable(
     loc: SourceLocation,
 ) -> None:
     for var in sorted(variables(assign.expr)):
-        if not _is_stream_var(var) or "." not in var:
+        if is_resource_var(var) or "." not in var:
             continue
         iface_name, prop_name = var.split(".", 1)
         iface = ctx.app.interfaces.get(iface_name)

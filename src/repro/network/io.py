@@ -45,19 +45,33 @@ def network_to_dict(net: Network) -> dict[str, Any]:
 
 
 def network_from_dict(data: dict[str, Any]) -> Network:
-    """Rebuild a :class:`Network` from :func:`network_to_dict` output."""
+    """Rebuild a :class:`Network` from :func:`network_to_dict` output.
+
+    Raises
+    ------
+    NetworkError
+        For an unsupported ``format``, or data of the wrong shape: a
+        non-object top level, a node without ``"id"``, a link without
+        ``"a"`` and ``"b"``.
+    """
+    if not isinstance(data, dict):
+        raise NetworkError(f"a network must be a JSON object, got {type(data).__name__}")
     version = data.get("format", 0)
     if version != _FORMAT_VERSION:
         raise NetworkError(f"unsupported network format version {version!r}")
     net = Network(data.get("name", "network"))
-    for nd in data.get("nodes", []):
+    for i, nd in enumerate(data.get("nodes", [])):
+        if not isinstance(nd, dict) or "id" not in nd:
+            raise NetworkError(f"node {i} must be an object with an \"id\"")
         net.add_node(
             nd["id"],
             nd.get("resources", {}),
             nd.get("labels", ()),
             nd.get("software"),
         )
-    for ld in data.get("links", []):
+    for i, ld in enumerate(data.get("links", [])):
+        if not isinstance(ld, dict) or "a" not in ld or "b" not in ld:
+            raise NetworkError(f"link {i} must be an object with \"a\" and \"b\"")
         net.add_link(ld["a"], ld["b"], ld.get("resources", {}), ld.get("labels", ()))
     return net
 

@@ -15,16 +15,23 @@ and the experiment harness (see docs/OBSERVABILITY.md):
   Perfetto), surfaced as ``repro plan --trace-out``.
 * :func:`load_trace` / :func:`summarize_trace` — read an exported file
   back and render the Figs. 7–8 style account (``repro trace summarize``).
-* :class:`TraceContext` / :func:`stitch_snapshot` — cross-process trace
-  propagation: worker spans ship home in metrics snapshots and stitch
-  under the dispatching coordinator span as per-pid :class:`Span` lanes.
+* :class:`TraceContext` / :class:`MetricsSnapshot` / :func:`stitch_snapshot`
+  — cross-process trace propagation: worker metrics and spans ship home
+  in a metrics snapshot, and the spans stitch under the dispatching
+  coordinator span as per-pid :class:`Span` lanes.
 * :class:`StreamAggregator` / :class:`LiveMonitor` — live worker
   telemetry frames (``--live``) with stalled-worker heartbeat detection.
 * :class:`PhaseProfiler` / :func:`capture_profile` — opt-in cProfile
   capture per planner phase or per worker task (``--profile-out``).
 """
 
-from .context import TraceContext, new_trace_id, spans_payload, stitch_snapshot
+from .context import (
+    MetricsSnapshot,
+    TraceContext,
+    new_trace_id,
+    spans_payload,
+    stitch_snapshot,
+)
 from .export import (
     CHROME_FORMAT,
     JSONL_FORMAT,
@@ -69,6 +76,7 @@ __all__ = [
     "SearchTrace",
     "TraceEvent",
     "TraceContext",
+    "MetricsSnapshot",
     "new_trace_id",
     "spans_payload",
     "stitch_snapshot",

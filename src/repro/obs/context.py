@@ -1,18 +1,20 @@
-"""Cross-process trace propagation: contexts, stitched spans.
+"""Cross-process trace propagation: contexts, snapshots, stitched spans.
 
 A coordinator that fans planner work out over worker processes opens a
 dispatch span (``table2.fanout``, ``campaign.fanout``,
-``controller.batch``, ``hierarchy.fanout``, ``robust.race``) and stamps
-every task envelope with a :class:`TraceContext` — the coordinator's
-trace id plus the id of that dispatch span.  Workers build their :class:`~repro.obs.Telemetry` *under*
-that context; when the task result travels home, the worker's recorded
-spans ride along inside the metrics snapshot
-(:class:`repro.parallel.MetricsSnapshot`) and :func:`stitch_snapshot`
-grafts them into the coordinator's telemetry as :class:`~repro.obs.Span`
-records tagged with the worker's ``pid`` — re-identified (worker-local
-span ids collide across workers), re-parented (worker roots hang off the
-dispatch span), and re-based onto the coordinator's clock — so one
-export renders the whole fleet on one timeline, one lane per worker pid.
+``controller.batch``, ``hierarchy.fanout``, ``robust.race``) and sends
+every task off with a :class:`TraceContext` — the coordinator's trace id
+plus the id of that dispatch span.  Tasks carry no trace field: the
+worker wrapper of :mod:`repro.parallel.workers` carries the context
+beside the task, and the worker builds its :class:`~repro.obs.Telemetry`
+*under* it.  When the task's value travels home, the worker's metrics
+and recorded spans ride along as a :class:`MetricsSnapshot`, and
+:func:`stitch_snapshot` grafts the spans into the coordinator's
+telemetry as :class:`~repro.obs.Span` records tagged with the worker's
+``pid`` — re-identified (worker-local span ids collide across workers),
+re-parented (worker roots hang off the dispatch span), and re-based onto
+the coordinator's clock — so one export renders the whole fleet on one
+timeline, one lane per worker pid.
 
 Clock mapping: span timestamps are ``time.perf_counter`` seconds, which
 are only comparable within one process.  Every ``Telemetry`` therefore
@@ -28,6 +30,7 @@ latency on one machine — microseconds against millisecond spans.
 
 from __future__ import annotations
 
+import os
 import uuid
 from dataclasses import dataclass
 
@@ -35,6 +38,7 @@ from .span import Span
 
 __all__ = [
     "TraceContext",
+    "MetricsSnapshot",
     "REMOTE_ID_BASE",
     "new_trace_id",
     "spans_payload",
@@ -54,13 +58,13 @@ def new_trace_id() -> str:
 
 @dataclass(frozen=True, slots=True)
 class TraceContext:
-    """The cross-process trace position a task envelope carries.
+    """The cross-process trace position a task is dispatched under.
 
     ``parent_span_id`` is the coordinator-side span that dispatched the
     work; worker root spans are re-parented onto it when stitched.  The
     dataclass is tiny, immutable, and trivially picklable — a disabled
     pipeline ships ``None`` instead, so the telemetry-off hot path pays
-    one ``None`` field per task envelope and nothing else.
+    one ``None`` per dispatched task and nothing else.
     """
 
     trace_id: str
@@ -71,7 +75,7 @@ def spans_payload(recorder) -> tuple[dict, ...]:
     """Flatten a :class:`~repro.obs.SpanRecorder` for the trip home.
 
     Plain dicts (not :class:`Span` objects) cross the process boundary:
-    the envelope contract stays schema-stable and versionable, and the
+    the snapshot stays schema-stable and versionable, and the
     parent never unpickles worker-side classes.  Order is preserved —
     the recorder appends parents before children, which
     :func:`stitch_snapshot` relies on when remapping ids.
@@ -87,6 +91,54 @@ def spans_payload(recorder) -> tuple[dict, ...]:
         }
         for sp in recorder.spans
     )
+
+
+@dataclass(frozen=True)
+class MetricsSnapshot:
+    """A worker telemetry, flattened for the trip home.
+
+    ``records`` is the registry's JSON snapshot; ``spans`` carries the
+    worker's recorded spans as plain dicts (:func:`spans_payload`)
+    together with the provenance the coordinator needs to stitch them
+    into its own timeline (docs/OBSERVABILITY.md, "Distributed
+    tracing"): the worker pid (the trace lane), the trace context the
+    task ran under, and the paired epoch/perf clock anchors that map
+    worker ``perf_counter`` timestamps onto the coordinator's clock.
+    """
+
+    records: tuple = ()
+    spans: tuple = ()
+    pid: int = 0
+    trace_id: str = ""
+    parent_span_id: int | None = None
+    epoch_anchor_s: float = 0.0
+    perf_anchor_s: float = 0.0
+
+    @staticmethod
+    def from_telemetry(telemetry) -> "MetricsSnapshot":
+        if telemetry is None:
+            return MetricsSnapshot()
+        context = telemetry.context
+        return MetricsSnapshot(
+            records=tuple(telemetry.metrics.snapshot()),
+            spans=spans_payload(telemetry.spans),
+            pid=os.getpid(),
+            trace_id=telemetry.trace_id,
+            parent_span_id=context.parent_span_id if context is not None else None,
+            epoch_anchor_s=telemetry.epoch_anchor_s,
+            perf_anchor_s=telemetry.perf_anchor_s,
+        )
+
+    @staticmethod
+    def from_registry(metrics) -> "MetricsSnapshot":
+        if metrics is None:
+            return MetricsSnapshot()
+        return MetricsSnapshot(records=tuple(metrics.snapshot()))
+
+    def merge_into(self, metrics) -> None:
+        """Accumulate into a parent registry (see ``merge_snapshot``)."""
+        if metrics is not None and self.records:
+            metrics.merge_snapshot(list(self.records))
 
 
 def stitch_snapshot(telemetry, snapshot, worker: int | None = None) -> list[Span]:

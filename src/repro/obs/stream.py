@@ -20,7 +20,8 @@ Kinds:
 * ``task_start`` — a task began; ``label`` names it (``Tiny/B``,
   ``seed=7``, the member app name).
 * ``task_end`` — a task finished; adds ``ok`` (bool) and ``metrics``
-  (the task result's metric records, when the task carried telemetry) so
+  (the worker snapshot's metric records, when the task ran with
+  telemetry) so
   the live registry can fold in cache hit rates and repair TTR as they
   happen.
 * ``heartbeat`` — periodic liveness ping carrying the current task.
@@ -40,7 +41,7 @@ Kinds:
 The coordinator folds frames into a :class:`StreamAggregator`, whose
 registry is **live/display-only** — the deterministic final metrics
 merge stays the task-ordered :meth:`MetricsSnapshot.merge_into
-<repro.parallel.MetricsSnapshot.merge_into>` walk, so watching a run
+<repro.obs.MetricsSnapshot.merge_into>` walk, so watching a run
 never changes what it records.
 """
 
@@ -69,11 +70,13 @@ DEFAULT_STREAM_INTERVAL_S = 0.25
 def task_label(payload) -> str:
     """A short human label for one task payload.
 
-    Duck-typed over the envelope shapes in :mod:`repro.parallel.workers`:
+    Duck-typed over the task shapes in :mod:`repro.parallel.workers`:
     Table-2 cells render as ``network/scenario``, campaign runs as
     ``seed=N``, repair tasks as the member app's name; anything else
-    falls back to the payload's type name.
+    falls back to the payload's type name.  A worker job record is
+    labelled by the task it carries (its ``task`` attribute).
     """
+    payload = getattr(payload, "task", payload)
     network = getattr(payload, "network", None)
     scenario = getattr(payload, "scenario", None)
     if isinstance(network, str) and isinstance(scenario, str):

@@ -101,7 +101,7 @@ class Telemetry:
         return self.spans.current_id
 
     def current_context(self) -> TraceContext:
-        """The :class:`TraceContext` to stamp on task envelopes right now.
+        """The :class:`TraceContext` to dispatch worker tasks under right now.
 
         Call inside the dispatch span (``with telemetry.span("table2.fanout")``)
         so worker roots parent onto it when stitched.

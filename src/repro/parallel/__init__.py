@@ -5,6 +5,11 @@ Spawn-safe building blocks for running planner work across processes:
 * :func:`run_tasks` (:mod:`repro.parallel.workers`) — the one batch
   fan-out: a list of task payloads through one task core, inline when
   one worker suffices, else under a :class:`Supervisor`.
+  :mod:`repro.parallel.workers` is the one process boundary: tasks and
+  results carry domain fields only, one worker wrapper carries the
+  trace context, metrics and cache flags out and the worker's
+  :class:`~repro.obs.MetricsSnapshot` home, and a raced plan travels
+  as :meth:`Plan.to_dict <repro.planner.Plan.to_dict>`.
 * :class:`Supervisor` (:mod:`repro.parallel.supervisor`) — the one
   process manager: persistent spawn-started workers running either a
   deterministically sharded batch (``run``) or a priority race
@@ -12,32 +17,23 @@ Spawn-safe building blocks for running planner work across processes:
   poison quarantine (:class:`TaskQuarantined`), and in-process
   fallback, reported via :class:`SupervisionReport`; task exceptions
   surface as :class:`TaskFailed` (docs/ROBUSTNESS.md).
-* Envelopes (:mod:`repro.parallel.envelope`) — the pickleable contract
-  between parent and workers; :func:`check_picklable` names the exact
-  offending field when something unpicklable sneaks in.
 * :class:`CompileCache` (:mod:`repro.parallel.cache`) — warm-start
   compile cache keyed by content fingerprints
   (:mod:`repro.parallel.fingerprint`), one per worker process.
 * Task payloads and cores (:mod:`repro.parallel.workers`) — Table-2
   cells, fault-campaign runs, fleet repairs and hierarchy domains (all
   run through ``run_tasks``), and the racing degradation ladder's rungs
-  (run through ``Supervisor.race``).
+  (run through ``race_tasks`` on ``Supervisor.race``).
 
 Consumers: ``run_tasks`` serves ``run_table2(workers=N)``,
 ``run_campaign(workers=N)``, ``run_controller(workers=N)`` and
-``HierarchyConfig(workers=N)``; ``Supervisor.race`` serves
+``HierarchyConfig(workers=N)``; ``race_tasks`` serves
 ``solve_robust(workers=N)``.  The CLI's ``--workers`` flags on
 ``repro bench`` / ``repro simulate`` / ``repro controller`` /
 ``repro plan`` reach them.
 """
 
 from .cache import CompileCache, default_compile_cache
-from .envelope import (
-    EnvelopeError,
-    MetricsSnapshot,
-    PlanEnvelope,
-    check_picklable,
-)
 from .fingerprint import (
     NetworkDelta,
     app_fingerprint,
@@ -67,6 +63,7 @@ from .workers import (
     RepairTask,
     RungJob,
     RungOutcome,
+    race_tasks,
     run_campaign_task,
     run_cell_task,
     run_domain_task,
@@ -79,6 +76,7 @@ __all__ = [
     "TaskFailed",
     "resolve_workers",
     "run_tasks",
+    "race_tasks",
     "Supervisor",
     "SupervisorConfig",
     "SupervisionReport",
@@ -86,10 +84,6 @@ __all__ = [
     "TaskQuarantined",
     "CompileCache",
     "default_compile_cache",
-    "EnvelopeError",
-    "check_picklable",
-    "PlanEnvelope",
-    "MetricsSnapshot",
     "digest",
     "app_fingerprint",
     "network_fingerprint",

@@ -4,8 +4,8 @@ Workers are started with the ``spawn`` method unconditionally — no
 inherited state, no fork-only assumptions — so behavior is identical on
 Linux, macOS, and Windows, and pickling bugs in task payloads show up
 everywhere instead of only off-Linux.  Task functions must therefore be
-module-level importables and payloads must survive pickling
-(:func:`repro.parallel.check_picklable` diagnoses violations).
+module-level importables and payloads must survive pickling; a value
+that does not comes back as a ``result not picklable: ...`` failure.
 """
 
 from __future__ import annotations

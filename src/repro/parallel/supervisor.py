@@ -167,12 +167,8 @@ class SupervisorConfig:
     stall_kill_intervals: int = 16
     """Heartbeat periods of silence before a streaming worker is
     SIGKILLed and respawned (the flag threshold stays
-    ``STALL_INTERVALS``).  Only active while heartbeats flow."""
-
-    heartbeat_interval_s: float | None = None
-    """Force worker heartbeats at this period even without a live frame
-    consumer, enabling stall escalation on quiet runs.  ``None`` keeps
-    the default: no frames unless a stream is attached."""
+    ``STALL_INTERVALS``).  Only active while heartbeats flow, that is
+    while a live stream is attached (``run(on_frame=...)``)."""
 
 
 @dataclass(frozen=True)
@@ -403,11 +399,7 @@ class Supervisor:
             fn,
             payloads,
             inject_kill,
-            interval=(
-                stream_interval_s
-                if on_frame is not None
-                else self.config.heartbeat_interval_s
-            ),
+            interval=stream_interval_s if on_frame is not None else None,
             on_frame=on_frame,
             on_result=on_result,
         )
@@ -437,7 +429,7 @@ class Supervisor:
             fn,
             payloads,
             inject_kill,
-            interval=self.config.heartbeat_interval_s,
+            interval=None,
             accept=accept,
             deadline=None if deadline_s is None else time.monotonic() + deadline_s,
         )

@@ -1,4 +1,5 @@
-"""One batch fan-out, and the task kinds it runs.
+"""One process boundary: every batch and race of planner work, and the
+task kinds they run.
 
 :func:`run_tasks` is how every batch of planner work runs — the
 Table-2 sweep, fault campaigns, the fleet controller's repair batches
@@ -6,43 +7,46 @@ and hierarchical domain solves.  A batch that needs one worker runs
 inline, in task order, recording into the caller's telemetry and
 compiling through the caller's cache; any other batch runs under a
 :class:`~repro.parallel.Supervisor` inside the caller's dispatch span.
+:func:`race_tasks` races the solve ladder's rungs (:class:`RungJob`,
+:func:`run_rung_task`) by priority and cancels the losers.
 
 Every task kind has one *core*, ``fn(task, *, telemetry=None,
-compile_cache=None)``, taking one pickleable payload dataclass and
-returning one pickleable result dataclass with a ``metrics`` field.  In
-a worker the core runs through :func:`_in_worker`, which builds the
-task's own :class:`~repro.obs.Telemetry` when the task asks for metrics,
-compiles through the worker's process-global warm-start cache
-(:func:`~repro.parallel.default_compile_cache`) and ships the
-telemetry home as a :class:`~repro.parallel.MetricsSnapshot`; the parent
-stitches and merges snapshots in task order, so a fanned-out batch
-reports the same counters an inline one does.  Spawn-started workers
-pickle task functions *by reference*, so cores and payloads live at
-module level.
-
-The solve ladder's racing rungs (:class:`RungJob`, :func:`run_rung_task`)
-are the one task kind not run here: a race starts by priority, cancels
-its losers and keeps only the winner's snapshot
-(:meth:`~repro.parallel.Supervisor.race`).
+compile_cache=None)``, taking one pickleable payload dataclass of
+domain fields and returning one pickleable result dataclass.  This
+module is the only one that knows what crosses a process boundary.
+Going out, a task rides in a private job record with the dispatch
+span's trace context, a metrics flag and a cache flag.  In the worker
+:func:`_in_worker` runs the core with its own
+:class:`~repro.obs.Telemetry` under that context (when metrics are
+asked for) and the worker's process-global warm-start cache
+(:func:`~repro.parallel.default_compile_cache`).  Coming home, the
+core's value and the worker telemetry as a
+:class:`~repro.obs.MetricsSnapshot` ride in a private return record,
+and :func:`_bring_home` stitches and merges the snapshot: a batch's in
+task order, so a fanned-out batch reports the same counters an inline
+one does; a race's for the winner only.  A plan crosses by name, as
+:meth:`Plan.to_dict <repro.planner.Plan.to_dict>`.  Spawn-started
+workers pickle task functions *by reference*, so cores and payloads
+live at module level.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
 from ..model import AppSpec, Leveling
 from ..network import Network
-from ..obs import Telemetry, make_frame, maybe_span, task_label
+from ..obs import MetricsSnapshot, Telemetry, make_frame, maybe_span, task_label
 from ..obs.context import TraceContext
-from .envelope import MetricsSnapshot, PlanEnvelope
 from .supervisor import SupervisionReport, Supervisor, TaskFailed, resolve_workers
 
 __all__ = [
     "run_tasks",
+    "race_tasks",
     "CellTask",
     "CellResult",
     "run_cell_task",
@@ -84,50 +88,83 @@ def run_tasks(
     propagates unchanged.
 
     *Supervised* otherwise, on ``pool`` or on a fresh supervisor, under
-    the dispatch span ``span``: each task is stamped with the span's
-    trace context, ``with_metrics`` and ``use_cache``
-    (``compile_cache is not None``; the cache itself cannot cross the
-    process boundary), ``on_result`` fires in completion order, and
-    ``inject_kill`` lists task indices whose worker SIGKILLs itself once
-    before running them.  Task exceptions raise one
-    :class:`~repro.parallel.TaskFailed` carrying every failure; worker
-    snapshots are stitched (lane ``index % workers``) and merged into
-    ``telemetry`` in task order.  Quarantined tasks stay in the report
-    for the caller to map.
+    the dispatch span ``span``: each task travels with the span's trace
+    context and asks for worker metrics when ``telemetry`` is set and
+    for the worker's cache when ``compile_cache`` is (the cache itself
+    cannot cross the process boundary), ``on_result`` fires in
+    completion order, and ``inject_kill`` lists task indices whose
+    worker SIGKILLs itself once before running them.  Task exceptions
+    raise one :class:`~repro.parallel.TaskFailed` carrying every
+    failure; worker snapshots are stitched (lane ``index % workers``)
+    and merged into ``telemetry`` in task order.  Quarantined tasks stay
+    in the report for the caller to map.
     """
     tasks = list(tasks)
     if pool is None and resolve_workers(workers, len(tasks)) == 1:
         return _run_inline(fn, tasks, telemetry, compile_cache, on_frame, on_result)
     width = pool.workers if pool is not None else resolve_workers(workers, len(tasks))
     with maybe_span(telemetry, span, workers=width):
-        stamp = {
-            "trace": telemetry.current_context() if telemetry is not None else None,
-            "with_metrics": telemetry is not None,
-            "use_cache": compile_cache is not None,
-        }
-        tasks = [replace(task, **stamp) for task in tasks]
-        job = partial(_in_worker, fn)
+        jobs = _jobs(tasks, telemetry, compile_cache)
         options = dict(
             on_frame=on_frame,
             stream_interval_s=stream_interval_s,
-            on_result=on_result,
+            on_result=(lambda i, done: on_result(i, done.value)) if on_result else None,
             inject_kill=inject_kill,
         )
         if pool is not None:
-            report = pool.run(job, tasks, **options)
+            report = pool.run(partial(_in_worker, fn), jobs, **options)
         else:
             with Supervisor(width, telemetry=telemetry) as fresh:
-                report = fresh.run(job, tasks, **options)
+                report = fresh.run(partial(_in_worker, fn), jobs, **options)
     if report.failures:
         first = min(report.failures)
         message, remote_tb = report.failures[first]
         raise TaskFailed(first, message, remote_tb, failures=report.failures)
-    if telemetry is not None:
-        for index, value in enumerate(report.values):
-            if value is not None:
-                telemetry.stitch_snapshot(value.metrics, worker=index % width)
-                value.metrics.merge_into(telemetry.metrics)
-    return report
+    for index, done in enumerate(report.values):
+        if done is not None:
+            _bring_home(telemetry, done, worker=index % width)
+    return _values(report)
+
+
+def race_tasks(
+    fn: Callable,
+    tasks: Sequence,
+    *,
+    workers: int,
+    telemetry: Telemetry | None,
+    span: str,
+    verdict: Callable[[SupervisionReport], tuple[bool, int | None]],
+    deadline_s: float | None = None,
+    **attrs,
+) -> SupervisionReport:
+    """Race the core ``fn`` over ``tasks`` in priority order (index 0 is best).
+
+    The race runs on a fresh supervisor (:meth:`~repro.parallel.Supervisor.race`)
+    under the dispatch span ``span`` (``workers`` and ``attrs`` are its
+    attributes).  ``verdict(report)`` reads the values settled so far
+    and returns ``(decided, winner index or None)``; the race stops once
+    it is decided or ``deadline_s`` after the start, and a task
+    exception stops it and raises :class:`~repro.parallel.TaskFailed`.
+    Only the winner's worker telemetry is stitched and merged into
+    ``telemetry``: the losers' work was cancelled, so counting it would
+    misstate the cost of the result.
+    """
+    with maybe_span(telemetry, span, workers=workers, **attrs):
+        jobs = _jobs(tasks, telemetry, None)
+        with Supervisor(resolve_workers(workers, len(jobs)), telemetry=telemetry) as sup:
+            report = sup.race(
+                partial(_in_worker, fn),
+                jobs,
+                accept=lambda r: bool(r.failures) or verdict(_values(r))[0],
+                deadline_s=deadline_s,
+            )
+    if report.failures:  # a task raised: a bug, not a verdict
+        report.raise_on_failure()
+    values = _values(report)
+    _decided, winner = verdict(values)
+    if winner is not None:
+        _bring_home(telemetry, report.values[winner])
+    return values
 
 
 def _run_inline(fn, tasks, telemetry, compile_cache, on_frame, on_result):
@@ -150,17 +187,55 @@ def _run_inline(fn, tasks, telemetry, compile_cache, on_frame, on_result):
     return report
 
 
-def _in_worker(fn, task):
+@dataclass(frozen=True)
+class _Job:
+    """One task on its way into a worker (``task_label`` reads ``task``)."""
+
+    task: object
+    trace: TraceContext | None
+    with_metrics: bool
+    use_cache: bool
+
+
+@dataclass(frozen=True)
+class _Done:
+    """One core's value on its way home, with the worker's telemetry."""
+
+    value: object
+    metrics: MetricsSnapshot  # FrameSender.task_end streams its records
+
+
+def _jobs(tasks, telemetry, compile_cache) -> list[_Job]:
+    """Wrap ``tasks`` for workers; call inside the dispatch span."""
+    trace = telemetry.current_context() if telemetry is not None else None
+    return [_Job(task, trace, telemetry is not None, compile_cache is not None) for task in tasks]
+
+
+def _in_worker(fn, job: _Job) -> _Done:
     """Run one core in a worker: its own telemetry, the worker's cache."""
     from .cache import default_compile_cache
 
-    telemetry = Telemetry(context=task.trace) if task.with_metrics else None
-    result = fn(
-        task,
+    telemetry = Telemetry(context=job.trace) if job.with_metrics else None
+    value = fn(
+        job.task,
         telemetry=telemetry,
-        compile_cache=default_compile_cache() if task.use_cache else None,
+        compile_cache=default_compile_cache() if job.use_cache else None,
     )
-    return replace(result, metrics=MetricsSnapshot.from_telemetry(telemetry))
+    return _Done(value, MetricsSnapshot.from_telemetry(telemetry))
+
+
+def _bring_home(telemetry, done: _Done, worker: int | None = None) -> None:
+    """Stitch and merge one worker snapshot into ``telemetry``."""
+    if telemetry is not None:
+        telemetry.stitch_snapshot(done.metrics, worker=worker)
+        done.metrics.merge_into(telemetry.metrics)
+
+
+def _values(report: SupervisionReport) -> SupervisionReport:
+    """``report`` with each return record replaced by the core's value."""
+    return replace(
+        report, values=[done.value if done is not None else None for done in report.values]
+    )
 
 
 # -- Table 2 cells (experiments.harness fan-out) -------------------------------
@@ -175,19 +250,15 @@ class CellTask:
     source_bw: float
     demand: float
     rg_node_budget: int
-    with_metrics: bool = False
-    use_cache: bool = True
     static_prune: str | None = None
-    trace: TraceContext | None = None
     profile: bool = False
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """A solved cell: the row (plan stripped to names), worker metrics."""
+    """A solved cell: the row, its plan stripped to names."""
 
     row: object  # Table2Row with plan=None and plan_names filled
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     profile: bytes = b""
     """Marshal pstats blob of the whole task, when profiling was asked."""
     pid: int = 0
@@ -236,19 +307,15 @@ class CampaignTask:
     events: int | None = None
     time_limit_s: float | None = None
     include_timings: bool = False
-    with_metrics: bool = False
-    use_cache: bool = True
-    trace: TraceContext | None = None
 
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """One campaign run's deterministic record plus worker metrics."""
+    """One campaign run's deterministic record."""
 
     seed: int | None
     record: dict
     description: str
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
 
 def run_campaign_task(
@@ -298,9 +365,6 @@ class DomainTask:
     leveling: Leveling | None
     rg_node_budget: int = 200_000
     time_limit_s: float | None = None
-    with_metrics: bool = False
-    use_cache: bool = True
-    trace: TraceContext | None = None
 
 
 @dataclass(frozen=True)
@@ -319,7 +383,6 @@ class DomainResult:
     exact_cost: float = 0.0
     failure: str = ""
     compile_source: str = "fresh"
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
 
 def run_domain_task(
@@ -381,10 +444,7 @@ class RepairTask:
     rg_node_budget: int = 20_000
     time_limit_s: float | None = None
     use_delta: bool = False
-    use_cache: bool = True
     replan_from_scratch: bool = True
-    with_metrics: bool = False
-    trace: TraceContext | None = None
 
 
 @dataclass(frozen=True)
@@ -405,7 +465,6 @@ class RepairOutcome:
     failure: str = ""
     compile_source: str = "fresh"
     wall_ms: float = 0.0
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
     @property
     def failed(self) -> bool:
@@ -423,28 +482,25 @@ class RungJob:
     app: AppSpec
     network: Network
     config: object  # PlannerConfig with telemetry stripped
-    with_metrics: bool = False
-    trace: TraceContext | None = None
 
 
 @dataclass(frozen=True)
 class RungOutcome:
-    """One rung's attempt record and, when it succeeded, its plan."""
+    """One rung's attempt record and, when it succeeded, its plan by name."""
 
     attempt: object  # repro.planner.robust.RungAttempt
-    plan: PlanEnvelope | None = None
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
+    plan: dict | None = None  # Plan.to_dict()
+    stats: object = None  # the plan's PlannerStats
 
 
-def run_rung_task(job: RungJob) -> RungOutcome:
-    """Run one ladder rung in this worker; planner errors come back as data."""
+def run_rung_task(
+    job: RungJob, *, telemetry: Telemetry | None = None, compile_cache=None
+) -> RungOutcome:
+    """Run one ladder rung; planner errors come back as data."""
     from ..planner.robust import attempt_rung
 
-    telemetry = Telemetry(context=job.trace) if job.with_metrics else None
     config = replace(job.config, telemetry=telemetry)
     plan, attempt, _error = attempt_rung(job.rung, job.app, job.network, config)
-    return RungOutcome(
-        attempt=attempt,
-        plan=PlanEnvelope.from_plan(plan) if plan is not None else None,
-        metrics=MetricsSnapshot.from_telemetry(telemetry),
-    )
+    if plan is None:
+        return RungOutcome(attempt)
+    return RungOutcome(attempt, plan.to_dict(), plan.stats)

@@ -21,6 +21,7 @@ from ..expr import (
     eval_float,
 )
 from ..compile import CompiledProblem, EffectKind, GroundAction, replay_backend
+from ..compile.actions import is_resource_var
 from ..obs import Telemetry, maybe_span
 from .errors import ExecutionError
 
@@ -166,7 +167,7 @@ class PlanExecutor:
             committed = action.committed.get(spec_var)
             if committed is None:
                 continue  # output-only mapping: written by effects below
-            if _is_resource_var(spec_var):
+            if is_resource_var(spec_var):
                 if raw is None:
                     raise ExecutionError(f"{action.name}: resource {gvar} has no value")
                 env[spec_var] = raw
@@ -267,5 +268,3 @@ def _execute(problem: CompiledProblem, actions: list[GroundAction]) -> Execution
     return executor.report()
 
 
-def _is_resource_var(spec_var: str) -> bool:
-    return spec_var.startswith("Node.") or spec_var.startswith("Link.")

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from ..compile import CompiledProblem, GroundAction
+from ..compile.actions import is_resource_var
 from ..intervals import Interval
 from ..obs import Telemetry, maybe_span
 from .errors import ExecutionError
@@ -58,7 +59,7 @@ def _throttled_actions(actions: list[GroundAction], factor: float) -> list[Groun
     for action in actions:
         committed = {}
         for spec_var, iv in action.committed.items():
-            if spec_var.startswith(("Node.", "Link.")) or math.isinf(iv.hi):
+            if is_resource_var(spec_var) or math.isinf(iv.hi):
                 committed[spec_var] = iv
             else:
                 committed[spec_var] = Interval.closed(0.0, iv.hi * factor)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from ..model import AppSpec, Leveling, LevelSpec
 from ..network import Network
 from ..network.partition import PartitionError
-from ..obs import Telemetry, maybe_span, timed
+from ..obs import Telemetry, timed
 from .deadline import Deadline
 from .errors import ResourceInfeasible, SearchBudgetExceeded, Unsolvable
 from .plan import Plan
@@ -378,20 +378,20 @@ def _race_attempts(rungs: list[Rung], report) -> list[RungAttempt | None]:
 def _race(
     app: AppSpec, network: Network, rungs: list[Rung], config: PlannerConfig, workers: int
 ) -> SolveOutcome:
-    """Race the rungs on a supervisor (``run_ladder(workers>1)``).
+    """Race the rungs across worker processes (``run_ladder(workers>1)``).
 
-    Each rung is one payload of :meth:`~repro.parallel.Supervisor.race`,
-    in priority order, with the whole time budget; :func:`_verdict` is
-    the acceptance policy, and the race gives up ``_RACE_GRACE_S`` past
-    the budget.  The winner's plan travels home as a
-    :class:`~repro.parallel.PlanEnvelope` and is rebound to a problem
-    compiled in the parent, through the warm-start cache, from the
-    winning rung's inputs: leveling, bound overrides, strictness, scope.
-    Only the winner's worker metrics are merged (the losers' work was
-    cancelled, so counting it would misstate the cost of the plan).
+    Each rung is one task of :func:`~repro.parallel.race_tasks`, in
+    priority order, with the whole time budget; :func:`_verdict` is the
+    acceptance policy, and the race gives up ``_RACE_GRACE_S`` past the
+    budget.  The winner's plan travels home by name
+    (:meth:`Plan.to_dict`) and is rebound to a problem compiled in the
+    parent, through the warm-start cache, from the winning rung's inputs:
+    leveling, bound overrides, strictness, scope.  Only the winner's
+    worker metrics and spans are merged (the losers' work was cancelled,
+    so counting it would misstate the cost of the plan); the spans
+    stitch under the ``robust.race`` dispatch span.
     """
-    from ..parallel import RungJob, Supervisor, default_compile_cache, resolve_workers
-    from ..parallel import run_rung_task
+    from ..parallel import RungJob, default_compile_cache, race_tasks, run_rung_task
 
     telemetry = config.telemetry
     metrics = telemetry.metrics if telemetry is not None else None
@@ -401,22 +401,16 @@ def _race(
         # Supervisor workers are daemonic and cannot start a nested
         # supervisor; domain plans are byte-identical at any width.
         child = replace(child, hierarchy=replace(child.hierarchy, workers=1))
-
-    # Dispatch span: racing rungs inherit its context, so the winner's
-    # remote spans stitch under it in the merged trace.
-    with maybe_span(telemetry, "robust.race", workers=workers, rungs=len(rungs)):
-        trace = telemetry.current_context() if telemetry is not None else None
-        jobs = [RungJob(rung, app, network, child, metrics is not None, trace) for rung in rungs]
-        with Supervisor(resolve_workers(workers, len(jobs)), telemetry=telemetry) as sup:
-            report = sup.race(
-                run_rung_task,
-                jobs,
-                accept=lambda r: bool(r.failures)
-                or _verdict(rungs, _race_attempts(rungs, r))[0],
-                deadline_s=budget + _RACE_GRACE_S if budget is not None else None,
-            )
-    if report.failures:  # a rung raised: a bug, not a planner verdict
-        report.raise_on_failure()
+    report = race_tasks(
+        run_rung_task,
+        [RungJob(rung, app, network, child) for rung in rungs],
+        workers=workers,
+        telemetry=telemetry,
+        span="robust.race",
+        verdict=lambda r: _verdict(rungs, _race_attempts(rungs, r)),
+        deadline_s=budget + _RACE_GRACE_S if budget is not None else None,
+        rungs=len(rungs),
+    )
 
     settled = _race_attempts(rungs, report)
     decided, winner = _verdict(rungs, settled)
@@ -448,9 +442,8 @@ def _race(
         app, scope, rung.leveling, config.bound_overrides or None, config.strict, metrics=metrics
     )
     result = report.values[winner]
-    outcome.plan, outcome.winner = result.plan.restore(problem), rung.name
+    outcome.plan, outcome.winner = Plan.from_dict(result.plan, problem), rung.name
+    outcome.plan.stats = result.stats
     if metrics is not None:
         metrics.inc(f"robust.fallback.{outcome.rung}")
-        telemetry.stitch_snapshot(result.metrics)
-        result.metrics.merge_into(metrics)
     return outcome

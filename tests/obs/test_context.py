@@ -3,9 +3,10 @@
 import pickle
 import time
 
-from repro.obs import Telemetry, TraceContext, new_trace_id
+from hypothesis import given, settings, strategies as st
+
+from repro.obs import MetricsSnapshot, Telemetry, TraceContext, new_trace_id
 from repro.obs.context import REMOTE_ID_BASE
-from repro.parallel import MetricsSnapshot
 
 
 def _worker_snapshot(context: TraceContext | None) -> tuple[Telemetry, MetricsSnapshot]:
@@ -99,3 +100,42 @@ class TestStitchSnapshot:
         snapshot = MetricsSnapshot.from_telemetry(None)
         assert snapshot.spans == () and snapshot.trace_id == ""
         assert Telemetry().stitch_snapshot(snapshot) == []
+
+
+class TestMetricsSnapshot:
+    def test_round_trip_merges_into_registry(self):
+        tele = Telemetry()
+        tele.metrics.inc("cache.hit", 3)
+        tele.metrics.observe("rg.f_value", 7.0)
+        snap = pickle.loads(pickle.dumps(MetricsSnapshot.from_telemetry(tele)))
+        other = Telemetry()
+        snap.merge_into(other.metrics)
+        assert other.metrics.counter("cache.hit").value == 3
+        assert other.metrics.histogram("rg.f_value").count == 1
+
+    def test_none_telemetry_is_empty(self):
+        snap = MetricsSnapshot.from_telemetry(None)
+        assert snap.records == ()
+        snap.merge_into(None)  # no-op, no crash
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    names=st.lists(
+        st.text(alphabet="abcxyz.", min_size=1, max_size=12), min_size=0, max_size=5
+    ),
+    values=st.lists(st.integers(min_value=0, max_value=10**9), min_size=5, max_size=5),
+)
+def test_metrics_snapshot_round_trip(names, values):
+    tele = Telemetry()
+    for name, value in zip(names, values):
+        tele.metrics.inc(f"c.{name}", value)
+    snap = MetricsSnapshot.from_telemetry(tele)
+    clone = pickle.loads(pickle.dumps(snap))
+    other = Telemetry()
+    clone.merge_into(other.metrics)
+    for name, value in zip(names, values):
+        # duplicate names accumulate in the source registry already
+        assert other.metrics.counter(f"c.{name}").value == tele.metrics.counter(
+            f"c.{name}"
+        ).value

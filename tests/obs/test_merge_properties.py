@@ -10,8 +10,7 @@ is exactly why the drivers fix the order).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import MetricsRegistry, Telemetry
-from repro.parallel import MetricsSnapshot
+from repro.obs import MetricsRegistry, MetricsSnapshot, Telemetry
 
 names = st.sampled_from(["cache.hit", "cache.miss", "rg.prune", "pool.tasks"])
 hist_names = st.sampled_from(["repair.ttr", "rg.f_value"])

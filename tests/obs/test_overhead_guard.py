@@ -104,27 +104,30 @@ def test_disabled_planner_allocates_no_telemetry_objects(problem):
 class TestStreamingAndContextStayOff:
     """The fleet-observability hooks obey the same off-by-default bar.
 
-    Streaming, trace context, and profiling all ride the existing task
-    envelopes and pipes — when nothing asks for them, no frames are
-    produced, tasks carry ``trace=None``, and the snapshot that travels
+    Streaming, trace context, and profiling all ride the existing worker
+    job records and pipes — when nothing asks for them, no frames are
+    produced, jobs carry ``trace=None``, and the snapshot that travels
     home is the empty frozen default (a near-free pickle).
     """
 
     def test_default_cell_task_carries_no_observability(self):
-        from repro.parallel import CellTask, MetricsSnapshot, run_cell_task
+        from repro.obs import MetricsSnapshot
+        from repro.parallel import CellTask, run_cell_task
+        from repro.parallel.workers import _in_worker, _jobs
 
         task = CellTask(
             network="Tiny", scenario="B", source_bw=1.0, demand=1.0,
             rg_node_budget=10_000,
         )
-        assert task.trace is None
+        (job,) = _jobs([task], telemetry=None, compile_cache=None)
+        assert job.trace is None
         assert task.profile is False
-        assert task.with_metrics is False
-        result = run_cell_task(task)
-        assert result.profile == b""
+        assert job.with_metrics is False
+        done = _in_worker(run_cell_task, job)
+        assert done.value.profile == b""
         # from_telemetry(None) is the shared all-default instance.
-        assert result.metrics == MetricsSnapshot()
-        assert result.metrics.spans == () and result.metrics.trace_id == ""
+        assert done.metrics == MetricsSnapshot()
+        assert done.metrics.spans == () and done.metrics.trace_id == ""
 
     def test_harness_without_telemetry_sends_no_trace_context(self, monkeypatch):
         from repro.experiments import harness
@@ -134,26 +137,26 @@ class TestStreamingAndContextStayOff:
         original = Supervisor.run
 
         def spy(self, fn, payloads, on_frame=None, stream_interval_s=None, **kwargs):
-            seen["tasks"] = list(payloads)
+            seen["jobs"] = list(payloads)
             seen["on_frame"] = on_frame
             seen["stream_interval_s"] = stream_interval_s
-            return original(self, fn, seen["tasks"], on_frame=on_frame,
+            return original(self, fn, seen["jobs"], on_frame=on_frame,
                             stream_interval_s=stream_interval_s, **kwargs)
 
         monkeypatch.setattr(Supervisor, "run", spy)
         # Two cells: a one-cell sweep runs inline and never reaches a worker.
         harness.run_table2(("Tiny",), ("B", "C"), workers=2)
-        assert len(seen["tasks"]) == 2
+        assert len(seen["jobs"]) == 2
         assert all(
-            t.trace is None and not t.profile and not t.with_metrics
-            for t in seen["tasks"]
+            j.trace is None and not j.task.profile and not j.with_metrics
+            for j in seen["jobs"]
         )
         assert seen["on_frame"] is None and seen["stream_interval_s"] is None
 
     def test_empty_snapshot_pickle_is_tiny(self):
         import pickle
 
-        from repro.parallel import MetricsSnapshot
+        from repro.obs import MetricsSnapshot
 
         empty = pickle.dumps(MetricsSnapshot())
         assert len(empty) < 256  # the per-task wire cost when telemetry is off

@@ -9,10 +9,11 @@ from repro.obs import (
     LiveMonitor,
     MetricsRegistry,
     StreamAggregator,
+    MetricsSnapshot,
     make_frame,
     task_label,
 )
-from repro.parallel import CampaignTask, CellTask, MetricsSnapshot, RepairTask
+from repro.parallel import CampaignTask, CellTask, RepairTask
 
 
 class TestTaskLabel:

@@ -19,6 +19,7 @@ from repro.experiments.harness import run_table2
 from repro.obs import StreamAggregator, Telemetry, export_trace, load_trace
 from repro.obs.context import REMOTE_ID_BASE
 from repro.parallel import CellTask, Supervisor, run_cell_task
+from repro.parallel.workers import _in_worker, _jobs
 
 pytestmark = pytest.mark.slow  # spawns real worker processes
 
@@ -111,9 +112,10 @@ class TestOptIn:
             network="Tiny", scenario="B", source_bw=1.0, demand=1.0,
             rg_node_budget=10_000,
         )
-        assert task.trace is None and task.with_metrics is False
-        result = run_cell_task(task)
-        assert result.metrics.spans == () and result.metrics.trace_id == ""
+        (job,) = _jobs([task], telemetry=None, compile_cache=None)
+        assert job.trace is None and job.with_metrics is False
+        done = _in_worker(run_cell_task, job)
+        assert done.metrics.spans == () and done.metrics.trace_id == ""
 
 
 def _sleepy(seconds: float) -> float:

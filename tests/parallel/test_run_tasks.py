@@ -5,12 +5,12 @@ A toy core squares its task's ``seed`` (so ``task_label`` renders it as
 test runs the same batch inline and on two workers and compares.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 
 from repro.obs import Telemetry
-from repro.parallel import MetricsSnapshot, TaskFailed, run_tasks
+from repro.parallel import TaskFailed, run_tasks
 
 pytestmark = pytest.mark.slow  # spawns real worker processes
 
@@ -18,15 +18,11 @@ pytestmark = pytest.mark.slow  # spawns real worker processes
 @dataclass(frozen=True)
 class ToyTask:
     seed: int
-    with_metrics: bool = False
-    use_cache: bool = False
-    trace: object = None
 
 
 @dataclass(frozen=True)
 class ToyResult:
     square: int
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
 
 
 def toy_core(task, *, telemetry=None, compile_cache=None):
@@ -80,6 +76,24 @@ class TestInlineMatchesSupervised:
             telemetry = Telemetry()
             run(workers, telemetry=telemetry)
             assert telemetry.metrics.counter("toy.calls").value == len(TASKS)
+
+
+class TestDomainOnlyTasks:
+    """Tasks and results carry domain fields only; the wrapper carries the rest."""
+
+    def test_supervised_with_telemetry_equals_inline(self):
+        inline, fanned = Telemetry(), Telemetry()
+        inline_values = [r.square for r in run(1, telemetry=inline).values]
+        fanned_values = [r.square for r in run(2, telemetry=fanned).values]
+        assert fanned_values == inline_values == [9, 1, 16, 1, 25]
+        assert (
+            fanned.metrics.counter("toy.calls").value
+            == inline.metrics.counter("toy.calls").value
+            == len(TASKS)
+        )
+        # Worker spans would stitch under the dispatch span; the toy core
+        # records none, so only the counters come home.
+        assert any(sp.name == "toy.fanout" for sp in fanned.spans.spans)
 
 
 class TestFailures:

@@ -615,8 +615,22 @@ class TestBadInput:
             ("plan", "--network", '{"format": 99}', "unsupported network format version 99"),
             ("plan", "--spec", "<interface>\n", "line 1: <interface> needs a name attribute"),
             ("plan", "--spec", "<component name=A>\n<effects>\nNode.cpu -= (\n", "unexpected token"),
+            ("simulate", "--campaign", "{", "Expecting property name enclosed in double quotes"),
+            ("controller", "--campaign", "{", "Expecting property name enclosed in double quotes"),
+            ("lint", "--network", "[]", "a network must be a JSON object, got list"),
+            ("lint", "--network", '{"format": 1, "nodes": [{"resources": {}}]}', 'node 0 must be'),
+            (
+                "plan",
+                "--network",
+                '{"format": 1, "nodes": [{"id": "n0"}, {"id": "n1"}], "links": [{"a": "n0"}]}',
+                'link 0 must be an object with "a" and "b"',
+            ),
         ],
-        ids=["bad-json", "network-format", "spec-syntax", "spec-formula"],
+        ids=[
+            "bad-json", "network-format", "spec-syntax", "spec-formula",
+            "simulate-campaign-json", "controller-campaign-json",
+            "network-not-object", "network-node-without-id", "network-link-without-ends",
+        ],
     )
     def test_unparsable_file_is_one_stderr_line(
         self, workdir, capsys, command, flag, text, reason
