@@ -335,6 +335,13 @@ def _journaled_run(
 
     app, network, leveling = _load_instance(args)
     spec = _parse_input(args.campaign, json.loads) if args.campaign else {}
+    if not isinstance(spec, dict):
+        print(
+            f"repro: cannot parse {args.campaign}: a campaign must be a JSON object, "
+            f"got {type(spec).__name__}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     spec = {**spec, **(spec_overrides or {})}
     telemetry = _make_telemetry(args)
     monitor = _make_live_monitor(args)

@@ -38,8 +38,10 @@ from dataclasses import dataclass
 
 from ..compile import CompiledProblem, EffectKind, GroundAction, iface_prop_var
 from ..compile.actions import is_resource_var
+from ..compile.reachability import _MAX_PASSES, _WIDEN_AFTER
 from ..expr import EvalError, condition_satisfiable, eval_interval
 from ..intervals import Interval, iadd, imax, imin, isub
+from ..planner.executor import _EPS
 
 __all__ = [
     "AbstractStep",
@@ -49,10 +51,6 @@ __all__ = [
     "compute_envelopes",
     "initial_envelopes",
 ]
-
-_EPS = 1e-6  # must match repro.planner.executor._EPS
-_WIDEN_AFTER = 8
-_MAX_PASSES = 50  # safety budget only; widening guarantees convergence
 
 
 @dataclass(frozen=True)

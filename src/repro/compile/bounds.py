@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ..expr import EvalError, eval_float, variables
+from ..expr import EvalError, eval_float
 from ..model import AppSpec, SpecError
 from ..network import Network
 
@@ -141,19 +141,4 @@ def resource_capacity_bounds(app: AppSpec, network: Network) -> dict[str, float]
         out[f"Link.{r.name}"] = max(
             (lk.capacity(r.name) for lk in network.links.values()), default=0.0
         )
-    return out
-
-
-def all_formula_vars(app: AppSpec) -> set[str]:
-    """All spec vars mentioned anywhere in the app's formulas."""
-    out: set[str] = set()
-    for comp in app.components.values():
-        for f in comp.all_formulas():
-            out |= variables(f)
-    for iface in app.interfaces.values():
-        formulas = list(iface.cross_conditions) + list(iface.cross_effects)
-        if iface.cross_cost is not None:
-            formulas.append(iface.cross_cost)
-        for f in formulas:
-            out |= variables(f)
     return out

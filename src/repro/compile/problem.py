@@ -102,9 +102,6 @@ class CompiledProblem:
     def prop_str(self, pid: int) -> str:
         return str(self.props[pid])
 
-    def action_count(self) -> int:
-        return len(self.actions)
-
     def holds_initially(self, pid: int) -> bool:
         return pid in self.initial_prop_ids
 

@@ -584,6 +584,8 @@ def _fused_scale_assign(
             shi = s.hi
             slo_o = s.lo_open
             shi_o = s.hi_open
+        if slo == shi and (slo_o or shi_o or _isinf(slo)):
+            return EMPTY  # the scale overflowed to [inf, inf]: empty, as iadd sees it
         if add:
             return Interval(
                 cur.lo + slo, cur.hi + shi,

@@ -52,7 +52,7 @@ def network_from_dict(data: dict[str, Any]) -> Network:
     NetworkError
         For an unsupported ``format``, or data of the wrong shape: a
         non-object top level, a node without ``"id"``, a link without
-        ``"a"`` and ``"b"``.
+        ``"a"`` and ``"b"``, a ``"resources"`` that is not an object.
     """
     if not isinstance(data, dict):
         raise NetworkError(f"a network must be a JSON object, got {type(data).__name__}")
@@ -65,15 +65,24 @@ def network_from_dict(data: dict[str, Any]) -> Network:
             raise NetworkError(f"node {i} must be an object with an \"id\"")
         net.add_node(
             nd["id"],
-            nd.get("resources", {}),
+            _resources(nd, f"node {i}"),
             nd.get("labels", ()),
             nd.get("software"),
         )
     for i, ld in enumerate(data.get("links", [])):
         if not isinstance(ld, dict) or "a" not in ld or "b" not in ld:
             raise NetworkError(f"link {i} must be an object with \"a\" and \"b\"")
-        net.add_link(ld["a"], ld["b"], ld.get("resources", {}), ld.get("labels", ()))
+        net.add_link(ld["a"], ld["b"], _resources(ld, f"link {i}"), ld.get("labels", ()))
     return net
+
+
+def _resources(entry: dict[str, Any], where: str) -> dict[str, Any]:
+    resources = entry.get("resources", {})
+    if not isinstance(resources, dict):
+        raise NetworkError(
+            f"{where} \"resources\" must be an object, got {type(resources).__name__}"
+        )
+    return resources
 
 
 def save_network(net: Network, path: str | Path) -> None:

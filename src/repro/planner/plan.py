@@ -33,7 +33,9 @@ class Plan:
     incumbent: bool = False
     """Anytime result: the search was cut short (deadline or node budget)
     and this is the best complete plan found, not the proven optimum.
-    ``cost_lb`` is then an upper bound on the optimal lower bound."""
+    ``cost_lb`` is then this plan's own lower bound, which is at or above
+    the optimum's; ``stats.rg_lower_bound`` bounds the optimum from below,
+    so the gap is ``cost_lb - stats.rg_lower_bound``."""
     stop_reason: str = "optimal"
     """Why the search ended: ``"optimal"``, ``"deadline"``, or
     ``"node_budget"``."""

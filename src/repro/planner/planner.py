@@ -347,6 +347,7 @@ class Planner:
                         nodes_created=result.nodes_created,
                         nodes_expanded=result.nodes_expanded,
                         queue_left=result.nodes_left_in_queue,
+                        lower_bound=result.lower_bound,
                     )
             except DeadlineExceeded as exc:
                 if tele is not None:
@@ -360,15 +361,7 @@ class Planner:
                 raise
             stats.rg_ms = rg_span.duration_ms
             stats.slrg_set_nodes = slrg.nodes_created
-            stats.rg_nodes = result.nodes_created
-            stats.rg_queue_left = result.nodes_left_in_queue
-            stats.rg_expanded = result.nodes_expanded
-            stats.rg_replays = result.replay.replays
-            stats.rg_actions_replayed = result.replay.actions_replayed
-            stats.rg_conditions_checked = result.replay.conditions_checked
-            stats.rg_sym_pruned = result.symmetry_pruned
-            stats.incumbent = 1 if result.incumbent else 0
-            stats.deadline_hits = 1 if result.stop_reason == "deadline" else 0
+            stats.fill_rg(result)
             stats.total_ms = inline_analysis_ms + stats.search_ms
             if result.incumbent and tele is not None:
                 tele.metrics.inc("planner.incumbent.returned")

@@ -22,10 +22,8 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable
-
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..compile import CompiledProblem, GroundAction, ReplayCounters, ReplayFailure
 from ..obs import MetricsRegistry, SearchTrace
@@ -35,14 +33,25 @@ from .errors import DeadlineExceeded, ResourceInfeasible, SearchBudgetExceeded
 if TYPE_CHECKING:  # pragma: no cover - type-only; avoids a hard analysis dep
     from ..analysis.symmetry import PruneHints
 
-__all__ = ["RGResult", "regression_search"]
+__all__ = ["PRUNE_REASONS", "RGResult", "SearchRecord", "regression_search"]
 
 _INF = math.inf
+
+PRUNE_REASONS = ("replay", "transposition", "heuristic", "symmetry")
+
+# The anytime probe: weighted A* (f' = g + weight*h), capped at this many
+# created nodes before the optimal search takes over.
+_PROBE_BUDGET = 4096
+_PROBE_WEIGHT = 2.0
 
 # Fixed histogram bounds for the RG work distributions (docs/OBSERVABILITY.md).
 _TAIL_BOUNDS = (1, 2, 4, 8, 16, 32, 64)
 _BRANCH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _US_BOUNDS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
+
+
+# Transposition table: (props, tail action multiset) -> best g.
+_Seen = dict[tuple[frozenset[int], frozenset[int]], float]
 
 
 @dataclass(slots=True)
@@ -72,6 +81,78 @@ class _Node:
         return out
 
 
+class SearchRecord:
+    """The RG's one account of its decisions (paper §3.2.3).
+
+    Every candidate child ends in one decision: it is pruned for one of
+    :data:`PRUNE_REASONS`, or it is *created* (it survived every prune).
+    The record tallies each decision once — ``created`` (the root
+    included), ``expanded``, ``pruned[reason]``, incumbents ``improved``
+    and ``returned``, and the replay work — and the views hang off the
+    same calls: the bounded :class:`~repro.obs.SearchTrace` ring and the
+    RG histograms per event, the ``rg.prune.*``/``rg.incumbent.*``
+    counters from the tally (:meth:`publish`), and
+    :meth:`PlannerStats.fill_rg <repro.planner.PlannerStats.fill_rg>`
+    from the :class:`RGResult` that carries it.
+    """
+
+    def __init__(self, trace: SearchTrace | None = None, metrics: MetricsRegistry | None = None):
+        self.created = 1
+        self.expanded = 0
+        self.pruned = dict.fromkeys(PRUNE_REASONS, 0)
+        self.improved = 0
+        self.returned = 0
+        self.replay = ReplayCounters()
+        self.trace = trace
+        self.metrics = metrics
+        if metrics is not None:
+            self._branch = metrics.histogram("rg.branching_factor", _BRANCH_BOUNDS)
+            self._tail = metrics.histogram("rg.replay.tail_length", _TAIL_BOUNDS)
+            self._us = metrics.histogram("rg.replay.us_per_action", _US_BOUNDS)
+            self._f = metrics.histogram("rg.f_value")
+
+    def expand(self, node: _Node, open_props: int, f: float, candidates: int) -> None:
+        self.expanded += 1
+        if self.trace is not None:
+            self.trace.expanded(open_props, f, node.depth)
+        if self.metrics is not None:
+            self._branch.observe(candidates)
+
+    def prune(self, action: GroundAction, reason: str, depth: int, detail: str) -> None:
+        self.pruned[reason] += 1
+        if self.trace is not None:
+            self.trace.pruned(action.name, reason, depth, detail)
+
+    def replayed(self, depth: int, started: float) -> None:
+        """A tail of ``depth`` actions replayed cleanly from ``started``."""
+        if self.metrics is not None:
+            self._tail.observe(depth)
+            self._us.observe((time.perf_counter() - started) * 1e6 / depth)
+
+    def queued(self, child: _Node, f: float) -> None:
+        """A created child enters an open list (a search that stops at a
+        child counts it as created but never queues it)."""
+        if self.trace is not None:
+            self.trace.created(child.action.name, f, child.depth)
+        if self.metrics is not None:
+            self._f.observe(f)
+
+    def terminal(self, node: _Node) -> None:
+        if self.trace is not None:
+            self.trace.terminal(node.g, node.depth)
+
+    def publish(self) -> None:
+        """Add the tally to the ``rg.prune.*`` and ``rg.incumbent.*`` counters."""
+        if self.metrics is None:
+            return
+        for reason, count in self.pruned.items():
+            self.metrics.inc(f"rg.prune.{reason}", count)
+        if self.improved:
+            self.metrics.inc("rg.incumbent.improved", self.improved)
+        if self.returned:
+            self.metrics.inc("rg.incumbent.returned", self.returned)
+
+
 @dataclass
 class RGResult:
     """Outcome of the RG search.
@@ -80,18 +161,31 @@ class RGResult:
     deadline or node budget) and returned its best complete plan found so
     far instead of the proven optimum.  ``stop_reason`` says why the
     search ended: ``"optimal"``, ``"deadline"``, or ``"node_budget"``.
+    ``lower_bound`` is the proven bound on the optimal cost within the
+    leveling: ``cost_lb`` itself for an optimum, and the open frontier's
+    smallest f (never above the incumbent's cost) for an incumbent.
     """
 
     plan_actions: list[GroundAction]
     cost_lb: float
-    nodes_created: int  # Table 2, column 8 (first number)
+    lower_bound: float
     nodes_left_in_queue: int  # Table 2, column 8 (second number)
-    nodes_expanded: int
-    replay: ReplayCounters = field(default_factory=ReplayCounters)
+    record: SearchRecord
     incumbent: bool = False
     stop_reason: str = "optimal"
-    symmetry_pruned: int = 0
-    """Children skipped by the verified symmetry sibling prune."""
+
+    @property
+    def nodes_created(self) -> int:
+        """Table 2, column 8 (first number)."""
+        return self.record.created
+
+    @property
+    def nodes_expanded(self) -> int:
+        return self.record.expanded
+
+    @property
+    def replay(self) -> ReplayCounters:
+        return self.record.replay
 
 
 def regression_search(
@@ -105,7 +199,6 @@ def regression_search(
     metrics: MetricsRegistry | None = None,
     deadline: Deadline | None = None,
     allow_incumbent: bool = False,
-    probe_budget: int = 4096,
     symmetry: "PruneHints | None" = None,
 ) -> RGResult:
     """A* regression with plan-tail replay.
@@ -130,8 +223,9 @@ def regression_search(
         Optional observability channels (see :mod:`repro.obs`): a bounded
         event trace, and a registry receiving the RG work distributions
         (branching factors, replay tail lengths, f-values, per-action
-        replay microseconds) plus per-reason prune counters.  Both default
-        to off; the hot loop then runs exactly as before.
+        replay microseconds) plus per-reason prune counters.  Both are
+        views of the run's :class:`SearchRecord`; the counters are
+        published on every exit, a raised error included.
     deadline:
         Optional wall-clock deadline, polled once per expansion with a
         strided clock read (docs/ROBUSTNESS.md).
@@ -143,13 +237,11 @@ def regression_search(
         ``RGResult.incumbent`` — instead of raising.  With no incumbent
         yet, exhaustion still raises.  Because an accurate heuristic makes
         A* create its first terminal node only near the optimum, anytime
-        mode first runs a bounded *greedy probe* (best-first on ``h``
-        alone, up to ``probe_budget`` nodes) to establish an initial
-        incumbent quickly; the probe's plan is feasible (replay-checked)
-        but usually suboptimal.
-    probe_budget:
-        Node cap for the greedy incumbent probe (anytime mode only;
-        ``0`` disables the probe).
+        mode first runs a bounded weighted-A* *probe* (``f' = g + 2h``, up
+        to 4096 created nodes) to establish an initial incumbent quickly;
+        the probe's plan is feasible (replay-checked) but usually
+        suboptimal.  The probe expands through the same child generator
+        as the main loop, so its work is in the same record.
     symmetry:
         Optional verified prune hints from the static analysis
         (:func:`repro.analysis.compute_symmetry`).  When a candidate
@@ -185,177 +277,24 @@ def regression_search(
         prop_rank = lambda pid: heuristic(frozenset((pid,)))  # noqa: E731
 
     root = _Node(props=frozenset(problem.goal_prop_ids), g=0.0, action=None, parent=None, depth=0)
-    counters = ReplayCounters()
-
-    # Metric instruments are resolved once, outside the loop; when metrics
-    # are off the per-iteration cost is a single None check per site.
-    if metrics is not None:
-        branch_hist = metrics.histogram("rg.branching_factor", _BRANCH_BOUNDS)
-        tail_hist = metrics.histogram("rg.replay.tail_length", _TAIL_BOUNDS)
-        f_hist = metrics.histogram("rg.f_value")
-        us_hist = metrics.histogram("rg.replay.us_per_action", _US_BOUNDS)
-        prune_counters = {
-            reason: metrics.counter(f"rg.prune.{reason}")
-            for reason in ("replay", "transposition", "heuristic", "symmetry")
-        }
-
+    rec = SearchRecord(trace, metrics)
+    replay = rec.replay
+    clock = time.perf_counter
     counter = itertools.count()
-    h0 = heuristic(root.props)
-    if h0 == _INF:
-        raise ResourceInfeasible("goal set has no logical support")
-    # Ties on f are broken toward smaller h (deeper progress), which walks
-    # a uniform-cost plateau depth-first instead of flooding it.
-    heap: list[tuple[float, float, int, _Node]] = [(h0, h0, next(counter), root)]
-    nodes_created = 1
-    nodes_expanded = 0
-    # Transposition pruning: (props, tail action multiset) -> best g.
-    seen: dict[tuple[frozenset[int], frozenset[int]], float] = {}
-    # Anytime state: cheapest complete node created so far.  A node whose
-    # propositions all hold initially is a valid plan the moment it is
-    # created (its replay base *is* the initial map), so it can stand in
-    # for the optimum when the search is cut short.
-    incumbent: _Node | None = None
-    symmetry_pruned = 0
 
-    def _weighted_probe(cap: int, weight: float = 2.0) -> tuple[_Node | None, int]:
-        """Weighted A* (``f' = g + weight·h``): find *some* complete plan fast.
+    def children(
+        node: _Node, open_props: frozenset[int], f: float, seen: _Seen
+    ) -> Iterator[tuple[_Node, float]]:
+        """Expand ``node``: yield ``(child, h)`` for each created child.
 
-        Returns ``(terminal_node_or_None, nodes_created)``.  Children are
-        generated and replay-validated exactly like the main loop, so a
-        returned node is a feasible plan; its cost is within ``weight``
-        times the optimum.  Pure h-greedy descent drowns in this space —
-        feasible complete tails are rare off the cost-ordered frontier —
-        but inflating h by 2 keeps enough g-ordering to reach a terminal
-        in a few thousand nodes on the Fig. 10 instances.
+        Children must achieve at least one open proposition (the paper's
+        rule): by default any one; with ``branch_all_props`` off, the
+        hardest only.  A child is pruned as a repeat of a tail action
+        (silently: add-only logic never needs one), as a verified
+        symmetry image, as a transposition of a no-cheaper ``seen`` entry,
+        by a failed tail replay, or by an infinite heuristic; every
+        decision goes to the record once.
         """
-        pheap: list[tuple[tuple[float, float], int, _Node]] = [
-            ((weight * h0, h0), next(counter), root)
-        ]
-        pseen: dict[tuple[frozenset[int], frozenset[int]], float] = {}
-        created = 0
-        while pheap:
-            if deadline is not None and deadline.poll():
-                return None, created
-            _pf, _pt, pnode = heapq.heappop(pheap)
-            p_open = pnode.props - initial
-            if not p_open:
-                return pnode, created
-            cands: set[int] = set()
-            if branch_all_props:
-                for pid in p_open:
-                    cands.update(achievers.get(pid, ()))
-            else:
-                cands.update(achievers.get(max(p_open, key=prop_rank), ()))
-            for a_idx in cands:
-                if a_idx in pnode.tail_ids:
-                    continue
-                action = actions[a_idx]
-                new_props = frozenset((pnode.props - action.add_props) | action.pre_props)
-                child_tail_ids = pnode.tail_ids | {a_idx}
-                key = (new_props, child_tail_ids)
-                ng = pnode.g + action.cost_lb
-                prev = pseen.get(key)
-                if prev is not None and prev <= ng:
-                    continue
-                child = _Node(
-                    props=new_props,
-                    g=ng,
-                    action=action,
-                    parent=pnode,
-                    depth=pnode.depth + 1,
-                    tail_ids=child_tail_ids,
-                )
-                rmap = problem.initial_map()
-                counters.replays += 1
-                try:
-                    step: _Node | None = child
-                    while step is not None and step.action is not None:
-                        step.action.replay(rmap, counters)
-                        step = step.parent
-                except ReplayFailure:
-                    continue
-                if not (new_props - initial):
-                    return child, created + 1
-                nh = heuristic(new_props)
-                if nh == _INF:
-                    continue
-                pseen[key] = ng
-                created += 1
-                if created > cap:
-                    return None, created
-                heapq.heappush(pheap, ((ng + weight * nh, nh), next(counter), child))
-        return None, created
-
-    if allow_incumbent and probe_budget > 0:
-        incumbent, probe_created = _weighted_probe(probe_budget)
-        nodes_created += probe_created
-        if metrics is not None and incumbent is not None:
-            metrics.inc("rg.incumbent.improved")
-
-    def _interrupted(reason: str) -> RGResult:
-        """Return the incumbent on early stop, or raise the structured error."""
-        if allow_incumbent and incumbent is not None:
-            if trace is not None:
-                trace.terminal(incumbent.g, incumbent.depth)
-            if metrics is not None:
-                metrics.inc("rg.incumbent.returned")
-            return RGResult(
-                plan_actions=incumbent.tail(),
-                cost_lb=incumbent.g,
-                nodes_created=nodes_created,
-                nodes_left_in_queue=len(heap),
-                nodes_expanded=nodes_expanded,
-                replay=counters,
-                incumbent=True,
-                stop_reason=reason,
-                symmetry_pruned=symmetry_pruned,
-            )
-        if reason == "deadline":
-            raise DeadlineExceeded(
-                phase="rg",
-                time_limit_s=deadline.time_limit_s,
-                nodes_expanded=nodes_expanded,
-                nodes_created=nodes_created,
-                elapsed_s=deadline.elapsed_s(),
-            )
-        # elapsed_s stays 0.0: Planner.solve fills in the rg span's time.
-        raise SearchBudgetExceeded(
-            phase="rg",
-            nodes_expanded=nodes_expanded,
-            nodes_created=nodes_created,
-            budget=node_budget,
-        )
-
-    while heap:
-        if deadline is not None and deadline.poll():
-            return _interrupted("deadline")
-        f, _h, _tie, node = heapq.heappop(heap)
-        open_props = node.props - initial
-
-        if not open_props:
-            # Logically satisfied; final validation replays against the
-            # exact initial map (already done at creation — the node's
-            # replay base *is* the initial map — so this is terminal).
-            if trace is not None:
-                trace.terminal(node.g, node.depth)
-            return RGResult(
-                plan_actions=node.tail(),
-                cost_lb=node.g,
-                nodes_created=nodes_created,
-                nodes_left_in_queue=len(heap),
-                nodes_expanded=nodes_expanded,
-                replay=counters,
-                symmetry_pruned=symmetry_pruned,
-            )
-
-        nodes_expanded += 1
-        if trace is not None:
-            trace.expanded(len(open_props), f, node.depth)
-
-        # Child actions must achieve at least one open proposition (the
-        # paper's rule).  By default we fix the hardest open proposition
-        # and branch over its achievers only; branch_all_props restores
-        # the literal any-proposition branching.
         candidate_actions: set[int] = set()
         if branch_all_props:
             for pid in open_props:
@@ -363,14 +302,15 @@ def regression_search(
         else:
             target = max(open_props, key=prop_rank)
             candidate_actions.update(achievers.get(target, ()))
-        if metrics is not None:
-            branch_hist.observe(len(candidate_actions))
+        rec.expand(node, len(open_props), f, len(candidate_actions))
 
         tail_ids = node.tail_ids
+        depth = node.depth + 1
         mentioned: set[str] | None = None  # nodes touched by props/tail, lazy
         for a_idx in candidate_actions:
             if a_idx in tail_ids:
-                continue  # add-only logic never needs a repeated action
+                continue
+            action = actions[a_idx]
             if symmetry is not None:
                 edge = symmetry.partner.get(a_idx)
                 if (
@@ -390,83 +330,161 @@ def regression_search(
                         # This child is the rep~other swap image of the
                         # sibling through edge[0]; that sibling's subtree
                         # covers the image of this one at identical cost.
-                        symmetry_pruned += 1
-                        if trace is not None:
-                            trace.pruned(
-                                actions[a_idx].name,
-                                "symmetry",
-                                node.depth + 1,
-                                f"swap image under {rep}~{other}",
-                            )
-                        if metrics is not None:
-                            prune_counters["symmetry"].inc()
+                        rec.prune(action, "symmetry", depth, f"swap image under {rep}~{other}")
                         continue
-            action = actions[a_idx]
             new_props = frozenset((node.props - action.add_props) | action.pre_props)
             ng = node.g + action.cost_lb
             child_tail_ids = tail_ids | {a_idx}
             key = (new_props, child_tail_ids)
             prev = seen.get(key)
             if prev is not None and prev <= ng:
-                if trace is not None:
-                    trace.pruned(action.name, "transposition", node.depth + 1, "duplicate tail set")
-                if metrics is not None:
-                    prune_counters["transposition"].inc()
+                rec.prune(action, "transposition", depth, "duplicate tail set")
                 continue
 
             child = _Node(
-                props=new_props,
-                g=ng,
-                action=action,
-                parent=node,
-                depth=node.depth + 1,
+                props=new_props, g=ng, action=action, parent=node, depth=depth,
                 tail_ids=child_tail_ids,
             )
-
             # Replay the tail (child's action first, walking up the parent
             # chain) in the optimistic map seeded from the initial state.
             rmap = problem.initial_map()
-            counters.replays += 1
-            t_replay = time.perf_counter() if metrics is not None else 0.0
+            replay.replays += 1
+            started = clock()
             try:
                 step: _Node | None = child
                 while step is not None and step.action is not None:
-                    step.action.replay(rmap, counters)
+                    step.action.replay(rmap, replay)
                     step = step.parent
             except ReplayFailure as exc:
-                if trace is not None:
-                    trace.pruned(action.name, "replay", child.depth, exc.reason)
-                if metrics is not None:
-                    prune_counters["replay"].inc()
+                rec.prune(action, "replay", depth, exc.reason)
                 continue
-            if metrics is not None:
-                tail_hist.observe(child.depth)
-                us_hist.observe((time.perf_counter() - t_replay) * 1e6 / child.depth)
+            rec.replayed(depth, started)
 
             nh = heuristic(new_props)
             if nh == _INF:
-                if trace is not None:
-                    trace.pruned(action.name, "heuristic", child.depth, "infinite cost-to-go")
-                if metrics is not None:
-                    prune_counters["heuristic"].inc()
+                rec.prune(action, "heuristic", depth, "infinite cost-to-go")
                 continue
-            if allow_incumbent and not (new_props - initial):
-                # Complete plan: remember the cheapest one seen so far.
-                if incumbent is None or ng < incumbent.g:
-                    incumbent = child
-                    if metrics is not None:
-                        metrics.inc("rg.incumbent.improved")
             seen[key] = ng
-            nodes_created += 1
-            if nodes_created > node_budget:
-                return _interrupted("node_budget")
-            if trace is not None:
-                trace.created(action.name, ng + nh, child.depth)
-            if metrics is not None:
-                f_hist.observe(ng + nh)
-            heapq.heappush(heap, (ng + nh, nh, next(counter), child))
+            rec.created += 1
+            yield child, nh
 
-    raise ResourceInfeasible(
-        "no deployment plan survives resource replay (the goal is logically "
-        "reachable but every candidate plan violates resource constraints)"
-    )
+    def probe(h0: float) -> _Node | None:
+        """Weighted A* (``f' = g + 2h``): find *some* complete plan fast.
+
+        Children come from :func:`children`, so a returned node is a
+        feasible plan; its cost is within :data:`_PROBE_WEIGHT` times the
+        optimum.  Pure h-greedy descent drowns in this space — feasible
+        complete tails are rare off the cost-ordered frontier — but
+        inflating h by 2 keeps enough g-ordering to reach a terminal in a
+        few thousand nodes on the Fig. 10 instances.
+        """
+        pheap: list[tuple[float, float, int, _Node]] = [
+            (_PROBE_WEIGHT * h0, h0, next(counter), root)
+        ]
+        pseen: _Seen = {}
+        cap = rec.created + _PROBE_BUDGET
+        while pheap:
+            if deadline is not None and deadline.poll():
+                return None
+            f, _h, _tie, node = heapq.heappop(pheap)
+            open_props = node.props - initial
+            if not open_props:
+                return node
+            for child, nh in children(node, open_props, f, pseen):
+                if child.props <= initial:
+                    return child
+                if rec.created > cap:
+                    return None
+                f_child = child.g + _PROBE_WEIGHT * nh
+                rec.queued(child, f_child)
+                heapq.heappush(pheap, (f_child, nh, next(counter), child))
+        return None
+
+    heap: list[tuple[float, float, int, _Node]] = []
+    incumbent: _Node | None = None
+
+    def _interrupted(reason: str, frontier: float) -> RGResult:
+        """Return the incumbent on early stop, or raise the structured error.
+
+        ``frontier`` is the smallest f still open (the queue's head, or the
+        node being expanded); with the incumbent's cost it bounds the
+        optimum from below.
+        """
+        if allow_incumbent and incumbent is not None:
+            rec.returned += 1
+            rec.terminal(incumbent)
+            return RGResult(
+                plan_actions=incumbent.tail(),
+                cost_lb=incumbent.g,
+                lower_bound=min(frontier, incumbent.g),
+                nodes_left_in_queue=len(heap),
+                record=rec,
+                incumbent=True,
+                stop_reason=reason,
+            )
+        if reason == "deadline":
+            raise DeadlineExceeded(
+                phase="rg",
+                time_limit_s=deadline.time_limit_s,
+                nodes_expanded=rec.expanded,
+                nodes_created=rec.created,
+                elapsed_s=deadline.elapsed_s(),
+            )
+        # elapsed_s stays 0.0: Planner.solve fills in the rg span's time.
+        raise SearchBudgetExceeded(
+            phase="rg",
+            nodes_expanded=rec.expanded,
+            nodes_created=rec.created,
+            budget=node_budget,
+        )
+
+    try:
+        h0 = heuristic(root.props)
+        if h0 == _INF:
+            raise ResourceInfeasible("goal set has no logical support")
+        if allow_incumbent:
+            incumbent = probe(h0)
+            if incumbent is not None:
+                rec.improved += 1
+        # Ties on f are broken toward smaller h (deeper progress), which
+        # walks a uniform-cost plateau depth-first instead of flooding it.
+        heap.append((h0, h0, next(counter), root))
+        seen: _Seen = {}
+        while heap:
+            if deadline is not None and deadline.poll():
+                return _interrupted("deadline", heap[0][0])
+            f, _h, _tie, node = heapq.heappop(heap)
+            open_props = node.props - initial
+            if not open_props:
+                # Logically satisfied; final validation replays against the
+                # exact initial map (already done at creation — the node's
+                # replay base *is* the initial map — so this is terminal).
+                rec.terminal(node)
+                return RGResult(
+                    plan_actions=node.tail(),
+                    cost_lb=node.g,
+                    lower_bound=node.g,
+                    nodes_left_in_queue=len(heap),
+                    record=rec,
+                )
+            for child, nh in children(node, open_props, f, seen):
+                # Anytime state: the cheapest complete node created so far
+                # (a valid plan the moment it is created: its replay base
+                # *is* the initial map), standing in for the optimum when
+                # the search is cut short.
+                if allow_incumbent and child.props <= initial:
+                    if incumbent is None or child.g < incumbent.g:
+                        incumbent = child
+                        rec.improved += 1
+                if rec.created > node_budget:
+                    return _interrupted("node_budget", min(f, heap[0][0]) if heap else f)
+                f_child = child.g + nh
+                rec.queued(child, f_child)
+                heapq.heappush(heap, (f_child, nh, next(counter), child))
+
+        raise ResourceInfeasible(
+            "no deployment plan survives resource replay (the goal is logically "
+            "reachable but every candidate plan violates resource constraints)"
+        )
+    finally:
+        rec.publish()

@@ -102,10 +102,6 @@ class SLRG:
             self.telemetry.metrics.inc("slrg.budget_hits")
         return self.plrg.set_cost(key)
 
-    def set_cost_fallback(self, props: frozenset[int]) -> float:
-        """The hmax bound (used by the heuristic-ablation configurations)."""
-        return self.plrg.set_cost(props)
-
     # ------------------------------------------------------------------ search
 
     def _astar(self, root: frozenset[int]) -> float | None:

@@ -11,8 +11,12 @@ serialization path.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from ..obs import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .rg import RGResult
 
 __all__ = ["PlannerStats"]
 
@@ -57,6 +61,11 @@ class PlannerStats:
     (``PlannerConfig.static_prune``, docs/ANALYSIS.md)."""
     rg_sym_pruned: int = 0
     """RG children skipped by the verified symmetry sibling prune."""
+    rg_lower_bound: float = 0.0
+    """Proven lower bound on the optimal cost within the leveling: the
+    plan's ``cost_lb`` for an optimum; for an incumbent, the smallest f on
+    the RG's open frontier when it was cut short (the gap is
+    ``cost_lb - rg_lower_bound``)."""
     analysis_ms: float = 0.0
     """Static-analysis wall clock (0 when ``static_prune`` is off).  Cached
     analyses report the original computation time, not the (free) hit."""
@@ -73,6 +82,21 @@ class PlannerStats:
     ``compile_ms`` regardless of whether :meth:`Planner.solve` compiled
     internally or was handed a pre-compiled problem.
     """
+
+    def fill_rg(self, result: RGResult) -> None:
+        """Set the ``rg_*``, ``incumbent`` and ``deadline_hits`` fields from
+        one RG result and the search record it carries."""
+        record = result.record
+        self.rg_nodes = record.created
+        self.rg_queue_left = result.nodes_left_in_queue
+        self.rg_expanded = record.expanded
+        self.rg_replays = record.replay.replays
+        self.rg_actions_replayed = record.replay.actions_replayed
+        self.rg_conditions_checked = record.replay.conditions_checked
+        self.rg_sym_pruned = record.pruned["symmetry"]
+        self.rg_lower_bound = result.lower_bound
+        self.incumbent = 1 if result.incumbent else 0
+        self.deadline_hits = 1 if result.stop_reason == "deadline" else 0
 
     # -- the metrics-registry view (docs/OBSERVABILITY.md) ---------------------
 

@@ -244,6 +244,18 @@ class TestCompiledAgreesWithInterpreted:
             _outcome(lambda: apply_assign_interval(assign, env)),
         )
 
+    @pytest.mark.parametrize("op", ["+=", "-="])
+    def test_fused_scale_overflow_is_canonical_empty(self, op):
+        # 2 / 2**-1023 overflows to [inf, inf], an empty interval: the fused
+        # ``V / c`` closure must return EMPTY as iadd does, not a stray bound.
+        assign = Assign(Var("M.ibw"), op, BinOp("/", Var("M.ibw"), Num(2.0**-1023)))
+        env = {"M.ibw": Interval.point(2.0)}
+        _assert_same_interval(
+            _outcome(lambda: compile_assign_interval(assign)(env)),
+            _outcome(lambda: apply_assign_interval(assign, env)),
+        )
+        assert compile_assign_interval(assign)(env) == EMPTY
+
 
 # ---------------------------------------------------------------------------
 # Comparison semantics at touching endpoints

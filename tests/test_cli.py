@@ -625,11 +625,28 @@ class TestBadInput:
                 '{"format": 1, "nodes": [{"id": "n0"}, {"id": "n1"}], "links": [{"a": "n0"}]}',
                 'link 0 must be an object with "a" and "b"',
             ),
+            (
+                "lint",
+                "--network",
+                '{"format": 1, "nodes": [{"id": "n0", "resources": [1]}]}',
+                'node 0 "resources" must be an object, got list',
+            ),
+            (
+                "plan",
+                "--network",
+                '{"format": 1, "nodes": [{"id": "n0"}, {"id": "n1"}],'
+                ' "links": [{"a": "n0", "b": "n1", "resources": 5}]}',
+                'link 0 "resources" must be an object, got int',
+            ),
+            ("simulate", "--campaign", "[]", "a campaign must be a JSON object, got list"),
+            ("controller", "--campaign", "3", "a campaign must be a JSON object, got int"),
         ],
         ids=[
             "bad-json", "network-format", "spec-syntax", "spec-formula",
             "simulate-campaign-json", "controller-campaign-json",
             "network-not-object", "network-node-without-id", "network-link-without-ends",
+            "network-node-resources", "network-link-resources",
+            "simulate-campaign-not-object", "controller-campaign-not-object",
         ],
     )
     def test_unparsable_file_is_one_stderr_line(
