@@ -9,8 +9,10 @@ the property the differential audit (:mod:`repro.analysis.audit`) checks
 empirically on every bundled domain.
 
 Each dead action carries a :class:`~repro.analysis.certificates.PruneCertificate`
-recording the refuting interval argument; the final refutation pass runs
-over actions in index order, so the dead list is deterministic.
+recording the refuting interval argument.  The refutation pass judges
+each (grounding template, final read envelopes) once and steps a single
+action again only to certify one that is dead; the dead list is in index
+order, so it is deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from ..compile import CompiledProblem
 from ..intervals import Interval
 from .certificates import PruneCertificate, certificate_for
-from .envelopes import Refutation, abstract_step
+from .envelopes import _bind, _value_codes, abstract_step
 
 __all__ = ["DeadAction", "find_dead_actions"]
 
@@ -45,15 +47,13 @@ def find_dead_actions(
     action that contributed writes during the fixpoint is never reported
     dead here.
     """
-    dead: list[DeadAction] = []
-    for action in problem.actions:
-        step = abstract_step(action, envelopes)
-        if isinstance(step, Refutation):
-            dead.append(
-                DeadAction(
-                    index=action.index,
-                    name=action.name,
-                    certificate=certificate_for(action, step),
-                )
-            )
-    return tuple(dead)
+    _codes, code_of = _value_codes(envelopes)
+    return tuple(
+        DeadAction(
+            index=action.index,
+            name=action.name,
+            certificate=certificate_for(action, abstract_step(action, envelopes)),
+        )
+        for action, template, reads in zip(problem.actions, *_bind(problem.actions))
+        if template.step(action, envelopes, code_of, reads) is None
+    )

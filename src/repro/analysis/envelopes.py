@@ -265,17 +265,87 @@ def initial_envelopes(problem: CompiledProblem) -> dict[str, Interval]:
     return env
 
 
-def _read_vars(action: GroundAction) -> list[str]:
-    """Ground variables whose envelope growth can re-enable ``action``."""
-    reads = {
-        gvar
-        for spec_var, gvar in action.var_map.items()
-        if spec_var in action.committed
-    }
-    for gvar, kind in action.effect_targets:
-        if kind in (EffectKind.CONSUME, EffectKind.SET_RESOURCE):
-            reads.add(gvar)
-    return sorted(reads)
+class _Template:
+    """What the envelope step reads of one grounding template, plus its memo.
+
+    Every ground action of a template shares the template's ``committed``
+    dict, conditions, effects, effect kinds, assign ops and ``var_map``
+    keys, so :func:`abstract_step` depends only on the template and on the
+    envelopes of the action's read variables: its committed spec vars and
+    its ``CONSUME``/``SET_RESOURCE`` targets.  ``memo`` maps the codes of
+    those envelopes (see :func:`_value_codes`), in :attr:`reads` order, to
+    the step's writes by effect position, or to ``None`` when the step is
+    refuted.
+    """
+
+    __slots__ = ("reads", "memo")
+
+    def __init__(self, action: GroundAction):
+        var_map = action.var_map
+        resources = [
+            (assign.target.name, gvar)
+            for assign, (gvar, kind) in zip(action.effects, action.effect_targets)
+            if kind in (EffectKind.CONSUME, EffectKind.SET_RESOURCE)
+        ]
+        # Grounding binds a template's spec vars and targets through shared
+        # (prefix, site) pairs over distinct sites (a place binds one node, a
+        # cross src != dst and their link), so what holds of this binding
+        # holds of all: a resource target is the variable its spec var is
+        # bound to, and no two written spec vars share a variable.  The memo
+        # is exact only then, since writes are kept by effect position.
+        assert all(var_map.get(spec_var) == gvar for spec_var, gvar in resources)
+        assert len({gvar for gvar, _kind in action.effect_targets}) == len(
+            {assign.target.name for assign in action.effects}
+        )
+        committed = [s for s in var_map if s in action.committed]
+        self.reads = tuple(dict.fromkeys(committed + [s for s, _gvar in resources]))
+        self.memo: dict[tuple, tuple[tuple[int, Interval], ...] | None] = {}
+
+    def step(
+        self,
+        action: GroundAction,
+        envelopes: dict[str, Interval],
+        code_of: dict[str, int],
+        reads: tuple[str, ...],
+    ) -> tuple[tuple[int, Interval], ...] | None:
+        """:func:`abstract_step`'s writes by effect position; None if refuted.
+
+        ``reads`` are ``action``'s read variables, ``code_of`` the codes of
+        ``envelopes``.
+        """
+        key = tuple(map(code_of.get, reads))
+        if key not in self.memo:
+            step = abstract_step(action, envelopes)
+            position = {gvar: p for p, (gvar, _kind) in enumerate(action.effect_targets)}
+            self.memo[key] = (
+                None
+                if isinstance(step, Refutation)
+                else tuple((position[gvar], post) for gvar, post in step.writes)
+            )
+        return self.memo[key]
+
+
+def _value_codes(envelopes: dict[str, Interval]) -> tuple[dict[Interval, int], dict[str, int]]:
+    """One small-int code per distinct envelope value, and each variable's
+    code: equal codes mean equal intervals, and a tuple of codes hashes
+    without calling back into :class:`Interval`."""
+    codes: dict[Interval, int] = {}
+    return codes, {gvar: codes.setdefault(iv, len(codes)) for gvar, iv in envelopes.items()}
+
+
+def _bind(actions: list[GroundAction]) -> tuple[list[_Template], list[tuple[str, ...]]]:
+    """Each action's template (one per shared ``committed`` dict) and its
+    read ground variables, in :attr:`_Template.reads` order."""
+    by_committed: dict[int, _Template] = {}
+    templates: list[_Template] = []
+    reads: list[tuple[str, ...]] = []
+    for action in actions:
+        template = by_committed.get(id(action.committed))
+        if template is None:
+            template = by_committed[id(action.committed)] = _Template(action)
+        templates.append(template)
+        reads.append(tuple(map(action.var_map.__getitem__, template.reads)))
+    return templates, reads
 
 
 def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
@@ -283,14 +353,19 @@ def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
 
     Deterministic: the worklist starts in action-index order and
     dependents are enqueued in index order, so identical problems produce
-    identical envelopes (byte-for-byte across processes).
+    identical envelopes (byte-for-byte across processes).  Steps are
+    memoized per (template, read envelopes), so interchangeable bindings
+    are stepped once; each binding's writes are joined in sorted variable
+    order, as :func:`abstract_step` lists them.
     """
     envelopes = initial_envelopes(problem)
     actions = problem.actions
+    templates, reads_of = _bind(actions)
+    codes, code_of = _value_codes(envelopes)
 
     dependents: dict[str, list[int]] = {}
-    for action in actions:
-        for gvar in _read_vars(action):
+    for action, reads in zip(actions, reads_of):
+        for gvar in reads:
             dependents.setdefault(gvar, []).append(action.index)
 
     queue: deque[int] = deque(a.index for a in actions)
@@ -312,10 +387,11 @@ def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
             break
         idx = queue.popleft()
         queued.discard(idx)
-        step = abstract_step(actions[idx], envelopes)
-        if isinstance(step, Refutation):
+        out = templates[idx].step(actions[idx], envelopes, code_of, reads_of[idx])
+        if out is None:
             continue
-        for gvar, post in step.writes:
+        targets = actions[idx].effect_targets
+        for gvar, post in sorted([(targets[p][0], post) for p, post in out]):
             old = envelopes.get(gvar)
             if old is not None and old.contains_interval(post):
                 continue
@@ -341,6 +417,7 @@ def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
                 if not new.is_bounded():  # zero-threshold widening stays finite
                     widened.add(gvar)
             envelopes[gvar] = new
+            code_of[gvar] = codes.setdefault(new, len(codes))
             for dep in dependents.get(gvar, ()):
                 if dep not in queued:
                     queue.append(dep)

@@ -165,25 +165,23 @@ def _verified_network_transposition(
 # -- ground-action verification ------------------------------------------------
 
 
-def _action_key(action: GroundAction, sigma: dict[str, str]) -> tuple:
-    def m(node: str | None) -> str | None:
-        if node is None:
-            return None
-        return sigma.get(node, node)
-
-    return (
-        action.kind,
-        action.subject,
-        m(action.node),
-        m(action.src),
-        m(action.dst),
-        tuple(
-            sorted(
-                (sv, iv.lo, iv.hi, iv.lo_open, iv.hi_open)
-                for sv, iv in action.committed.items()
+def _identity_keys(actions: list[GroundAction]) -> list[tuple]:
+    """Each action's kind, subject, nodes and sorted committed intervals;
+    the intervals are sorted once per grounding template (its actions share
+    one ``committed`` dict)."""
+    by_template: dict[int, tuple] = {}
+    keys: list[tuple] = []
+    for action in actions:
+        committed = by_template.get(id(action.committed))
+        if committed is None:
+            committed = by_template[id(action.committed)] = tuple(
+                sorted(
+                    (sv, iv.lo, iv.hi, iv.lo_open, iv.hi_open)
+                    for sv, iv in action.committed.items()
+                )
             )
-        ),
-    )
+        keys.append((action.kind, action.subject, action.node, action.src, action.dst, committed))
+    return keys
 
 
 def _action_nodes(action: GroundAction) -> tuple[str, ...]:
@@ -230,6 +228,7 @@ def _verify_pair_actions(
     other: str,
     identity_index: dict[tuple, int],
     by_node: dict[str, list[int]],
+    keys: list[tuple],
 ) -> dict[int, int] | None:
     """Map every action mentioning ``rep``/``other`` to its swap image.
 
@@ -242,7 +241,10 @@ def _verify_pair_actions(
     mapping: dict[int, int] = {}
     for idx in involved:
         action = problem.actions[idx]
-        image_idx = identity_index.get(_action_key(action, sigma))
+        kind, subject, node, src, dst, committed = keys[idx]
+        image_idx = identity_index.get(
+            (kind, subject, sigma.get(node, node), sigma.get(src, src), sigma.get(dst, dst), committed)
+        )
         if image_idx is None:
             return None
         image = problem.actions[image_idx]
@@ -292,15 +294,16 @@ def compute_symmetry(problem: CompiledProblem) -> SymmetryResult:
     app, network = problem.app, problem.network
     candidate_classes = node_color_classes(app, network)
 
+    keys = _identity_keys(problem.actions)
+    action_nodes = {action.index: _action_nodes(action) for action in problem.actions}
     identity_index: dict[tuple, int] = {}
     ambiguous: set[tuple] = set()
     by_node: dict[str, list[int]] = {}
-    for action in problem.actions:
-        key = _action_key(action, {})
+    for action, key in zip(problem.actions, keys):
         if key in identity_index:
             ambiguous.add(key)
         identity_index[key] = action.index
-        for node in _action_nodes(action):
+        for node in action_nodes[action.index]:
             by_node.setdefault(node, []).append(action.index)
     for key in ambiguous:  # a non-unique key cannot anchor a verified image
         del identity_index[key]
@@ -315,7 +318,7 @@ def compute_symmetry(problem: CompiledProblem) -> SymmetryResult:
             if not _verified_network_transposition(app, network, rep, other):
                 continue
             mapping = _verify_pair_actions(
-                problem, rep, other, identity_index, by_node
+                problem, rep, other, identity_index, by_node, keys
             )
             if mapping is None:
                 continue
@@ -334,9 +337,6 @@ def compute_symmetry(problem: CompiledProblem) -> SymmetryResult:
         node = getattr(problem.props[pid], "node", None)
         if node is not None:
             prop_node[pid] = node
-    action_nodes = {
-        action.index: _action_nodes(action) for action in problem.actions
-    }
 
     return SymmetryResult(
         node_classes=tuple(node_classes),

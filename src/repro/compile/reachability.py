@@ -27,14 +27,12 @@ from collections import deque
 
 from ..expr import EvalError, compile_condition_satisfiable, compile_interval
 from ..intervals import Interval
-from .actions import EffectKind, GroundAction
+from .actions import EffectKind, GroundAction, is_resource_var
 
 __all__ = ["prune_unreachable_actions", "logically_reachable"]
 
 _MAX_PASSES = 50  # safety budget only; widening converges first
 _WIDEN_AFTER = 8  # strict increases of a best value; the next one widens it to +inf
-
-_RESOURCE_PREFIXES = ("Node.", "Link.")
 
 _PRODUCE_KINDS = (
     EffectKind.PRODUCE,
@@ -53,7 +51,7 @@ def _input_specs(action: GroundAction) -> tuple[str, ...]:
     return tuple(
         spec_var
         for spec_var in action.var_map
-        if spec_var in committed and not spec_var.startswith(_RESOURCE_PREFIXES)
+        if spec_var in committed and not is_resource_var(spec_var)
     )
 
 
@@ -80,7 +78,7 @@ class _Template:
         self.committed = tuple(action.committed[s] for s in self.specs)
         # Resources enter at their static grounding ranges.
         self.resources = tuple(
-            (s, iv) for s, iv in action.committed.items() if s.startswith(_RESOURCE_PREFIXES)
+            (s, iv) for s, iv in action.committed.items() if is_resource_var(s)
         )
         self.conditions = tuple(compile_condition_satisfiable(c) for c in action.conditions)
         self.produce = tuple(

@@ -114,8 +114,3 @@ class ResourceMap:
         if have is None:
             return not interval.is_empty()
         return have.overlaps(interval)
-
-    def merge_from(self, other: "ResourceMap") -> None:
-        """Constrain this map by every binding of ``other``."""
-        for var, interval in other.items():
-            self.constrain(var, interval)

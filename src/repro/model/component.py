@@ -77,14 +77,6 @@ class ComponentSpec:
 
     # -- introspection -------------------------------------------------------
 
-    def is_source(self) -> bool:
-        """A source produces interfaces out of nothing (the Server)."""
-        return not self.requires and bool(self.implements)
-
-    def is_sink(self) -> bool:
-        """A sink only consumes (the Client)."""
-        return bool(self.requires) and not self.implements
-
     def cost_expr(self) -> Node:
         return self.cost if self.cost is not None else Num(1.0)
 

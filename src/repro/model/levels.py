@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from ..intervals import Interval
 from .errors import SpecError
@@ -150,15 +149,3 @@ class Leveling:
 
     def for_var(self, var: str) -> LevelSpec:
         return self.specs.get(var, TRIVIAL_LEVELS)
-
-    def mapped_vars(self) -> set[str]:
-        return set(self.specs)
-
-    @staticmethod
-    def from_cutpoints(mapping: Mapping[str, Iterable[float]], name: str = "custom") -> "Leveling":
-        return Leveling({k: LevelSpec(tuple(v)) for k, v in mapping.items()}, name)
-
-    def with_spec(self, var: str, spec: LevelSpec) -> "Leveling":
-        out = dict(self.specs)
-        out[var] = spec
-        return Leveling(out, self.name)

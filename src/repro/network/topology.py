@@ -75,13 +75,6 @@ class Link:
     def capacity(self, resource: str) -> float:
         return self.resources.get(resource, 0.0)
 
-    def other_end(self, node_id: str) -> str:
-        if node_id == self.a:
-            return self.b
-        if node_id == self.b:
-            return self.a
-        raise NetworkError(f"node {node_id!r} is not an endpoint of link {self.key}")
-
 
 class Network:
     """A wide-area network: nodes, undirected links, adjacency queries."""
@@ -234,17 +227,6 @@ class Network:
 
     def nodes_with_label(self, label: str) -> list[Node]:
         return [n for n in self._nodes.values() if label in n.labels]
-
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph for analysis/visualization."""
-        import networkx as nx
-
-        g = nx.Graph(name=self.name)
-        for node in self._nodes.values():
-            g.add_node(node.id, **node.resources, labels=sorted(node.labels))
-        for link in self._links.values():
-            g.add_edge(link.a, link.b, **link.resources, labels=sorted(link.labels))
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Network({self.name!r}, nodes={len(self._nodes)}, links={len(self._links)})"

@@ -49,15 +49,6 @@ class ExecutionReport:
     final_values: dict[str, float] = field(default_factory=dict)
     consumed: dict[str, float] = field(default_factory=dict)  # ground var -> used
 
-    def consumed_matching(self, prefix: str, keys: set[str] | None = None) -> dict[str, float]:
-        """Consumption filtered to ground variables with a prefix (e.g. ``lbw@``)."""
-        out = {}
-        for gvar, used in self.consumed.items():
-            if gvar.startswith(prefix) and used > _EPS:
-                if keys is None or gvar in keys:
-                    out[gvar] = used
-        return out
-
     def max_consumed(self, gvars: set[str]) -> float:
         """Largest consumption over a set of resource variables."""
         return max((self.consumed.get(g, 0.0) for g in gvars), default=0.0)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.compile import compile_problem
-from repro.domains import media, webservice
+from repro.domains import grid, media, webservice
+from repro.experiments import network_case, scenario
 from repro.model import AppSpec, ComponentSpec, InterfaceType, PropertySpec
 from repro.network import Network
 
@@ -15,6 +16,27 @@ def ws_problem():
         webservice.build_app("server", "client"),
         webservice.build_network(),
         webservice.ws_leveling(),
+    )
+
+
+@pytest.fixture(scope="module")
+def fig10c_problem():
+    """The paper's Fig-10/C cell: the 93-node network at scenario C."""
+    case = network_case("Large")
+    return compile_problem(
+        media.build_app(case.server, case.client),
+        case.network,
+        scenario("C").leveling(),
+    )
+
+
+@pytest.fixture(scope="module")
+def grid_problem():
+    """The grid domain, whose additive latency widens 7 envelopes."""
+    return compile_problem(
+        grid.build_app("site0_head", "site3_head"),
+        grid.build_network(),
+        grid.grid_leveling(),
     )
 
 

@@ -11,11 +11,16 @@ optimistic closure ``[0, 100]`` keeps it past compile-time pruning.
 import pytest
 
 from repro.analysis import (
+    Refutation,
+    abstract_step,
     analyze_problem,
     check_certificate,
     compute_envelopes,
     find_dead_actions,
 )
+from repro.compile import compile_problem
+from repro.model import AppSpec, ComponentSpec, InterfaceType, PropertySpec
+from repro.network import Network
 from repro.planner import ExecutionError, Planner, PlannerConfig, execute_plan
 
 from .conftest import build_dead_app, build_dead_network
@@ -76,3 +81,69 @@ def test_planner_parity_with_dead_pruning(mode):
         assert plan.stats.static_pruned == 2
     else:
         assert plan.stats.static_pruned == 0
+
+
+@pytest.fixture(scope="module")
+def split_problem():
+    """One grounding template whose bindings disagree.
+
+    ``SmallConsumer`` (``S.ibw <= 50``) is ground at three nodes of one
+    capacity class, so its three placements share a template: the exact
+    100 that reaches n0 and n1 refutes two of them, while n2 holds only
+    the 40 its own pre-placed producer emits (its 30-unit link cannot
+    carry the 100), which keeps the third live.
+    """
+    stream = InterfaceType.parse(
+        "S",
+        properties=[PropertySpec("ibw", degradable=False)],
+        cross_conditions=["Link.lbw >= S.ibw"],
+        cross_effects=["S.ibw' := S.ibw", "Link.lbw' -= S.ibw"],
+        cross_cost="1 + S.ibw/10",
+    )
+    components = [
+        ComponentSpec.parse("Producer", implements=["S"], effects=["S.ibw := 100"]),
+        ComponentSpec.parse("SideProducer", implements=["S"], effects=["S.ibw := 40"]),
+        ComponentSpec.parse(
+            "SmallConsumer", requires=["S"], conditions=["S.ibw <= 50"], cost="1"
+        ),
+        ComponentSpec.parse(
+            "BigConsumer", requires=["S"], conditions=["S.ibw >= 90"], cost="1"
+        ),
+    ]
+    app = AppSpec.build(
+        name="split-demo",
+        interfaces=[stream],
+        components=components,
+        initial=[("Producer", "n0"), ("SideProducer", "n2")],
+        goals=[("BigConsumer", "n1")],
+    )
+    net = Network("line")
+    for node in ("n0", "n1", "n2"):
+        net.add_node(node, {"cpu": 30.0})
+    net.add_link("n0", "n1", {"lbw": 150.0}, labels={"LAN"})
+    net.add_link("n1", "n2", {"lbw": 30.0}, labels={"LAN"})
+    return compile_problem(app, net)
+
+
+def test_split_template_is_judged_per_binding(split_problem):
+    consumers = [a for a in split_problem.actions if a.subject == "SmallConsumer"]
+    assert len({id(a.committed) for a in consumers}) == 1
+    dead = {d.name for d in analyze_problem(split_problem).dead}
+    assert [a.name in dead for a in consumers] == [True, True, False]
+
+
+@pytest.mark.parametrize(
+    "name", ["fig10c_problem", "grid_problem", "dead_problem", "split_problem"]
+)
+def test_dead_iff_reference_step_refutes(request, name):
+    """The dead pass judges each (template, read envelopes) once; its
+    verdict must be the reference transfer function's for every action."""
+    problem = request.getfixturevalue(name)
+    final = compute_envelopes(problem).envelopes
+    dead = [d.index for d in find_dead_actions(problem, final)]
+    refuted = [
+        action.index
+        for action in problem.actions
+        if isinstance(abstract_step(action, final), Refutation)
+    ]
+    assert dead == refuted

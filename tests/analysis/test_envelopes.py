@@ -8,10 +8,17 @@ sequences (greedily skipping drawn actions that fail to execute) and
 asserts containment at every prefix, within the executor's ``1e-6`` fuzz.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import compute_envelopes, initial_envelopes
+from repro.analysis import (
+    Refutation,
+    abstract_step,
+    analyze_problem,
+    compute_envelopes,
+    initial_envelopes,
+)
 from repro.planner import ExecutionError, execute_plan
 
 _EPS = 1e-6
@@ -91,3 +98,36 @@ def test_dead_domain_envelopes_sound(dead_problem, picks):
     actions = _grow_sequence(dead_problem, picks)
     report = execute_plan(dead_problem, actions)
     _assert_contained(envelopes, report.final_values, "dead-domain sequence")
+
+
+@pytest.mark.parametrize("name", ["fig10c_problem", "grid_problem", "dead_problem"])
+def test_fixpoint_is_closed_under_every_live_step(request, name):
+    """At the fixpoint, stepping any unrefuted action through the reference
+    transfer function writes nothing outside the final envelopes.
+
+    The fixpoint steps each grounding template once per distinct input and
+    maps the writes onto each binding's targets, so a write mapped onto the
+    wrong variable leaves the true target's value outside its envelope.
+    """
+    problem = request.getfixturevalue(name)
+    final = compute_envelopes(problem).envelopes
+    live = 0
+    for action in problem.actions:
+        step = abstract_step(action, final)
+        if isinstance(step, Refutation):
+            continue
+        live += 1
+        for gvar, post in step.writes:
+            assert gvar in final, f"{action.name} writes {gvar}, which has no envelope"
+            assert final[gvar].contains_interval(post), (
+                f"{action.name} writes {post} to {gvar} outside {final[gvar]}"
+            )
+    assert live
+
+
+def test_fig10c_iteration_count_pinned(fig10c_problem):
+    """Memoized steps leave the worklist order, joins and widening as they
+    were: the paper's Fig-10/C pair takes exactly 11,905 worklist steps."""
+    assert compute_envelopes(fig10c_problem).iterations == 11_905
+    (summary,) = analyze_problem(fig10c_problem).to_report().by_code("ENV001")
+    assert "11905 iteration(s)" in summary.message

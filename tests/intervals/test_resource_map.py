@@ -68,18 +68,3 @@ class TestConstrain:
         m = ResourceMap()
         assert m.satisfies("y", Interval.closed(0, 1))
         assert not m.satisfies("y", Interval(2, 1))
-
-
-class TestMergeFrom:
-    def test_merge(self):
-        a = ResourceMap({"x": Interval.closed(0, 10), "y": Interval.point(3)})
-        b = ResourceMap({"x": Interval.closed(5, 20), "z": Interval.point(1)})
-        a.merge_from(b)
-        assert a["x"] == Interval.closed(5, 10)
-        assert a["z"] == Interval.point(1)
-
-    def test_merge_contradiction(self):
-        a = ResourceMap({"x": Interval.closed(0, 1)})
-        b = ResourceMap({"x": Interval.closed(2, 3)})
-        with pytest.raises(MapContradiction):
-            a.merge_from(b)

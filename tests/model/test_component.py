@@ -25,13 +25,6 @@ class TestParse:
         assert len(m.conditions) == 2 and len(m.effects) == 2
         assert m.cost is not None
 
-    def test_source_sink_classification(self):
-        server = ComponentSpec.parse("Server", implements=["M"], effects=["M.ibw := 200"])
-        client = ComponentSpec.parse("Client", requires=["M"], conditions=["M.ibw >= 90"])
-        assert server.is_source() and not server.is_sink()
-        assert client.is_sink() and not client.is_source()
-        assert not merger().is_source() and not merger().is_sink()
-
     def test_default_cost_is_unit(self):
         c = ComponentSpec.parse("Client", requires=["M"])
         assert c.cost_expr() == Num(1.0)

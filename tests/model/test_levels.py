@@ -103,13 +103,3 @@ class TestLeveling:
         lev = Leveling({"M.ibw": LevelSpec((100,))})
         assert lev.for_var("M.ibw").count == 2
         assert lev.for_var("T.ibw").is_trivial()
-
-    def test_from_cutpoints(self):
-        lev = Leveling.from_cutpoints({"M.ibw": [90, 100]}, name="C")
-        assert lev.for_var("M.ibw").cutpoints == (90.0, 100.0)
-        assert lev.name == "C"
-
-    def test_with_spec(self):
-        lev = Leveling({}).with_spec("Link.lbw", LevelSpec((31, 62)))
-        assert lev.for_var("Link.lbw").count == 3
-        assert lev.mapped_vars() == {"Link.lbw"}

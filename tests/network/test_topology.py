@@ -70,12 +70,6 @@ class TestQueries:
         assert len(triangle.links_with_label("WAN")) == 2
         assert len(triangle.links_with_label("LAN")) == 1
 
-    def test_other_end(self, triangle):
-        link = triangle.link("a", "b")
-        assert link.other_end("a") == "b"
-        with pytest.raises(NetworkError):
-            link.other_end("c")
-
 
 class TestAlgorithms:
     def test_hop_distances(self, triangle):
@@ -108,10 +102,6 @@ class TestAlgorithms:
         net.add_node("x")
         net.add_node("y")
         assert net.shortest_path("x", "y") is None
-
-    def test_to_networkx(self, triangle):
-        g = triangle.to_networkx()
-        assert g.number_of_nodes() == 3 and g.number_of_edges() == 3
 
 
 class TestSoftwareConstraint:

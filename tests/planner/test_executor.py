@@ -38,11 +38,6 @@ class TestReports:
         # Link: Z (35) + I (30) = 65 of 70.
         assert report.consumed["lbw@n0~n1"] == pytest.approx(65.0)
 
-    def test_consumed_matching_prefix(self, solved):
-        report = solved.execute()
-        links = report.consumed_matching("lbw@")
-        assert set(links) == {"lbw@n0~n1"}
-
     def test_max_consumed(self, solved):
         report = solved.execute()
         assert report.max_consumed({"lbw@n0~n1"}) == pytest.approx(65.0)
