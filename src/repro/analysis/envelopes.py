@@ -36,7 +36,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from ..compile import CompiledProblem, EffectKind, GroundAction, iface_prop_var
+from ..compile import (
+    CompiledProblem,
+    EffectKind,
+    GroundAction,
+    GroundingTemplate,
+    iface_prop_var,
+)
 from ..compile.actions import is_resource_var
 from ..compile.reachability import _MAX_PASSES, _WIDEN_AFTER
 from ..expr import EvalError, condition_satisfiable, eval_interval
@@ -109,11 +115,15 @@ def abstract_step(
     exact executor: whenever a concrete state within the envelopes lets
     the action execute, this function does not refute it.
     """
+    # Ground variables are bound from the template's layouts, so stepping
+    # an action never builds its ``var_map`` or ``effect_targets``.
+    sites = action.sites
     env: dict[str, Interval] = {}
-    for spec_var, gvar in sorted(action.var_map.items()):
+    for spec_var, prefix, site in sorted(action.template.var_layout):
         committed = action.committed.get(spec_var)
         if committed is None:
             continue  # output-only mapping: written by effects below
+        gvar = prefix + sites[site]
         raw = envelopes.get(gvar)
         if is_resource_var(spec_var):
             if raw is None or raw.is_empty():
@@ -176,7 +186,8 @@ def abstract_step(
             )
 
     staged: list[tuple[str, EffectKind, Interval, str]] = []
-    for assign, (gvar, kind) in zip(action.effects, action.effect_targets):
+    for assign, (prefix, site, kind) in zip(action.effects, action.template.target_layout):
+        gvar = prefix + sites[site]
         try:
             rhs = eval_interval(assign.expr, env)
         except EvalError as exc:
@@ -269,37 +280,38 @@ class _Template:
     """What the envelope step reads of one grounding template, plus its memo.
 
     Every ground action of a template shares the template's ``committed``
-    dict, conditions, effects, effect kinds, assign ops and ``var_map``
-    keys, so :func:`abstract_step` depends only on the template and on the
-    envelopes of the action's read variables: its committed spec vars and
-    its ``CONSUME``/``SET_RESOURCE`` targets.  ``memo`` maps the codes of
-    those envelopes (see :func:`_value_codes`), in :attr:`reads` order, to
-    the step's writes by effect position, or to ``None`` when the step is
-    refuted.
+    dict, conditions, effects, effect kinds, assign ops and variable
+    layout, so :func:`abstract_step` depends only on the template and on
+    the envelopes of the action's read variables: its committed spec vars
+    and its ``CONSUME``/``SET_RESOURCE`` targets.  ``reads`` holds their
+    ``(prefix, site)`` layouts, bound per action to its sites.  ``memo``
+    maps the codes of those envelopes (see :func:`_value_codes`), in
+    ``reads`` order, to the step's writes as ``(prefix, site, post)``, or
+    to ``None`` when the step is refuted.
     """
 
-    __slots__ = ("reads", "memo")
+    __slots__ = ("reads", "targets", "memo")
 
-    def __init__(self, action: GroundAction):
-        var_map = action.var_map
+    def __init__(self, template: GroundingTemplate):
+        layout = {spec_var: (prefix, site) for spec_var, prefix, site in template.var_layout}
+        self.targets = tuple((prefix, site) for prefix, site, _kind in template.target_layout)
         resources = [
-            (assign.target.name, gvar)
-            for assign, (gvar, kind) in zip(action.effects, action.effect_targets)
+            (assign.target.name, (prefix, site))
+            for assign, (prefix, site, kind) in zip(template.effects, template.target_layout)
             if kind in (EffectKind.CONSUME, EffectKind.SET_RESOURCE)
         ]
         # Grounding binds a template's spec vars and targets through shared
         # (prefix, site) pairs over distinct sites (a place binds one node, a
-        # cross src != dst and their link), so what holds of this binding
-        # holds of all: a resource target is the variable its spec var is
+        # cross src != dst and their link), so what holds of the layout holds
+        # of every binding: a resource target is the variable its spec var is
         # bound to, and no two written spec vars share a variable.  The memo
-        # is exact only then, since writes are kept by effect position.
-        assert all(var_map.get(spec_var) == gvar for spec_var, gvar in resources)
-        assert len({gvar for gvar, _kind in action.effect_targets}) == len(
-            {assign.target.name for assign in action.effects}
-        )
-        committed = [s for s in var_map if s in action.committed]
-        self.reads = tuple(dict.fromkeys(committed + [s for s, _gvar in resources]))
-        self.memo: dict[tuple, tuple[tuple[int, Interval], ...] | None] = {}
+        # is exact only then, since writes are kept by layout.
+        assert all(layout.get(spec_var) == at for spec_var, at in resources)
+        assert len(set(self.targets)) == len({a.target.name for a in template.effects})
+        committed = [s for s in layout if s in template.committed]
+        reads = dict.fromkeys(committed + [s for s, _at in resources])
+        self.reads = tuple(layout[s] for s in reads)
+        self.memo: dict[tuple, tuple[tuple[str, int, Interval], ...] | None] = {}
 
     def step(
         self,
@@ -307,8 +319,9 @@ class _Template:
         envelopes: dict[str, Interval],
         code_of: dict[str, int],
         reads: tuple[str, ...],
-    ) -> tuple[tuple[int, Interval], ...] | None:
-        """:func:`abstract_step`'s writes by effect position; None if refuted.
+    ) -> tuple[tuple[str, int, Interval], ...] | None:
+        """:func:`abstract_step`'s writes as ``(prefix, site, post)``; None
+        if refuted.
 
         ``reads`` are ``action``'s read variables, ``code_of`` the codes of
         ``envelopes``.
@@ -316,11 +329,12 @@ class _Template:
         key = tuple(map(code_of.get, reads))
         if key not in self.memo:
             step = abstract_step(action, envelopes)
-            position = {gvar: p for p, (gvar, _kind) in enumerate(action.effect_targets)}
+            sites = action.sites
+            at = {prefix + sites[site]: (prefix, site) for prefix, site in self.targets}
             self.memo[key] = (
                 None
                 if isinstance(step, Refutation)
-                else tuple((position[gvar], post) for gvar, post in step.writes)
+                else tuple((*at[gvar], post) for gvar, post in step.writes)
             )
         return self.memo[key]
 
@@ -334,17 +348,18 @@ def _value_codes(envelopes: dict[str, Interval]) -> tuple[dict[Interval, int], d
 
 
 def _bind(actions: list[GroundAction]) -> tuple[list[_Template], list[tuple[str, ...]]]:
-    """Each action's template (one per shared ``committed`` dict) and its
-    read ground variables, in :attr:`_Template.reads` order."""
-    by_committed: dict[int, _Template] = {}
+    """Each action's template (one per grounding template) and its read
+    ground variables, in :attr:`_Template.reads` order."""
+    by_template: dict[int, _Template] = {}
     templates: list[_Template] = []
     reads: list[tuple[str, ...]] = []
     for action in actions:
-        template = by_committed.get(id(action.committed))
+        template = by_template.get(id(action.template))
         if template is None:
-            template = by_committed[id(action.committed)] = _Template(action)
+            template = by_template[id(action.template)] = _Template(action.template)
         templates.append(template)
-        reads.append(tuple(map(action.var_map.__getitem__, template.reads)))
+        sites = action.sites
+        reads.append(tuple([prefix + sites[site] for prefix, site in template.reads]))
     return templates, reads
 
 
@@ -380,8 +395,9 @@ def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
         if iterations > budget:  # pragma: no cover - widening converges first
             # Sound fallback: give up all precision on written variables.
             top = Interval(-math.inf, math.inf)
-            for action in actions:
-                for gvar, _kind in action.effect_targets:
+            for action, template in zip(actions, templates):
+                for prefix, site in template.targets:
+                    gvar = prefix + action.sites[site]
                     envelopes[gvar] = top
                     widened.add(gvar)
             break
@@ -390,8 +406,8 @@ def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
         out = templates[idx].step(actions[idx], envelopes, code_of, reads_of[idx])
         if out is None:
             continue
-        targets = actions[idx].effect_targets
-        for gvar, post in sorted([(targets[p][0], post) for p, post in out]):
+        sites = actions[idx].sites
+        for gvar, post in sorted([(prefix + sites[site], post) for prefix, site, post in out]):
             old = envelopes.get(gvar)
             if old is not None and old.contains_interval(post):
                 continue

@@ -3,6 +3,7 @@
 from .actions import (
     EffectKind,
     GroundAction,
+    GroundingTemplate,
     ReplayCounters,
     ReplayFailure,
     iface_prop_var,
@@ -23,6 +24,7 @@ from .reachability import logically_reachable, prune_unreachable_actions
 __all__ = [
     "EffectKind",
     "GroundAction",
+    "GroundingTemplate",
     "ReplayCounters",
     "ReplayFailure",
     "replay_backend",

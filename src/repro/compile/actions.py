@@ -7,6 +7,11 @@ mentions (paper §3.1 "leveled actions").  Besides the logical precondition
 *replay program*: the optimistic-interval seeds, conditions, and effect
 assignments needed to re-execute a plan tail inside a resource map
 (paper §3.2.3, Fig. 8), compiled into closures on the action's first replay.
+
+An action is a binding of its :class:`GroundingTemplate` to a node or a
+directed edge: its ground variables (``var_map``, ``seeds``,
+``effect_targets``) are built from the template's layouts on first
+access, since the search reads them for only a few of the actions.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from ..intervals import Interval, MapContradiction, ResourceMap
 __all__ = [
     "EffectKind",
     "GroundAction",
+    "GroundingTemplate",
     "ReplayFailure",
     "ReplayCounters",
     "replay_backend",
@@ -143,14 +149,47 @@ class ReplayFailure(Exception):
         self.reason = reason
 
 
+@dataclass(frozen=True, slots=True)
+class GroundingTemplate:
+    """One surviving (subject, level combo, capacity class) of grounding:
+    everything its ground actions hold that does not depend on their node
+    or link.
+
+    Every ground variable name ends in its binding site (see
+    :func:`iface_prop_var`, :func:`node_res_var` and :func:`link_res_var`),
+    so a variable is laid out as ``(prefix, site)`` and bound as
+    ``prefix + sites[site]``, where ``sites`` is the action's ``(node,)``
+    or ``(src, dst, link site)``.
+    """
+
+    suffix: str  # "[var=level,...]" action-name suffix, or ""
+    cost_lb: float
+    cost_ast: Node
+    committed: dict[str, Interval]  # shared by every action of the template
+    var_layout: tuple[tuple[str, str, int], ...]  # (spec var, prefix, site)
+    seed_layout: tuple[tuple[str, int, Interval], ...]  # (prefix, site, interval)
+    conditions: tuple[Node, ...]
+    effects: tuple[Assign, ...]
+    target_layout: tuple[tuple[str, int, EffectKind], ...]  # (prefix, site, kind)
+    pre: tuple[tuple[str, tuple[int, ...]], ...]  # (interface, levels) required
+    # (interface, levels, implied level tuples) made available
+    adds: tuple[tuple[str, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+
+
+# Slots of an action's binding cell: what is built on first access.
+_PROGRAM, _VAR_MAP, _SEEDS, _TARGETS = range(4)
+
+
 @dataclass(slots=True)
 class GroundAction:
-    """One leveled, grounded planning action."""
+    """One leveled, grounded planning action: a template bound to sites."""
 
     index: int
     name: str
     kind: str  # 'place' | 'cross'
     subject: str  # component name (place) or interface name (cross)
+    template: GroundingTemplate = field(repr=False)  # what the action binds
+    sites: tuple[str, ...]  # (node,) or (src, dst, link site) it is bound to
     node: str | None = None  # placement node
     src: str | None = None  # crossing source
     dst: str | None = None  # crossing destination
@@ -162,62 +201,98 @@ class GroundAction:
     cost_lb: float = 0.0
     cost_ast: Node | None = None
     # -- replay program --
-    var_map: dict[str, str] = field(default_factory=dict)  # spec var -> ground var
-    seeds: tuple[tuple[str, Interval], ...] = ()
     conditions: tuple[Node, ...] = ()
     effects: tuple[Assign, ...] = ()
-    effect_targets: tuple[tuple[str, EffectKind], ...] = ()
     committed: dict[str, Interval] = field(default_factory=dict)  # spec var -> level interval
-    # Replay program (see :meth:`_build_program`), built on first replay and
-    # shared with clones: a one-slot cell holding ``None`` until then, so a
-    # clone forked before the first replay sees the program built after it.
-    # Most ground actions are never replayed, so grounding builds none.
-    _program: list = field(
-        default_factory=lambda: [None], init=False, repr=False, compare=False
+    # What is built on first access, shared with clones: the replay program
+    # (see :meth:`_build_program`) and the ``var_map``, ``seeds`` and
+    # ``effect_targets`` views, each ``None`` until built.  A clone forked
+    # before a build sees it.  Most ground actions are never replayed, so
+    # grounding builds none.
+    _cell: list = field(
+        default_factory=lambda: [None, None, None, None],
+        init=False,
+        repr=False,
+        compare=False,
     )
 
     def __str__(self) -> str:
         return self.name
 
+    # -- views built on first access -------------------------------------------
+
+    @property
+    def var_map(self) -> dict[str, str]:
+        """Spec variable → ground variable (shared with clones; never edit it)."""
+        cell = self._cell
+        got = cell[_VAR_MAP]
+        if got is None:
+            sites = self.sites
+            got = cell[_VAR_MAP] = {
+                var: prefix + sites[site] for var, prefix, site in self.template.var_layout
+            }
+        return got
+
+    @property
+    def seeds(self) -> tuple[tuple[str, Interval], ...]:
+        """``(ground var, interval)`` constraints replay applies first."""
+        cell = self._cell
+        got = cell[_SEEDS]
+        if got is None:
+            sites = self.sites
+            got = cell[_SEEDS] = tuple(
+                [(prefix + sites[site], iv) for prefix, site, iv in self.template.seed_layout]
+            )
+        return got
+
+    @property
+    def effect_targets(self) -> tuple[tuple[str, EffectKind], ...]:
+        """``(ground var, kind)`` written by each effect, in effect order."""
+        cell = self._cell
+        got = cell[_TARGETS]
+        if got is None:
+            sites = self.sites
+            got = cell[_TARGETS] = tuple(
+                [(prefix + sites[site], kind) for prefix, site, kind in self.template.target_layout]
+            )
+        return got
+
     # -- pickling / cloning ---------------------------------------------------
 
     def __getstate__(self):
-        """Pickle without the replay program (it is rebuilt on first replay).
+        """Pickle the template and sites, not what is built from them.
 
         The replay program's closures close over ground-substituted ASTs
-        and are not picklable; everything needed to rebuild them travels in
-        the declarative fields, so a worker process can receive a compiled
-        problem and replay it.
+        and are not picklable, and the views rebuild from the template on
+        first access, so the cell stays behind: a worker process can
+        receive a compiled problem and replay it.
         """
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_program"
-        }
+        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "_cell"}
 
     def __setstate__(self, state) -> None:
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
-        self._program = [None]
+        self._cell = [None, None, None, None]
 
     def clone(self) -> "GroundAction":
-        """A copy sharing the replay program and every container.
+        """A copy sharing the binding cell and every container.
 
         Unlike ``copy.copy`` — which round-trips through
-        :meth:`__getstate__` and drops the replay program — this passes
-        every field to the constructor and then shares the program cell:
-        whichever of the two replays first builds the program for both.
-        The program depends only on ``var_map``, ``conditions``,
-        ``effects`` and ``effect_targets``, which nothing changes after
-        grounding.
+        :meth:`__getstate__` and drops the cell — this passes every field
+        to the constructor and then shares the cell: whichever of the two
+        builds the replay program or a view first builds it for both, so a
+        clone costs one object.  What the cell holds depends only on the
+        template, the sites, ``conditions`` and ``effects``, which nothing
+        changes after grounding.
 
-        The copy also shares the ``var_map`` and ``committed`` dicts (as
-        every action of one grounding template already shares its
-        ``committed``), so a clone costs one object.  Fields may be
-        reassigned on a copy — ``index`` when renumbering, ``committed``
-        in :func:`repro.planner.postopt.replace_action` — but neither
-        dict may be edited in place: replace it instead.
+        The copy also shares the ``committed`` dict (as every action of
+        one grounding template already does).  Fields may be reassigned on
+        a copy — ``index`` when renumbering, ``committed`` in
+        :func:`repro.planner.postopt.replace_action` — but no dict may be
+        edited in place: replace it instead.
         """
         dup = GroundAction(*_init_fields(self))
-        dup._program = self._program
+        dup._cell = self._cell
         return dup
 
     def _build_program(self) -> tuple:
@@ -252,10 +327,8 @@ class GroundAction:
             read_vars |= variables(a.expr)
             if a.op != ":=":
                 read_vars.add(a.target.name)
-        var_items = tuple(
-            (sv, gv) for sv, gv in self.var_map.items() if sv in read_vars
-        )
-        program = self._program[0] = (cond_prog, effect_prog, var_items)
+        var_items = tuple((sv, gv) for sv, gv in sub.items() if sv in read_vars)
+        program = self._cell[_PROGRAM] = (cond_prog, effect_prog, var_items)
         return program
 
     # -- replay ---------------------------------------------------------------
@@ -279,7 +352,7 @@ class GroundAction:
 
         # Simultaneous effect semantics: all right-hand sides read the
         # pre-state, then targets are written.
-        cond_prog, effect_prog, var_items = self._program[0] or self._build_program()
+        cond_prog, effect_prog, var_items = self._cell[_PROGRAM] or self._build_program()
         staged: list[tuple[str, EffectKind, Interval]]
         if _backend == "compiled":
             # Ground-substituted closures read the map's backing dict

@@ -15,7 +15,7 @@ from ..expr import condition_satisfiable, variables
 from ..intervals import Interval
 from .actions import GroundAction, iface_prop_var, is_resource_var
 from .problem import CompiledProblem
-from .reachability import _best_value_fixed_point, _input_specs
+from .reachability import _best_value_fixed_point, _input_layout
 
 __all__ = ["Diagnosis", "diagnose"]
 
@@ -45,7 +45,7 @@ def _best_values(problem: CompiledProblem) -> dict[str, float]:
 def _explain_action(action: GroundAction, best: dict[str, float]) -> str | None:
     """Why this action is unusable under the best-value map, or None."""
     env: dict[str, Interval] = {}
-    for spec_var in _input_specs(action):
+    for spec_var, _prefix, _site in _input_layout(action.template):
         gvar = action.var_map[spec_var]
         committed = action.committed[spec_var]
         avail = best.get(gvar)

@@ -20,9 +20,11 @@ are pruned statically:
 Static evaluation depends only on the level combo and the capacities of
 the node or link, and networks have few distinct capacity profiles.  So
 each (component or interface, level combo, capacity class) that survives
-is evaluated once into a :class:`_Template` holding everything its
-actions share; binding it to a node or directed edge only formats names
-and looks up interned proposition sets shared by equal keys.
+is evaluated once into a :class:`~repro.compile.actions.GroundingTemplate`
+holding everything its actions share; binding it to a node or directed
+edge only formats the action's name and looks up interned proposition
+sets shared by equal keys.  The action's ground variables are built from
+the template on first access.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from ..network.resources import ResourceDecl
 from .actions import (
     EffectKind,
     GroundAction,
+    GroundingTemplate,
     iface_prop_var,
     link_site,
     node_res_var,
@@ -109,31 +112,6 @@ class _IfaceLevelInfo:
     degradable: tuple[bool, ...]
     upgradable: tuple[bool, ...]
     counts: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class _Template:
-    """One surviving (subject, level combo, capacity class): everything
-    its ground actions hold that does not depend on their node or link.
-
-    Every ground variable name ends in its site (see
-    :func:`~repro.compile.actions.iface_prop_var`, ``node_res_var`` and
-    ``link_res_var``), so a variable is stored as ``(prefix, site)`` and
-    bound as ``prefix + sites[site]``.
-    """
-
-    suffix: str  # "[var=level,...]" action-name suffix, or ""
-    cost_lb: float
-    cost_ast: ExprNode
-    committed: dict[str, Interval]  # shared by every action of the template
-    var_map: tuple[tuple[str, str, int], ...]  # (spec var, prefix, site)
-    seeds: tuple[tuple[str, int, Interval], ...]  # (prefix, site, interval)
-    conditions: tuple[ExprNode, ...]
-    effects: tuple[Assign, ...]
-    targets: tuple[tuple[str, int, EffectKind], ...]  # (prefix, site, kind)
-    pre: tuple[tuple[str, tuple[int, ...]], ...]  # (interface, levels) required
-    # (interface, levels, implied level tuples) made available
-    adds: tuple[tuple[str, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
 
 class Grounder:
@@ -359,7 +337,7 @@ class Grounder:
         # Static results depend only on (level combo, node capacities); most
         # networks have a handful of distinct capacity profiles, so each
         # profile's surviving combos are evaluated and templated once.
-        classes: dict[tuple, list[_Template]] = {}
+        classes: dict[tuple, list[GroundingTemplate]] = {}
         for node_id in nodes:
             if self._take_supplied(supplied, ("place", comp.name, node_id)):
                 continue
@@ -437,7 +415,7 @@ class Grounder:
         derived_levels: dict[str, dict[str, int]],
         cost_lb: float,
         committed: dict[str, Interval],
-    ) -> _Template:
+    ) -> GroundingTemplate:
         var_map: dict[str, tuple[str, int]] = {}
         seeds: list[tuple[str, int, Interval]] = []
         pre: list[tuple[str, tuple[int, ...]]] = []
@@ -478,21 +456,21 @@ class Grounder:
             info = self._iface_info[iface_name]
             levels = tuple(derived_levels[iface_name][p] for p in info.leveled_props)
             adds.append((iface_name, levels, self._dominated(info, levels)))
-        return _Template(
+        return GroundingTemplate(
             suffix=_annotation(combo),
             cost_lb=cost_lb,
             cost_ast=comp.cost_expr(),
             committed=committed,
-            var_map=tuple((var, prefix, site) for var, (prefix, site) in var_map.items()),
-            seeds=tuple(seeds),
+            var_layout=tuple((var, prefix, site) for var, (prefix, site) in var_map.items()),
+            seed_layout=tuple(seeds),
             conditions=comp.conditions,
             effects=tuple(comp.effects),
-            targets=tuple(targets),
+            target_layout=tuple(targets),
             pre=tuple(pre),
             adds=tuple(adds),
         )
 
-    def _emit_place(self, comp: ComponentSpec, node_id: str, templates: list[_Template]) -> None:
+    def _emit_place(self, comp: ComponentSpec, node_id: str, templates: list[GroundingTemplate]) -> None:
         """One place action per template at ``node_id``."""
         sites = (node_id,)
         head = f"place({comp.name},{node_id})"
@@ -530,7 +508,7 @@ class Grounder:
             mentioned |= variables(f)
 
         base_env, input_axes = self._input_env_and_axes((iface.name,))
-        classes: dict[tuple, list[_Template]] = {}
+        classes: dict[tuple, list[GroundingTemplate]] = {}
         for src, dst, link in self.network.directed_edges():
             if self._take_supplied(supplied, ("cross", iface.name, src, dst)):
                 continue
@@ -626,7 +604,7 @@ class Grounder:
         derived: dict[str, int],
         cost_lb: float,
         committed: dict[str, Interval],
-    ) -> _Template:
+    ) -> GroundingTemplate:
         info = self._iface_info[iface.name]
         var_map: dict[str, tuple[str, int]] = {}
         seeds: list[tuple[str, int, Interval]] = []
@@ -659,22 +637,22 @@ class Grounder:
 
         in_levels = tuple(combo[v][0] for v in info.spec_vars)
         out_levels = tuple(derived[p] for p in info.leveled_props)
-        return _Template(
+        return GroundingTemplate(
             suffix=_annotation(combo),
             cost_lb=cost_lb,
             cost_ast=iface.cross_cost if iface.cross_cost is not None else _UNIT_COST,
             committed=committed,
-            var_map=tuple((var, prefix, site) for var, (prefix, site) in var_map.items()),
-            seeds=tuple(seeds),
+            var_layout=tuple((var, prefix, site) for var, (prefix, site) in var_map.items()),
+            seed_layout=tuple(seeds),
             conditions=iface.cross_conditions,
             effects=tuple(iface.cross_effects),
-            targets=tuple(targets),
+            target_layout=tuple(targets),
             pre=((iface.name, in_levels),),
             adds=((iface.name, out_levels, self._dominated(info, out_levels)),),
         )
 
     def _emit_cross(
-        self, iface: InterfaceType, src: str, dst: str, templates: list[_Template]
+        self, iface: InterfaceType, src: str, dst: str, templates: list[GroundingTemplate]
     ) -> None:
         """One cross action per template over the directed edge ``src -> dst``."""
         sites = (src, dst, link_site(src, dst))
@@ -693,7 +671,7 @@ class Grounder:
 
     def _append(
         self,
-        t: _Template,
+        t: GroundingTemplate,
         head: str,
         sites: tuple[str, ...],
         kind: str,
@@ -705,7 +683,7 @@ class Grounder:
         src: str | None = None,
         dst: str | None = None,
     ) -> None:
-        """Bind template ``t`` to ``sites``: only names are formatted here."""
+        """Bind template ``t`` to ``sites``: only the name is formatted here."""
         self.actions.append(
             GroundAction(
                 index=len(self.actions),
@@ -720,13 +698,10 @@ class Grounder:
                 primary_adds=primary_adds,
                 cost_lb=t.cost_lb,
                 cost_ast=t.cost_ast,
-                var_map={var: prefix + sites[site] for var, prefix, site in t.var_map},
-                seeds=tuple([(prefix + sites[site], iv) for prefix, site, iv in t.seeds]),
+                template=t,
+                sites=sites,
                 conditions=t.conditions,
                 effects=t.effects,
-                effect_targets=tuple(
-                    [(prefix + sites[site], ekind) for prefix, site, ekind in t.targets]
-                ),
                 committed=t.committed,
             )
         )

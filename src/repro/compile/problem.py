@@ -81,12 +81,14 @@ class CompiledProblem:
         Deployment repair rewrites the initial state and reassigns action
         fields (costs, ``index``, ``committed``); a warm-start compile cache
         therefore never hands out its pristine instance directly.  Each
-        action is cloned into one new object that shares its replay
-        program, ``var_map`` and ``committed`` with the original (see
-        :meth:`~repro.compile.GroundAction.clone`: those dicts are replaced,
-        never edited), the containers repair mutates are shallow-copied,
-        and the expensive immutable structure (interned propositions,
-        ASTs) is shared.
+        action is cloned into one new object that shares its template,
+        its ``committed`` dict and the cell holding its replay program
+        and ``var_map``/``seeds``/``effect_targets`` views with the
+        original, so either side sees what the other builds later (see
+        :meth:`~repro.compile.GroundAction.clone`: dicts are replaced,
+        never edited).  The containers repair mutates are
+        shallow-copied, and the expensive immutable structure (interned
+        propositions, ASTs) is shared.
         """
         import copy as _copy
 

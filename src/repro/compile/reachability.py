@@ -27,7 +27,7 @@ from collections import deque
 
 from ..expr import EvalError, compile_condition_satisfiable, compile_interval
 from ..intervals import Interval
-from .actions import EffectKind, GroundAction, is_resource_var
+from .actions import EffectKind, GroundAction, GroundingTemplate, is_resource_var
 
 __all__ = ["prune_unreachable_actions", "logically_reachable"]
 
@@ -41,17 +41,15 @@ _PRODUCE_KINDS = (
 )
 
 
-def _input_specs(action: GroundAction) -> tuple[str, ...]:
-    """Spec variables of the action's stream inputs, in ``var_map`` order.
-
-    A stream input is a committed variable that is not a resource.  The
-    list depends only on the action's grounding template.
-    """
-    committed = action.committed
+def _input_layout(template: GroundingTemplate) -> tuple[tuple[str, str, int], ...]:
+    """``(spec var, prefix, site)`` of the template's stream inputs, in
+    ``var_layout`` order.  A stream input is a committed variable that is
+    not a resource."""
+    committed = template.committed
     return tuple(
-        spec_var
-        for spec_var in action.var_map
-        if spec_var in committed and not is_resource_var(spec_var)
+        entry
+        for entry in template.var_layout
+        if entry[0] in committed and not is_resource_var(entry[0])
     )
 
 
@@ -62,8 +60,10 @@ class _Template:
     dict, conditions, effects and effect kinds (clones share them too), so
     an action's evaluation depends only on its template and on the best
     values of its input streams: ``memo`` maps those values to the
-    produced best values (by effect position), or to ``None`` when the
-    action is infeasible under them.
+    produced best values (in ``produce`` order), or to ``None`` when the
+    action is infeasible under them.  Input and produced variables are
+    held as ``(prefix, site)`` layouts, bound per action to its sites, so
+    the fixed point never builds an action's ``var_map`` or targets.
 
     Conditions and produced right-hand sides are held as compiled
     closures.  Grounding has already compiled each of these formulas
@@ -71,21 +71,21 @@ class _Template:
     cannot fail here.
     """
 
-    __slots__ = ("specs", "committed", "resources", "conditions", "produce", "memo")
+    __slots__ = ("specs", "inputs", "committed", "resources", "conditions", "produce", "memo")
 
-    def __init__(self, action: GroundAction):
-        self.specs = _input_specs(action)
-        self.committed = tuple(action.committed[s] for s in self.specs)
+    def __init__(self, template: GroundingTemplate):
+        layout = _input_layout(template)
+        self.specs = tuple(spec_var for spec_var, _prefix, _site in layout)
+        self.inputs = tuple((prefix, site) for _spec_var, prefix, site in layout)
+        self.committed = tuple(template.committed[s] for s in self.specs)
         # Resources enter at their static grounding ranges.
         self.resources = tuple(
-            (s, iv) for s, iv in action.committed.items() if is_resource_var(s)
+            (s, iv) for s, iv in template.committed.items() if is_resource_var(s)
         )
-        self.conditions = tuple(compile_condition_satisfiable(c) for c in action.conditions)
+        self.conditions = tuple(compile_condition_satisfiable(c) for c in template.conditions)
         self.produce = tuple(
-            (position, compile_interval(assign.expr))
-            for position, (assign, (_gvar, kind)) in enumerate(
-                zip(action.effects, action.effect_targets)
-            )
+            (prefix, site, compile_interval(assign.expr))
+            for assign, (prefix, site, kind) in zip(template.effects, template.target_layout)
             if kind in _PRODUCE_KINDS
         )
         self.memo: dict[tuple, tuple[float, ...] | None] = {}
@@ -106,7 +106,7 @@ class _Template:
         try:
             if not all(cond(env) for cond in self.conditions):
                 return None
-            return tuple(fn(env).hi for _position, fn in self.produce)
+            return tuple(fn(env).hi for _prefix, _site, fn in self.produce)
         except EvalError:
             return None  # unresolvable (e.g. unregistered function): keep out
 
@@ -138,16 +138,16 @@ def _best_value_fixed_point(
     # the fixed point: every object that does is promoted by the garbage
     # collector, and on a large heap (a compile cache of forked problems)
     # that buys full collections.
-    templates: dict[int, _Template] = {}
+    templates: dict[int, _Template] = {}  # by id of the grounding template
     template_of: list[_Template] = []
     inputs: list[tuple[str, ...]] = []
     dependents: dict[str, list[int]] = {}
     for position, action in enumerate(actions):
-        template = templates.get(id(action.committed))
+        template = templates.get(id(action.template))
         if template is None:
-            template = templates[id(action.committed)] = _Template(action)
-        var_map = action.var_map
-        gvars = tuple([var_map[s] for s in template.specs])
+            template = templates[id(action.template)] = _Template(action.template)
+        sites = action.sites
+        gvars = tuple([prefix + sites[site] for prefix, site in template.inputs])
         template_of.append(template)
         inputs.append(gvars)
         for gvar in gvars:
@@ -176,12 +176,12 @@ def _best_value_fixed_point(
         if out is None:
             continue
         feasible[position] = 1
-        # Map the produced values onto this binding's targets; where two
+        # Bind the produced values to this action's sites; where two
         # effects write one variable, the last writer wins.
-        targets = actions[position].effect_targets
+        sites = actions[position].sites
         produced: dict[str, float] = {}
-        for (effect, _fn), hi in zip(template.produce, out):
-            produced[targets[effect][0]] = hi
+        for (prefix, site, _fn), hi in zip(template.produce, out):
+            produced[prefix + sites[site]] = hi
         for gvar, hi in produced.items():
             if math.isnan(hi):
                 continue

@@ -134,15 +134,6 @@ class Interval:
 
     # -- attainable extrema ------------------------------------------------
 
-    def sup_value(self, cap: float = _INF) -> float:
-        """Greatest attainable value, clamped to ``cap``.
-
-        For an open upper bound the supremum itself is not attainable;
-        callers that need an attainable concretization should use
-        :meth:`greedy_value`.
-        """
-        return min(self.hi, cap)
-
     def greedy_value(self, cap: float = _INF) -> float:
         """The value a greedy (max-utilization) concretizer picks.
 
@@ -223,47 +214,11 @@ class Interval:
             return False
         return self.hi > c or (self.hi == c and not self.hi_open)
 
-    def exists_gt(self, c: float) -> bool:
-        """∃ v ∈ self: v > c."""
-        if self.is_empty():
-            return False
-        return self.hi > c
-
-    def exists_le(self, c: float) -> bool:
-        """∃ v ∈ self: v <= c."""
-        if self.is_empty():
-            return False
-        return self.lo < c or (self.lo == c and not self.lo_open)
-
-    def exists_lt(self, c: float) -> bool:
-        """∃ v ∈ self: v < c."""
-        if self.is_empty():
-            return False
-        return self.lo < c
-
     def exists_eq(self, c: float) -> bool:
         """∃ v ∈ self: v == c."""
         return c in self
 
-    # -- universal comparison checks ----------------------------------------
-
-    def forall_ge(self, c: float) -> bool:
-        """∀ v ∈ self: v >= c (vacuously true when empty)."""
-        if self.is_empty():
-            return True
-        return self.lo > c or (self.lo == c and not self.lo_open) or self.lo == c
-
-    def forall_le(self, c: float) -> bool:
-        """∀ v ∈ self: v <= c (vacuously true when empty)."""
-        if self.is_empty():
-            return True
-        return self.hi <= c
-
     # -- misc ----------------------------------------------------------------
-
-    def clamp_nonnegative(self) -> "Interval":
-        """Intersect with ``[0, inf)``."""
-        return self.intersect(Interval.nonnegative())
 
     def shifted(self, delta: float) -> "Interval":
         return Interval(self.lo + delta, self.hi + delta, self.lo_open, self.hi_open)

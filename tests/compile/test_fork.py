@@ -31,7 +31,7 @@ def test_fork_shares_var_map_and_committed(fig10c):
         assert copy is not base
         assert copy.var_map is base.var_map
         assert copy.committed is base.committed
-        assert copy._program is base._program
+        assert copy._cell is base._cell
 
 
 def test_fork_allocates_one_object_per_action(fig10c):

@@ -23,7 +23,7 @@ from repro.planner import Planner, PlannerConfig
 
 
 def _built(action: GroundAction) -> bool:
-    return action._program[0] is not None
+    return action._cell[0] is not None
 
 
 def _spec_formulas(app) -> set:
@@ -107,7 +107,7 @@ class TestCloneSharesProgram:
         assert not _built(action) and not _built(dup)
         action.replay(tiny_problem.initial_map())
         assert _built(dup)
-        assert dup._program[0] is action._program[0]
+        assert dup._cell[0] is action._cell[0]
 
     def test_fork_reuses_program_built_by_earlier_fork(self, tiny_problem):
         name = "place(Splitter,n0)[M.ibw=1]"
@@ -115,7 +115,7 @@ class TestCloneSharesProgram:
         _action(first, name).replay(first.initial_map())
         second = tiny_problem.fork()
         assert _built(_action(second, name))
-        assert _action(second, name)._program[0] is _action(first, name)._program[0]
+        assert _action(second, name)._cell[0] is _action(first, name)._cell[0]
 
 
 class TestPickleRoundTrip:

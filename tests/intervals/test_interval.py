@@ -145,25 +145,13 @@ class TestExistentialChecks:
     def test_exists_ge_interior(self):
         assert Interval.half_open(0, 100).exists_ge(90)
 
-    def test_exists_gt(self):
-        assert Interval.half_open(0, 100).exists_gt(99.9)
-        assert not Interval.half_open(0, 100).exists_gt(100)
-
-    def test_exists_le(self):
-        assert Interval.closed(5, 10).exists_le(5)
-        assert not Interval(5, 10, True, False).exists_le(5)
-
-    def test_exists_lt(self):
-        assert Interval.closed(5, 10).exists_lt(6)
-        assert not Interval.closed(5, 10).exists_lt(5)
-
     def test_exists_eq(self):
         assert Interval.half_open(90, 100).exists_eq(90)
         assert not Interval.half_open(90, 100).exists_eq(100)
 
     def test_empty_satisfies_nothing(self):
         assert not EMPTY.exists_ge(0)
-        assert not EMPTY.exists_le(1e9)
+        assert not EMPTY.exists_ge(-1e9)
 
 
 class TestGreedyValue:
@@ -189,10 +177,6 @@ class TestMisc:
     def test_shifted(self):
         iv = Interval.half_open(1, 2).shifted(10)
         assert iv.lo == 11 and iv.hi == 12 and iv.hi_open
-
-    def test_clamp_nonnegative(self):
-        iv = Interval.closed(-5, 5).clamp_nonnegative()
-        assert iv.lo == 0.0 and iv.hi == 5.0
 
     def test_overlaps(self):
         assert Interval.closed(0, 5).overlaps(Interval.closed(5, 9))

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.expr import Direction, parse_formula
-from repro.intervals import EMPTY, Interval
 from repro.model import SpecError
 from repro.network import LATENCY, ResourceDecl, ResourceScope
 
@@ -18,22 +17,6 @@ class TestDirectionFlip:
     def test_flip_identity_cases(self):
         assert Direction.CONSTANT.flip() is Direction.CONSTANT
         assert Direction.UNKNOWN.flip() is Direction.UNKNOWN
-
-
-class TestIntervalForall:
-    def test_forall_ge(self):
-        assert Interval.closed(5, 9).forall_ge(5)
-        assert not Interval.closed(4, 9).forall_ge(5)
-        assert EMPTY.forall_ge(100)  # vacuous
-
-    def test_forall_le(self):
-        assert Interval.closed(0, 5).forall_le(5)
-        assert not Interval.closed(0, 6).forall_le(5)
-        assert EMPTY.forall_le(-100)  # vacuous
-
-    def test_sup_value_clamps(self):
-        assert Interval.closed(0, 10).sup_value(cap=7) == 7
-        assert Interval.closed(0, 10).sup_value() == 10
 
 
 class TestResourceDeclValidation:
