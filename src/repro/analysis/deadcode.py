@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..compile import CompiledProblem
 from ..intervals import Interval
 from .certificates import PruneCertificate, certificate_for
-from .envelopes import _bind, _value_codes, abstract_step
+from .envelopes import _bind, _Binding, _value_codes, abstract_step
 
 __all__ = ["DeadAction", "find_dead_actions"]
 
@@ -37,7 +37,7 @@ class DeadAction:
 
 
 def find_dead_actions(
-    problem: CompiledProblem, envelopes: dict[str, Interval]
+    problem: CompiledProblem, envelopes: dict[str, Interval], binding: _Binding | None = None
 ) -> tuple[DeadAction, ...]:
     """Refute every action against the final envelopes.
 
@@ -45,15 +45,18 @@ def find_dead_actions(
     in the envelopes (a larger envelope can only *un*-refute), so judging
     against the final fixpoint is consistent with the fixpoint itself: an
     action that contributed writes during the fixpoint is never reported
-    dead here.
+    dead here.  ``binding`` is the one the fixpoint ran on, when there is
+    one (its memoized steps are reused), else ``_bind(problem.actions)``.
     """
-    _codes, code_of = _value_codes(envelopes)
+    if binding is None:
+        binding = _bind(problem.actions)
+    code_of = _value_codes(envelopes, binding.codes)
     return tuple(
         DeadAction(
             index=action.index,
             name=action.name,
             certificate=certificate_for(action, abstract_step(action, envelopes)),
         )
-        for action, template, reads in zip(problem.actions, *_bind(problem.actions))
+        for action, template, reads in zip(problem.actions, binding.templates, binding.reads)
         if template.step(action, envelopes, code_of, reads) is None
     )

@@ -339,17 +339,31 @@ class _Template:
         return self.memo[key]
 
 
-def _value_codes(envelopes: dict[str, Interval]) -> tuple[dict[Interval, int], dict[str, int]]:
-    """One small-int code per distinct envelope value, and each variable's
-    code: equal codes mean equal intervals, and a tuple of codes hashes
-    without calling back into :class:`Interval`."""
-    codes: dict[Interval, int] = {}
-    return codes, {gvar: codes.setdefault(iv, len(codes)) for gvar, iv in envelopes.items()}
+def _value_codes(envelopes: dict[str, Interval], codes: dict[Interval, int]) -> dict[str, int]:
+    """Each variable's code, one small int per distinct envelope value
+    (added to ``codes`` when new): equal codes mean equal intervals, and a
+    tuple of codes hashes without calling back into :class:`Interval`."""
+    return {gvar: codes.setdefault(iv, len(codes)) for gvar, iv in envelopes.items()}
 
 
-def _bind(actions: list[GroundAction]) -> tuple[list[_Template], list[tuple[str, ...]]]:
+@dataclass
+class _Binding:
     """Each action's template (one per grounding template) and its read
-    ground variables, in :attr:`_Template.reads` order."""
+    ground variables, in :attr:`_Template.reads` order, with the value
+    codes the templates' step memos are keyed by.
+
+    A binding made once per problem serves the envelope fixpoint and the
+    dead-action pass: the second pass codes values through the same
+    ``codes``, so it also reuses the fixpoint's memoized steps.
+    """
+
+    templates: list[_Template]
+    reads: list[tuple[str, ...]]
+    codes: dict[Interval, int]
+
+
+def _bind(actions: list[GroundAction]) -> _Binding:
+    """Bind every action to its template and read variables."""
     by_template: dict[int, _Template] = {}
     templates: list[_Template] = []
     reads: list[tuple[str, ...]] = []
@@ -360,10 +374,10 @@ def _bind(actions: list[GroundAction]) -> tuple[list[_Template], list[tuple[str,
         templates.append(template)
         sites = action.sites
         reads.append(tuple([prefix + sites[site] for prefix, site in template.reads]))
-    return templates, reads
+    return _Binding(templates, reads, {})
 
 
-def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
+def compute_envelopes(problem: CompiledProblem, binding: _Binding | None = None) -> EnvelopeResult:
     """Run the worklist fixpoint to a sound invariant envelope per variable.
 
     Deterministic: the worklist starts in action-index order and
@@ -371,12 +385,15 @@ def compute_envelopes(problem: CompiledProblem) -> EnvelopeResult:
     identical envelopes (byte-for-byte across processes).  Steps are
     memoized per (template, read envelopes), so interchangeable bindings
     are stepped once; each binding's writes are joined in sorted variable
-    order, as :func:`abstract_step` lists them.
+    order, as :func:`abstract_step` lists them.  ``binding`` is
+    ``_bind(problem.actions)``, made here when not given.
     """
     envelopes = initial_envelopes(problem)
     actions = problem.actions
-    templates, reads_of = _bind(actions)
-    codes, code_of = _value_codes(envelopes)
+    if binding is None:
+        binding = _bind(actions)
+    templates, reads_of, codes = binding.templates, binding.reads, binding.codes
+    code_of = _value_codes(envelopes, codes)
 
     dependents: dict[str, list[int]] = {}
     for action, reads in zip(actions, reads_of):

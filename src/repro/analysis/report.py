@@ -33,7 +33,7 @@ from ..lint import LintReport, Severity, SourceLocation
 from ..obs import timed
 from .certificates import interval_payload
 from .deadcode import DeadAction, find_dead_actions
-from .envelopes import EnvelopeResult, compute_envelopes
+from .envelopes import EnvelopeResult, _bind, compute_envelopes
 from .symmetry import PruneHints, SymmetryResult, compute_symmetry
 
 __all__ = ["AnalysisResult", "analyze_problem"]
@@ -177,8 +177,9 @@ class AnalysisResult:
 def analyze_problem(problem: CompiledProblem) -> AnalysisResult:
     """Run the full static pass over one compiled problem."""
     with timed("analysis") as clock:
-        envelopes = compute_envelopes(problem)
-        dead = find_dead_actions(problem, envelopes.envelopes)
+        binding = _bind(problem.actions)
+        envelopes = compute_envelopes(problem, binding)
+        dead = find_dead_actions(problem, envelopes.envelopes, binding)
         symmetry = compute_symmetry(problem)
     return AnalysisResult(
         app_name=problem.app.name,

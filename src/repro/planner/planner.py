@@ -58,7 +58,9 @@ class PlannerConfig:
         RG guidance: the paper's SLRG, the PLRG ``hmax`` bound, or blind
         (uniform-cost) search.
     slrg_node_budget / rg_node_budget:
-        Safety bounds on the search phases.
+        Safety bounds on the search phases.  The RG budget counts
+        created nodes: nodes whose tails replayed cleanly, not every
+        queued one.
     time_limit_s / phase_time_limit_s:
         Wall-clock deadlines (docs/ROBUSTNESS.md).  ``time_limit_s``
         bounds the whole :meth:`Planner.solve` call (measured from entry,

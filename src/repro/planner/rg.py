@@ -2,10 +2,16 @@
 
 The RG performs A* regression from the goal set.  Each node carries a
 proposition set and a totally ordered *plan tail* (the actions regressed
-over so far, which form the suffix of any plan through this node).  On
-node creation the tail is replayed inside the optimistic resource map —
+over so far, which form the suffix of any plan through this node).  The
+tail is replayed inside the optimistic resource map —
 contradictions, unsatisfiable conditions, or worst-case overdraws prune
-the node immediately (early detection of quality-of-service violations).
+the node (early detection of quality-of-service violations).  The paper
+replays on node creation; here the replay waits until A* pops the node,
+because most queued nodes are never expanded.  A node that fails is
+dropped at its pop, before any expansion, so the expanded tree is the
+one creation-time replay gives.  Complete nodes (every proposition holds
+initially) are still replayed when they are made: a complete node is a
+plan the moment it exists.
 
 A node is terminal when its propositions all hold in the initial state
 and its tail replays successfully against the initial state's resource
@@ -13,7 +19,7 @@ map.  Because resource failures depend on the whole tail, nodes are not
 reused; the RG is a tree (the paper's observation).  We do apply one safe
 transposition prune: two nodes with the same proposition set and the same
 *multiset* of tail actions are interchangeable, so the later/costlier one
-is dropped.
+is dropped — once the earlier one's tail is known to replay cleanly.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import heapq
 import itertools
 import math
 import time
+from bisect import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -50,8 +57,9 @@ _BRANCH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _US_BOUNDS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
 
 
-# Transposition table: (props, tail action multiset) -> best g.
-_Seen = dict[tuple[frozenset[int], frozenset[int]], float]
+# Transposition table: (props, sorted tail action indices) -> the queued
+# nodes with that key, in creation order (their tails replay on demand).
+_Seen = dict[tuple[frozenset[int], tuple[int, ...]], list["_Node"]]
 
 
 @dataclass(slots=True)
@@ -59,9 +67,13 @@ class _Node:
     """One RG search node.
 
     ``tail_ids`` (the indices of the actions on the path back to the
-    root) and ``depth`` (the tail length) are computed incrementally at
-    construction — O(1) amortized bookkeeping per node instead of
-    re-walking the parent chain for every candidate child.
+    root, sorted: a tuple is a third the size of a frozenset, and most
+    nodes wait in the queue) and ``depth`` (the tail length) are computed
+    incrementally at construction — O(1) amortized bookkeeping per node
+    instead of re-walking the parent chain for every candidate child.  ``f`` is the
+    node's priority in its open list.  ``valid`` caches the tail replay's
+    verdict: ``None`` until the tail is replayed, then whether it
+    replayed cleanly.
     """
 
     props: frozenset[int]
@@ -69,7 +81,9 @@ class _Node:
     action: GroundAction | None
     parent: "_Node | None"
     depth: int
-    tail_ids: frozenset[int] = frozenset()
+    tail_ids: tuple[int, ...] = ()
+    f: float = 0.0
+    valid: bool | None = None
 
     def tail(self) -> list[GroundAction]:
         """Plan tail in execution order (this node's action first)."""
@@ -85,7 +99,9 @@ class SearchRecord:
     """The RG's one account of its decisions (paper §3.2.3).
 
     Every candidate child ends in one decision: it is pruned for one of
-    :data:`PRUNE_REASONS`, or it is *created* (it survived every prune).
+    :data:`PRUNE_REASONS`, or it is *created* (it survived every prune,
+    its tail replay included), or the search stops while it is still
+    queued with its tail unreplayed.
     The record tallies each decision once — ``created`` (the root
     included), ``expanded``, ``pruned[reason]``, incumbents ``improved``
     and ``returned``, and the replay work — and the views hang off the
@@ -123,17 +139,17 @@ class SearchRecord:
         if self.trace is not None:
             self.trace.pruned(action.name, reason, depth, detail)
 
-    def replayed(self, depth: int, started: float) -> None:
-        """A tail of ``depth`` actions replayed cleanly from ``started``."""
-        if self.metrics is not None:
-            self._tail.observe(depth)
-            self._us.observe((time.perf_counter() - started) * 1e6 / depth)
-
-    def queued(self, child: _Node, f: float) -> None:
-        """A created child enters an open list (a search that stops at a
-        child counts it as created but never queues it)."""
+    def replayed(self, node: _Node, started: float) -> None:
+        """``node``'s tail replayed cleanly from ``started``: it is created."""
+        self.created += 1
         if self.trace is not None:
-            self.trace.created(child.action.name, f, child.depth)
+            self.trace.created(node.action.name, node.f, node.depth)
+        if self.metrics is not None:
+            self._tail.observe(node.depth)
+            self._us.observe((time.perf_counter() - started) * 1e6 / node.depth)
+
+    def queued(self, f: float) -> None:
+        """A child enters an open list, its tail not necessarily replayed."""
         if self.metrics is not None:
             self._f.observe(f)
 
@@ -202,6 +218,14 @@ def regression_search(
     symmetry: "PruneHints | None" = None,
 ) -> RGResult:
     """A* regression with plan-tail replay.
+
+    A node's tail is replayed when the node is popped, from the main heap
+    or the anytime probe's, and a node that fails is dropped there, so a
+    quality-of-service violation is still caught before the node is
+    expanded.  Two replays come sooner: a complete child's, when it is
+    made, and an earlier transposition twin's, when a later child would
+    be pruned by it.  A node is *created* once its tail replays cleanly;
+    ``node_budget`` counts created nodes, the root included.
 
     Parameters
     ----------
@@ -276,24 +300,54 @@ def regression_search(
     if prop_rank is None:
         prop_rank = lambda pid: heuristic(frozenset((pid,)))  # noqa: E731
 
-    root = _Node(props=frozenset(problem.goal_prop_ids), g=0.0, action=None, parent=None, depth=0)
+    root = _Node(
+        props=frozenset(problem.goal_prop_ids), g=0.0, action=None, parent=None, depth=0,
+        valid=True,
+    )
     rec = SearchRecord(trace, metrics)
     replay = rec.replay
     clock = time.perf_counter
     counter = itertools.count()
+    interned: dict[frozenset[int], frozenset[int]] = {}
+
+    def replays_cleanly(node: _Node) -> bool:
+        """Replay ``node``'s tail once and cache the verdict on the node.
+
+        The tail (the node's action first, walking up the parent chain)
+        runs in the optimistic map seeded from the initial state.  A clean
+        replay creates the node; a failed one prunes it.
+        """
+        if node.valid is None:
+            rmap = problem.initial_map()
+            replay.replays += 1
+            started = clock()
+            try:
+                step: _Node | None = node
+                while step is not None and step.action is not None:
+                    step.action.replay(rmap, replay)
+                    step = step.parent
+            except ReplayFailure as exc:
+                node.valid = False
+                rec.prune(node.action, "replay", node.depth, exc.reason)
+                return False
+            node.valid = True
+            rec.replayed(node, started)
+        return node.valid
 
     def children(
-        node: _Node, open_props: frozenset[int], f: float, seen: _Seen
+        node: _Node, open_props: frozenset[int], f: float, seen: _Seen, weight: float
     ) -> Iterator[tuple[_Node, float]]:
-        """Expand ``node``: yield ``(child, h)`` for each created child.
+        """Expand ``node``: yield ``(child, h)`` for each child to queue.
 
         Children must achieve at least one open proposition (the paper's
         rule): by default any one; with ``branch_all_props`` off, the
         hardest only.  A child is pruned as a repeat of a tail action
         (silently: add-only logic never needs one), as a verified
-        symmetry image, as a transposition of a no-cheaper ``seen`` entry,
-        by a failed tail replay, or by an infinite heuristic; every
-        decision goes to the record once.
+        symmetry image, as a transposition of an earlier ``seen`` twin no
+        dearer than it whose tail replays cleanly, or by an infinite
+        heuristic.  A surviving child gets ``f = g + weight * h``; its tail
+        replay waits for its pop, unless it is complete, when a failed
+        replay prunes it here.  Every decision goes to the record once.
         """
         candidate_actions: set[int] = set()
         if branch_all_props:
@@ -333,46 +387,39 @@ def regression_search(
                         rec.prune(action, "symmetry", depth, f"swap image under {rep}~{other}")
                         continue
             new_props = frozenset((node.props - action.add_props) | action.pre_props)
+            # Many queued nodes share a proposition set; they share one object.
+            new_props = interned.setdefault(new_props, new_props)
             ng = node.g + action.cost_lb
-            child_tail_ids = tail_ids | {a_idx}
+            at = bisect(tail_ids, a_idx)
+            child_tail_ids = tail_ids[:at] + (a_idx,) + tail_ids[at:]
             key = (new_props, child_tail_ids)
-            prev = seen.get(key)
-            if prev is not None and prev <= ng:
+            twins = seen.get(key)
+            if twins is not None and any(t.g <= ng and replays_cleanly(t) for t in twins):
                 rec.prune(action, "transposition", depth, "duplicate tail set")
                 continue
-
-            child = _Node(
-                props=new_props, g=ng, action=action, parent=node, depth=depth,
-                tail_ids=child_tail_ids,
-            )
-            # Replay the tail (child's action first, walking up the parent
-            # chain) in the optimistic map seeded from the initial state.
-            rmap = problem.initial_map()
-            replay.replays += 1
-            started = clock()
-            try:
-                step: _Node | None = child
-                while step is not None and step.action is not None:
-                    step.action.replay(rmap, replay)
-                    step = step.parent
-            except ReplayFailure as exc:
-                rec.prune(action, "replay", depth, exc.reason)
-                continue
-            rec.replayed(depth, started)
 
             nh = heuristic(new_props)
             if nh == _INF:
                 rec.prune(action, "heuristic", depth, "infinite cost-to-go")
                 continue
-            seen[key] = ng
-            rec.created += 1
+            child = _Node(
+                props=new_props, g=ng, action=action, parent=node, depth=depth,
+                tail_ids=child_tail_ids, f=ng + weight * nh,
+            )
+            if new_props <= initial and not replays_cleanly(child):
+                continue
+            if twins is None:
+                seen[key] = [child]
+            else:
+                twins.append(child)
             yield child, nh
 
     def probe(h0: float) -> _Node | None:
         """Weighted A* (``f' = g + 2h``): find *some* complete plan fast.
 
-        Children come from :func:`children`, so a returned node is a
-        feasible plan; its cost is within :data:`_PROBE_WEIGHT` times the
+        Children come from :func:`children` and a popped node's tail is
+        replayed before it is expanded, so a returned node is a feasible
+        plan; its cost is within :data:`_PROBE_WEIGHT` times the
         optimum.  Pure h-greedy descent drowns in this space — feasible
         complete tails are rare off the cost-ordered frontier — but
         inflating h by 2 keeps enough g-ordering to reach a terminal in a
@@ -387,17 +434,18 @@ def regression_search(
             if deadline is not None and deadline.poll():
                 return None
             f, _h, _tie, node = heapq.heappop(pheap)
+            if not replays_cleanly(node):
+                continue
             open_props = node.props - initial
             if not open_props:
                 return node
-            for child, nh in children(node, open_props, f, pseen):
+            for child, nh in children(node, open_props, f, pseen, _PROBE_WEIGHT):
                 if child.props <= initial:
                     return child
                 if rec.created > cap:
                     return None
-                f_child = child.g + _PROBE_WEIGHT * nh
-                rec.queued(child, f_child)
-                heapq.heappush(pheap, (f_child, nh, next(counter), child))
+                rec.queued(child.f)
+                heapq.heappush(pheap, (child.f, nh, next(counter), child))
         return None
 
     heap: list[tuple[float, float, int, _Node]] = []
@@ -454,11 +502,15 @@ def regression_search(
             if deadline is not None and deadline.poll():
                 return _interrupted("deadline", heap[0][0])
             f, _h, _tie, node = heapq.heappop(heap)
+            # The tail replay deferred from creation: a node that fails it
+            # is dropped here, before it is expanded.
+            if not replays_cleanly(node):
+                continue
             open_props = node.props - initial
             if not open_props:
-                # Logically satisfied; final validation replays against the
-                # exact initial map (already done at creation — the node's
-                # replay base *is* the initial map — so this is terminal).
+                # Logically satisfied, and the tail replayed against the
+                # exact initial map (the replay base *is* the initial
+                # map), so this is terminal.
                 rec.terminal(node)
                 return RGResult(
                     plan_actions=node.tail(),
@@ -467,7 +519,9 @@ def regression_search(
                     nodes_left_in_queue=len(heap),
                     record=rec,
                 )
-            for child, nh in children(node, open_props, f, seen):
+            if rec.created > node_budget:
+                return _interrupted("node_budget", f)
+            for child, nh in children(node, open_props, f, seen, 1.0):
                 # Anytime state: the cheapest complete node created so far
                 # (a valid plan the moment it is created: its replay base
                 # *is* the initial map), standing in for the optimum when
@@ -478,9 +532,8 @@ def regression_search(
                         rec.improved += 1
                 if rec.created > node_budget:
                     return _interrupted("node_budget", min(f, heap[0][0]) if heap else f)
-                f_child = child.g + nh
-                rec.queued(child, f_child)
-                heapq.heappush(heap, (f_child, nh, next(counter), child))
+                rec.queued(child.f)
+                heapq.heappush(heap, (child.f, nh, next(counter), child))
 
         raise ResourceInfeasible(
             "no deployment plan survives resource replay (the goal is logically "

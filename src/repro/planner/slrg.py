@@ -14,10 +14,16 @@ be reordered to make an achiever of the selected proposition come last.
 We select the proposition with the highest PLRG cost (the hardest
 subgoal), which keeps the branching factor low.
 
-Set costs are memoized across queries; on a completed query, every node
-on the optimal regression path also receives its exact cost (the suffix
-of an optimal path is optimal).  Queries carry a node budget — when
-exhausted, the admissible ``hmax`` fallback is returned instead.
+Set costs are memoized across queries: a completed query records, for
+every node on the regression path it returned, the answer minus that
+node's g.  These memos are not always exact.  A query that pops a set
+with a memoized cost returns ``g + cached`` at once, without checking
+that nothing cheaper is left in its heap, and memoizes that total along
+its path.  An answer can therefore exceed the true set cost, and it
+depends on the queries asked before it
+(``tests/planner/test_slrg.py``, an expected failure).
+Queries carry a node budget — when exhausted, the admissible ``hmax``
+fallback is returned instead.
 """
 
 from __future__ import annotations
@@ -76,8 +82,9 @@ class SLRG:
     def query(self, props: frozenset[int]) -> float:
         """Minimum logical cost of achieving ``props`` from the initial state.
 
-        Exact when the A* completes within budget; otherwise falls back to
-        the (still admissible) PLRG ``hmax`` bound.
+        The A*'s answer when it completes within budget (the module
+        docstring says when a memo makes that overestimate); otherwise
+        falls back to the (still admissible) PLRG ``hmax`` bound.
         """
         open_props = props - self.problem.initial_prop_ids
         if not open_props:

@@ -27,8 +27,9 @@ class PlannerStats:
 
     Attributes mirror the paper's columns: total ground actions after
     leveling/pruning (col. 5), PLRG proposition/action node counts
-    (col. 6), total SLRG set nodes (col. 7), RG nodes created and nodes
-    left in the A* queue at solution time (col. 8), and total vs
+    (col. 6), total SLRG set nodes (col. 7), RG nodes created (tails
+    replayed cleanly, the root included) and nodes left in the A* queue
+    at solution time, replayed or not (col. 8), and total vs
     search-only time in milliseconds (col. 9).
 
     Every time is a span's duration (:func:`repro.obs.timed`, recorded
@@ -46,7 +47,8 @@ class PlannerStats:
     rg_queue_left: int = 0
     rg_expanded: int = 0
     rg_replays: int = 0
-    """Whole-tail replays run by the RG (one per candidate child node)."""
+    """Whole-tail replays run by the RG (at most one per node: at its pop,
+    or earlier for a complete node or a transposition twin)."""
     rg_actions_replayed: int = 0
     """Individual action executions performed inside those replays."""
     rg_conditions_checked: int = 0

@@ -6,8 +6,10 @@ import pytest
 
 from repro.compile import AvailProp, compile_problem
 from repro.domains.media import build_app, proportional_leveling
+from repro.experiments import scaling_network, scenario
 from repro.network import pair_network
-from repro.planner import SLRG, build_plrg
+from repro.planner import SLRG, Planner, PlannerConfig, build_plrg
+from repro.planner import planner as planner_module
 
 
 @pytest.fixture
@@ -88,3 +90,36 @@ class TestBudget:
         slrg = SLRG(problem, plrg)
         slrg.query(frozenset(problem.goal_prop_ids))
         assert slrg.nodes_created > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a query that pops an open set with a memoized cost returns g + cached "
+    "without checking its heap for anything cheaper, and memoizes that total",
+)
+def test_memoized_answers_match_fresh_queries(monkeypatch):
+    """Every set cost the RG asks for equals a fresh SLRG's answer.
+
+    It does not today: on the first flat-search benchmark pair the memo
+    returns 1.0 more than a fresh query for some sets, so an answer
+    depends on the queries before it.
+    """
+    queries = []
+    search = planner_module.regression_search
+
+    def spy(problem, heuristic, *args, **kwargs):
+        def recorded(props):
+            queries.append((props, heuristic(props)))
+            return queries[-1][1]
+
+        spy.slrg = heuristic.__self__
+        return search(problem, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(planner_module, "regression_search", spy)
+    Planner(PlannerConfig(leveling=scenario("B").leveling())).solve(
+        build_app("t0_1_s2_1", "t0_0_s0_0"), scaling_network(3)[0]
+    )
+    memo = spy.slrg
+    assert queries
+    for props, got in queries:
+        assert got == SLRG(memo.problem, memo.plrg).query(props)
