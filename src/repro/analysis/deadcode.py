@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..compile import CompiledProblem
 from ..intervals import Interval
 from .certificates import PruneCertificate, certificate_for
-from .envelopes import _bind, _Binding, _value_codes, abstract_step
+from .envelopes import _Binding, _value_codes, abstract_step
 
 __all__ = ["DeadAction", "find_dead_actions"]
 
@@ -46,10 +46,10 @@ def find_dead_actions(
     against the final fixpoint is consistent with the fixpoint itself: an
     action that contributed writes during the fixpoint is never reported
     dead here.  ``binding`` is the one the fixpoint ran on, when there is
-    one (its memoized steps are reused), else ``_bind(problem.actions)``.
+    one (its memoized steps are reused), else ``_Binding(problem.actions)``.
     """
     if binding is None:
-        binding = _bind(problem.actions)
+        binding = _Binding(problem.actions)
     code_of = _value_codes(envelopes, binding.codes)
     return tuple(
         DeadAction(

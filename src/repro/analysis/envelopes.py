@@ -24,16 +24,19 @@ pruning rests on the planner's validated-plan invariant — every returned
 plan executes exactly — so an action refuted under the envelopes can
 never appear in a returned plan (see docs/ANALYSIS.md).
 
+The fixpoint runs on best-value reachability's template machinery
+(:mod:`repro.compile.reachability`): one binding of each action to its
+template's state and read variables, and one worklist driver.  Only the
+lattice is this module's: hull joins, with zero-threshold widening.
+
 Termination: hull joins only grow envelopes; after :data:`_WIDEN_AFTER`
 joins a variable's still-moving bound is widened to infinity, so the
-worklist converges without a pass budget (a generous safety budget
-remains as a belt-and-suspenders guard).
+worklist converges and the driver's one safety budget never trips.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from ..compile import (
@@ -44,7 +47,7 @@ from ..compile import (
     iface_prop_var,
 )
 from ..compile.actions import is_resource_var
-from ..compile.reachability import _MAX_PASSES, _WIDEN_AFTER
+from ..compile.reachability import _WIDEN_AFTER, bind_templates, run_worklist
 from ..expr import EvalError, condition_satisfiable, eval_interval
 from ..intervals import Interval, iadd, imax, imin, isub
 from ..planner.executor import _EPS
@@ -346,7 +349,6 @@ def _value_codes(envelopes: dict[str, Interval], codes: dict[Interval, int]) -> 
     return {gvar: codes.setdefault(iv, len(codes)) for gvar, iv in envelopes.items()}
 
 
-@dataclass
 class _Binding:
     """Each action's template (one per grounding template) and its read
     ground variables, in :attr:`_Template.reads` order, with the value
@@ -357,24 +359,9 @@ class _Binding:
     ``codes``, so it also reuses the fixpoint's memoized steps.
     """
 
-    templates: list[_Template]
-    reads: list[tuple[str, ...]]
-    codes: dict[Interval, int]
-
-
-def _bind(actions: list[GroundAction]) -> _Binding:
-    """Bind every action to its template and read variables."""
-    by_template: dict[int, _Template] = {}
-    templates: list[_Template] = []
-    reads: list[tuple[str, ...]] = []
-    for action in actions:
-        template = by_template.get(id(action.template))
-        if template is None:
-            template = by_template[id(action.template)] = _Template(action.template)
-        templates.append(template)
-        sites = action.sites
-        reads.append(tuple([prefix + sites[site] for prefix, site in template.reads]))
-    return _Binding(templates, reads, {})
+    def __init__(self, actions: list[GroundAction]):
+        self.templates, self.reads = bind_templates(actions, _Template)
+        self.codes: dict[Interval, int] = {}
 
 
 def compute_envelopes(problem: CompiledProblem, binding: _Binding | None = None) -> EnvelopeResult:
@@ -386,44 +373,23 @@ def compute_envelopes(problem: CompiledProblem, binding: _Binding | None = None)
     memoized per (template, read envelopes), so interchangeable bindings
     are stepped once; each binding's writes are joined in sorted variable
     order, as :func:`abstract_step` lists them.  ``binding`` is
-    ``_bind(problem.actions)``, made here when not given.
+    ``_Binding(problem.actions)``, made here when not given.
     """
     envelopes = initial_envelopes(problem)
     actions = problem.actions
     if binding is None:
-        binding = _bind(actions)
+        binding = _Binding(actions)
     templates, reads_of, codes = binding.templates, binding.reads, binding.codes
     code_of = _value_codes(envelopes, codes)
-
-    dependents: dict[str, list[int]] = {}
-    for action, reads in zip(actions, reads_of):
-        for gvar in reads:
-            dependents.setdefault(gvar, []).append(action.index)
-
-    queue: deque[int] = deque(a.index for a in actions)
-    queued: set[int] = set(queue)
     joins: dict[str, int] = {}
     widened: set[str] = set()
-    iterations = 0
-    budget = len(actions) * _MAX_PASSES + 1
 
-    while queue:
-        iterations += 1
-        if iterations > budget:  # pragma: no cover - widening converges first
-            # Sound fallback: give up all precision on written variables.
-            top = Interval(-math.inf, math.inf)
-            for action, template in zip(actions, templates):
-                for prefix, site in template.targets:
-                    gvar = prefix + action.sites[site]
-                    envelopes[gvar] = top
-                    widened.add(gvar)
-            break
-        idx = queue.popleft()
-        queued.discard(idx)
+    def visit(idx: int) -> list[str] | tuple[()]:
         out = templates[idx].step(actions[idx], envelopes, code_of, reads_of[idx])
         if out is None:
-            continue
+            return ()
         sites = actions[idx].sites
+        changed = []
         for gvar, post in sorted([(prefix + sites[site], post) for prefix, site, post in out]):
             old = envelopes.get(gvar)
             if old is not None and old.contains_interval(post):
@@ -451,10 +417,18 @@ def compute_envelopes(problem: CompiledProblem, binding: _Binding | None = None)
                     widened.add(gvar)
             envelopes[gvar] = new
             code_of[gvar] = codes.setdefault(new, len(codes))
-            for dep in dependents.get(gvar, ()):
-                if dep not in queued:
-                    queue.append(dep)
-                    queued.add(dep)
+            changed.append(gvar)
+        return changed
+
+    iterations, converged = run_worklist(reads_of, visit)
+    if not converged:  # pragma: no cover - widening converges first
+        # Sound fallback: give up all precision on written variables.
+        top = Interval(-math.inf, math.inf)
+        for action, template in zip(actions, templates):
+            for prefix, site in template.targets:
+                gvar = prefix + action.sites[site]
+                envelopes[gvar] = top
+                widened.add(gvar)
 
     return EnvelopeResult(
         envelopes=envelopes,

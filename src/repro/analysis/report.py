@@ -33,7 +33,7 @@ from ..lint import LintReport, Severity, SourceLocation
 from ..obs import timed
 from .certificates import interval_payload
 from .deadcode import DeadAction, find_dead_actions
-from .envelopes import EnvelopeResult, _bind, compute_envelopes
+from .envelopes import EnvelopeResult, _Binding, compute_envelopes
 from .symmetry import PruneHints, SymmetryResult, compute_symmetry
 
 __all__ = ["AnalysisResult", "analyze_problem"]
@@ -177,7 +177,7 @@ class AnalysisResult:
 def analyze_problem(problem: CompiledProblem) -> AnalysisResult:
     """Run the full static pass over one compiled problem."""
     with timed("analysis") as clock:
-        binding = _bind(problem.actions)
+        binding = _Binding(problem.actions)
         envelopes = compute_envelopes(problem, binding)
         dead = find_dead_actions(problem, envelopes.envelopes, binding)
         symmetry = compute_symmetry(problem)

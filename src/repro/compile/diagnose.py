@@ -5,17 +5,19 @@ When planning fails, "ResourceInfeasible" alone doesn't tell an operator
 the actions removed by best-value reachability pruning — and produces
 concrete explanations: which goal placements were pruned, which condition
 failed, and what the best achievable value of the offending stream was.
+It judges nothing itself: each reason is reachability's own verdict on
+the action (:meth:`~repro.compile.reachability._Template.evaluate` under
+the final best values), formatted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..expr import condition_satisfiable, variables
-from ..intervals import Interval
-from .actions import GroundAction, iface_prop_var, is_resource_var
-from .problem import CompiledProblem
-from .reachability import _best_value_fixed_point, _input_layout
+from ..expr import variables
+from .actions import GroundAction
+from .problem import CompiledProblem, stream_values
+from .reachability import Blocked, _best_value_fixed_point, _Template, bind_templates
 
 __all__ = ["Diagnosis", "diagnose"]
 
@@ -32,52 +34,34 @@ class Diagnosis:
         return "\n".join(f"- {f}" for f in self.findings)
 
 
-def _best_values(problem: CompiledProblem) -> dict[str, float]:
-    """The best-value fixed point over the *kept* actions."""
-    stream_values = {
-        iface_prop_var(prop, iface, node): value
-        for iface, node, value, _d, _u, prop in problem._initial_streams
-    }
-    best, _feasible = _best_value_fixed_point(problem.actions, stream_values)
-    return best
-
-
-def _explain_action(action: GroundAction, best: dict[str, float]) -> str | None:
-    """Why this action is unusable under the best-value map, or None."""
-    env: dict[str, Interval] = {}
-    for spec_var, _prefix, _site in _input_layout(action.template):
-        gvar = action.var_map[spec_var]
-        committed = action.committed[spec_var]
-        avail = best.get(gvar)
-        if avail is None:
-            return (
-                f"{action.name}: input stream {gvar} is unreachable from any "
-                f"pre-placed source"
-            )
-        if committed.lo > avail + 1e-9:
-            return (
-                f"{action.name}: committed level needs at least "
-                f"{committed.lo:g} of {gvar}, but at most {avail:g} can reach it"
-            )
-        env[spec_var] = committed.intersect(Interval.closed(0.0, avail))
-    for spec_var, committed in action.committed.items():
-        if is_resource_var(spec_var):
-            env[spec_var] = committed
-    for cond in action.conditions:
-        try:
-            ok = condition_satisfiable(cond, env)
-        except Exception:  # pragma: no cover - unresolved function etc.
-            return f"{action.name}: condition {cond.unparse()} cannot be evaluated"
-        if not ok:
-            involved = sorted(variables(cond))
-            values = ", ".join(
-                f"{v}∈{env[v]!r}" for v in involved if v in env
-            )
-            return (
-                f"{action.name}: condition {cond.unparse()} unsatisfiable "
-                f"({values})"
-            )
-    return None
+def _reason(
+    action: GroundAction,
+    template: _Template,
+    gvars: tuple[str, ...],
+    best: dict[str, float],
+) -> str:
+    """Why ``action`` is unusable under the best-value map, formatted."""
+    values = tuple(map(best.get, gvars))
+    verdict = template.evaluate(values)
+    name = action.name
+    if not isinstance(verdict, Blocked):
+        return f"{name}: usable, but its support chain is broken upstream"
+    at = verdict.at
+    if verdict.kind == "missing":
+        return f"{name}: input stream {gvars[at]} is unreachable from any pre-placed source"
+    if verdict.kind == "floor":
+        return (
+            f"{name}: committed level needs at least {template.committed[at].lo:g} "
+            f"of {gvars[at]}, but at most {values[at]:g} can reach it"
+        )
+    if at is None:
+        return f"{name}: a produced value cannot be evaluated"
+    cond = action.conditions[at]
+    if verdict.kind == "error":
+        return f"{name}: condition {cond.unparse()} cannot be evaluated"
+    env = verdict.env
+    shown = ", ".join(f"{v}∈{env[v]!r}" for v in sorted(variables(cond)) if v in env)
+    return f"{name}: condition {cond.unparse()} unsatisfiable ({shown})"
 
 
 def diagnose(problem: CompiledProblem) -> Diagnosis:
@@ -90,19 +74,21 @@ def diagnose(problem: CompiledProblem) -> Diagnosis:
     search itself).
     """
     findings: list[str] = []
-    best = _best_values(problem)
+    best, _feasible = _best_value_fixed_point(
+        problem.actions, stream_values(problem._initial_streams)
+    )
     for pid in sorted(problem.goal_prop_ids):
         achievers = problem.achievers.get(pid, [])
         goal_str = problem.prop_str(pid)
         if achievers:
             findings.append(f"goal {goal_str}: supported by {len(achievers)} action(s)")
             continue
-        prop = problem.props[pid]
-        comp = getattr(prop, "component", None)
+        # Placement actions for the goal's component, kept or pruned.
+        comp = getattr(problem.props[pid], "component", None)
         candidates = [
             a
-            for a in _all_candidate_actions(problem, comp)
-            if comp is not None
+            for a in problem.actions + problem.pruned_actions
+            if a.kind == "place" and a.subject == comp
         ]
         if not candidates:
             findings.append(
@@ -111,15 +97,7 @@ def diagnose(problem: CompiledProblem) -> Diagnosis:
             )
             continue
         findings.append(f"goal {goal_str}: all {len(candidates)} placements pruned:")
-        for action in candidates:
-            reason = _explain_action(action, best)
-            findings.append(
-                f"  {reason if reason else action.name + ': usable, but its support chain is broken upstream'}"
-            )
+        templates, reads = bind_templates(candidates, _Template)
+        for action, template, gvars in zip(candidates, templates, reads):
+            findings.append(f"  {_reason(action, template, gvars, best)}")
     return Diagnosis(findings)
-
-
-def _all_candidate_actions(problem: CompiledProblem, component: str | None):
-    """Placement actions for ``component`` among kept + pruned actions."""
-    pool = list(problem.actions) + problem.pruned_actions
-    return [a for a in pool if a.kind == "place" and a.subject == component]

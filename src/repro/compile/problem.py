@@ -202,11 +202,7 @@ def assemble_problem(grounder: Grounder, compile_source: str = "fresh") -> Compi
     # planner can distinguish Unsolvable from ResourceInfeasible.
     logically_solvable = logically_reachable(actions, initial_ids, goal_ids)
 
-    stream_values = {
-        iface_prop_var(prop, iface, node): value
-        for iface, node, value, _deg, _upg, prop in initial_streams
-    }
-    actions, removed_actions = prune_unreachable_actions(actions, stream_values)
+    actions, removed_actions = prune_unreachable_actions(actions, stream_values(initial_streams))
 
     achievers: dict[int, list[int]] = {}
     for action in actions:
@@ -232,6 +228,12 @@ def assemble_problem(grounder: Grounder, compile_source: str = "fresh") -> Compi
         pruned_actions=removed_actions,
         _ground_names=ground_names,
     )
+
+
+def stream_values(initial_streams: list[tuple]) -> dict[str, float]:
+    """Each pre-placed stream's ground variable and exact produced value:
+    where best-value reachability starts."""
+    return {iface_prop_var(p, i, n): value for i, n, value, _d, _u, p in initial_streams}
 
 
 def _build_initial_state(

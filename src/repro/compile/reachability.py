@@ -1,4 +1,4 @@
-"""Best-value reachability pruning.
+"""Best-value reachability pruning, and the template fixpoint it runs on.
 
 A cheap static analysis run after grounding: propagate, per ground
 interface-property variable, the *best value optimistically achievable*
@@ -18,12 +18,21 @@ and the analysis strengthens it to the unleveled case.
 
 The analysis is sound (never prunes an action that some valid plan uses):
 values are upper bounds, and all specification functions are monotone.
+
+This module is also the one home of the template-memoized fixpoint:
+:func:`bind_templates` binds each action to its template's state and its
+read ground variables, and :func:`run_worklist` drives the worklist.  The
+envelope fixpoint of :mod:`repro.analysis.envelopes` runs on both with its
+own lattice, and :func:`repro.compile.diagnose` formats the
+:class:`Blocked` verdict of :meth:`_Template.evaluate`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from ..expr import EvalError, compile_condition_satisfiable, compile_interval
 from ..intervals import Interval
@@ -41,16 +50,81 @@ _PRODUCE_KINDS = (
 )
 
 
-def _input_layout(template: GroundingTemplate) -> tuple[tuple[str, str, int], ...]:
-    """``(spec var, prefix, site)`` of the template's stream inputs, in
-    ``var_layout`` order.  A stream input is a committed variable that is
-    not a resource."""
-    committed = template.committed
-    return tuple(
-        entry
-        for entry in template.var_layout
-        if entry[0] in committed and not is_resource_var(entry[0])
-    )
+def bind_templates(
+    actions: list[GroundAction], make: Callable[[GroundingTemplate], Any]
+) -> tuple[list[Any], list[tuple[str, ...]]]:
+    """Each action's template state and its read ground variables.
+
+    ``make`` builds a template's state once per grounding template (found
+    by ``id``); the state's ``reads`` lays out the variables it reads as
+    ``(prefix, site)``, bound here to each action's sites.  Only these two
+    lists (and the worklist's dependents index) live through a fixpoint:
+    every object that does is promoted by the garbage collector, and on a
+    large heap (a compile cache of forked problems) that buys full
+    collections.
+    """
+    by_template: dict[int, Any] = {}
+    states: list[Any] = []
+    reads: list[tuple[str, ...]] = []
+    for action in actions:
+        state = by_template.get(id(action.template))
+        if state is None:
+            state = by_template[id(action.template)] = make(action.template)
+        sites = action.sites
+        states.append(state)
+        reads.append(tuple([prefix + sites[site] for prefix, site in state.reads]))
+    return states, reads
+
+
+def run_worklist(
+    reads: list[tuple[str, ...]], visit: Callable[[int], Iterable[str]]
+) -> tuple[int, bool]:
+    """Visit positions to a fixed point; returns (visits, converged).
+
+    The queue starts with every position in order.  ``visit(position)``
+    joins the position's writes in its own lattice and returns the
+    variables that changed; every position reading one of them is then
+    queued, in position order, unless it already is.  Deterministic: the
+    same reads and visits give the same visit sequence.  After
+    ``len(reads) * _MAX_PASSES`` visits the run stops unconverged — a
+    safety budget only, since every domain widens first.
+    """
+    dependents: dict[str, list[int]] = {}
+    for position, gvars in enumerate(reads):
+        for gvar in gvars:
+            dependents.setdefault(gvar, []).append(position)
+    queue: deque[int] = deque(range(len(reads)))
+    queued = bytearray(b"\x01") * len(reads)
+    budget = len(reads) * _MAX_PASSES
+    visits = 0
+    while queue:
+        visits += 1
+        if visits > budget:  # pragma: no cover - widening converges first
+            return visits, False
+        position = queue.popleft()
+        queued[position] = 0
+        for gvar in visit(position):
+            for dep in dependents.get(gvar, ()):
+                if not queued[dep]:
+                    queue.append(dep)
+                    queued[dep] = 1
+    return visits, True
+
+
+@dataclass(frozen=True, slots=True)
+class Blocked:
+    """Why a template is infeasible under some input best values.
+
+    ``kind`` is ``"missing"`` (input ``at`` is not reachable), ``"floor"``
+    (input ``at``'s committed floor is above its best value),
+    ``"condition"`` (condition ``at`` is unsatisfiable over ``env``) or
+    ``"error"`` (condition ``at`` — or, when ``at`` is None, a produced
+    value — cannot be evaluated).
+    """
+
+    kind: str
+    at: int | None
+    env: dict[str, Interval] | None = None
 
 
 class _Template:
@@ -60,10 +134,12 @@ class _Template:
     dict, conditions, effects and effect kinds (clones share them too), so
     an action's evaluation depends only on its template and on the best
     values of its input streams: ``memo`` maps those values to the
-    produced best values (in ``produce`` order), or to ``None`` when the
-    action is infeasible under them.  Input and produced variables are
-    held as ``(prefix, site)`` layouts, bound per action to its sites, so
-    the fixed point never builds an action's ``var_map`` or targets.
+    produced best values (in ``produce`` order), or to the :class:`Blocked`
+    verdict when the action is infeasible under them.  Input streams
+    (``reads``: committed variables that are not resources) and produced
+    variables are held as ``(prefix, site)`` layouts, bound per action to
+    its sites, so the fixed point never builds an action's ``var_map`` or
+    targets.
 
     Conditions and produced right-hand sides are held as compiled
     closures.  Grounding has already compiled each of these formulas
@@ -71,44 +147,53 @@ class _Template:
     cannot fail here.
     """
 
-    __slots__ = ("specs", "inputs", "committed", "resources", "conditions", "produce", "memo")
+    __slots__ = ("specs", "reads", "committed", "resources", "conditions", "produce", "memo")
 
     def __init__(self, template: GroundingTemplate):
-        layout = _input_layout(template)
+        committed = template.committed
+        layout = [
+            entry
+            for entry in template.var_layout
+            if entry[0] in committed and not is_resource_var(entry[0])
+        ]
         self.specs = tuple(spec_var for spec_var, _prefix, _site in layout)
-        self.inputs = tuple((prefix, site) for _spec_var, prefix, site in layout)
-        self.committed = tuple(template.committed[s] for s in self.specs)
+        self.reads = tuple((prefix, site) for _spec_var, prefix, site in layout)
+        self.committed = tuple(committed[s] for s in self.specs)
         # Resources enter at their static grounding ranges.
-        self.resources = tuple(
-            (s, iv) for s, iv in template.committed.items() if is_resource_var(s)
-        )
+        self.resources = tuple((s, iv) for s, iv in committed.items() if is_resource_var(s))
         self.conditions = tuple(compile_condition_satisfiable(c) for c in template.conditions)
         self.produce = tuple(
             (prefix, site, compile_interval(assign.expr))
             for assign, (prefix, site, kind) in zip(template.effects, template.target_layout)
             if kind in _PRODUCE_KINDS
         )
-        self.memo: dict[tuple, tuple[float, ...] | None] = {}
+        self.memo: dict[tuple, tuple[float, ...] | Blocked] = {}
 
-    def evaluate(self, values: tuple) -> tuple[float, ...] | None:
-        """Best produced values under input best ``values``; None if infeasible."""
+    def evaluate(self, values: tuple) -> tuple[float, ...] | Blocked:
+        """Best produced values under input best ``values``, or why none."""
         env: dict[str, Interval] = {}
-        for spec_var, committed, avail in zip(self.specs, self.committed, values):
+        for at, (spec_var, committed, avail) in enumerate(
+            zip(self.specs, self.committed, values)
+        ):
             if avail is None:
-                return None  # input stream not (yet) reachable here
+                return Blocked("missing", at)  # input stream not (yet) reachable here
             if committed.lo > avail + 1e-9:
-                return None  # committed level above anything achievable
+                return Blocked("floor", at)  # committed level above anything achievable
             clipped = committed.intersect(Interval.closed(0.0, avail))
             if clipped.is_empty():
-                return None
+                return Blocked("floor", at)
             env[spec_var] = clipped
         env.update(self.resources)
+        for at, cond in enumerate(self.conditions):
+            try:
+                if not cond(env):
+                    return Blocked("condition", at, env)
+            except EvalError:
+                return Blocked("error", at)  # e.g. unregistered function: keep out
         try:
-            if not all(cond(env) for cond in self.conditions):
-                return None
             return tuple(fn(env).hi for _prefix, _site, fn in self.produce)
         except EvalError:
-            return None  # unresolvable (e.g. unregistered function): keep out
+            return Blocked("error", None)
 
 
 def _best_value_fixed_point(
@@ -132,49 +217,17 @@ def _best_value_fixed_point(
     """
     best: dict[str, float] = dict(initial_stream_values)
     feasible = bytearray(len(actions))
-
-    # Per position: the action's template and the tuple of its input
-    # ground variables.  Only these and the dependents index live through
-    # the fixed point: every object that does is promoted by the garbage
-    # collector, and on a large heap (a compile cache of forked problems)
-    # that buys full collections.
-    templates: dict[int, _Template] = {}  # by id of the grounding template
-    template_of: list[_Template] = []
-    inputs: list[tuple[str, ...]] = []
-    dependents: dict[str, list[int]] = {}
-    for position, action in enumerate(actions):
-        template = templates.get(id(action.template))
-        if template is None:
-            template = templates[id(action.template)] = _Template(action.template)
-        sites = action.sites
-        gvars = tuple([prefix + sites[site] for prefix, site in template.inputs])
-        template_of.append(template)
-        inputs.append(gvars)
-        for gvar in gvars:
-            dependents.setdefault(gvar, []).append(position)
-
+    template_of, inputs = bind_templates(actions, _Template)
     increases: dict[str, int] = {}
-    queue: deque[int] = deque(range(len(actions)))
-    queued = bytearray(b"\x01") * len(actions)
-    iterations = 0
-    budget = len(actions) * _MAX_PASSES
 
-    while queue:
-        iterations += 1
-        if iterations > budget:  # pragma: no cover - widening converges first
-            feasible = bytearray(b"\x01") * len(actions)
-            break
-        position = queue.popleft()
-        queued[position] = 0
+    def visit(position: int) -> list[str] | tuple[()]:
         template = template_of[position]
         values = tuple(map(best.get, inputs[position]))
-        memo = template.memo
-        if values in memo:
-            out = memo[values]
-        else:
-            out = memo[values] = template.evaluate(values)
+        out = template.memo.get(values)
         if out is None:
-            continue
+            out = template.memo[values] = template.evaluate(values)
+        if isinstance(out, Blocked):
+            return ()
         feasible[position] = 1
         # Bind the produced values to this action's sites; where two
         # effects write one variable, the last writer wins.
@@ -182,6 +235,7 @@ def _best_value_fixed_point(
         produced: dict[str, float] = {}
         for (prefix, site, _fn), hi in zip(template.produce, out):
             produced[prefix + sites[site]] = hi
+        changed = []
         for gvar, hi in produced.items():
             if math.isnan(hi):
                 continue
@@ -189,10 +243,12 @@ def _best_value_fixed_point(
                 count = increases.get(gvar, 0) + 1
                 increases[gvar] = count
                 best[gvar] = math.inf if count > _WIDEN_AFTER else hi
-                for dep in dependents.get(gvar, ()):
-                    if not queued[dep]:
-                        queue.append(dep)
-                        queued[dep] = 1
+                changed.append(gvar)
+        return changed
+
+    _visits, converged = run_worklist(inputs, visit)
+    if not converged:  # pragma: no cover - widening converges first
+        feasible = bytearray(b"\x01") * len(actions)
     return best, feasible
 
 

@@ -50,9 +50,11 @@ def network_from_dict(data: dict[str, Any]) -> Network:
     Raises
     ------
     NetworkError
-        For an unsupported ``format``, or data of the wrong shape: a
-        non-object top level, a node without ``"id"``, a link without
-        ``"a"`` and ``"b"``, a ``"resources"`` that is not an object.
+        For an unsupported ``format``, or data of the wrong shape, naming
+        the field: a non-object top level, ``"nodes"``/``"links"`` that
+        are not lists, a node without a string ``"id"``, a link without
+        string ``"a"`` and ``"b"``, ``"labels"``/``"software"`` that are
+        not lists, a ``"resources"`` that is not an object of numbers.
     """
     if not isinstance(data, dict):
         raise NetworkError(f"a network must be a JSON object, got {type(data).__name__}")
@@ -60,28 +62,45 @@ def network_from_dict(data: dict[str, Any]) -> Network:
     if version != _FORMAT_VERSION:
         raise NetworkError(f"unsupported network format version {version!r}")
     net = Network(data.get("name", "network"))
-    for i, nd in enumerate(data.get("nodes", [])):
+    for i, nd in enumerate(_field(data, "nodes", "network", list, [])):
         if not isinstance(nd, dict) or "id" not in nd:
             raise NetworkError(f"node {i} must be an object with an \"id\"")
+        where = f"node {i}"
         net.add_node(
-            nd["id"],
-            _resources(nd, f"node {i}"),
-            nd.get("labels", ()),
-            nd.get("software"),
+            _field(nd, "id", where, str),
+            _resources(nd, where),
+            _field(nd, "labels", where, list, []),
+            _field(nd, "software", where, (list, type(None))),
         )
-    for i, ld in enumerate(data.get("links", [])):
+    for i, ld in enumerate(_field(data, "links", "network", list, [])):
         if not isinstance(ld, dict) or "a" not in ld or "b" not in ld:
             raise NetworkError(f"link {i} must be an object with \"a\" and \"b\"")
-        net.add_link(ld["a"], ld["b"], _resources(ld, f"link {i}"), ld.get("labels", ()))
+        where = f"link {i}"
+        net.add_link(
+            _field(ld, "a", where, str),
+            _field(ld, "b", where, str),
+            _resources(ld, where),
+            _field(ld, "labels", where, list, []),
+        )
     return net
 
 
+_EXPECTED = {str: "a string", list: "a list", dict: "an object", float: "a number"}
+
+
+def _field(entry: dict[str, Any], key: str, where: str, kind: Any, default: Any = None) -> Any:
+    """``entry[key]`` (``default`` when absent), which must be of ``kind``."""
+    value = entry.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        expected = _EXPECTED[kind[0] if isinstance(kind, tuple) else kind]
+        raise NetworkError(f"{where} \"{key}\" must be {expected}, got {type(value).__name__}")
+    return value
+
+
 def _resources(entry: dict[str, Any], where: str) -> dict[str, Any]:
-    resources = entry.get("resources", {})
-    if not isinstance(resources, dict):
-        raise NetworkError(
-            f"{where} \"resources\" must be an object, got {type(resources).__name__}"
-        )
+    resources = _field(entry, "resources", where, dict, {})
+    for name in resources:
+        _field(resources, name, f"{where} resource", (float, int))
     return resources
 
 

@@ -4,7 +4,8 @@ A ground action is its grounding template bound to a node or a directed
 edge.  Its ``var_map``, ``seeds`` and ``effect_targets`` are built from the
 template's ``(prefix, site)`` layouts the first time something reads them
 and kept in the cell the action shares with its clones.  These tests pin
-that compiling, reachability and the static analysis build none of them,
+that compiling, reachability, the diagnosis and the static analysis
+build none of them,
 that a solve builds them only for the actions it replays or returns, that
 a fork and its base see each other's builds, and that pickling (which
 drops the cell) rebuilds equal views.
@@ -14,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.compile import GroundAction, compile_problem
+from repro.compile import GroundAction, compile_problem, diagnose
 from repro.domains import media
 from repro.experiments import scenario
 from repro.experiments.networks import large_case
@@ -47,6 +48,15 @@ def test_compile_builds_no_view():
     assert len(problem.actions) == 5228
     assert not any(_views_built(a) for a in problem.actions)
     assert not any(_views_built(a) for a in problem.pruned_actions)
+
+
+def test_diagnose_builds_no_view():
+    case = large_case()
+    problem = compile_problem(
+        media.build_app(case.server, case.client), case.network, scenario("A").leveling()
+    )
+    assert "placements pruned" in str(diagnose(problem))
+    assert not any(_views_built(a) for a in problem.actions + problem.pruned_actions)
 
 
 def test_static_analysis_builds_no_view():

@@ -10,6 +10,17 @@ from repro.network import pair_network, save_network
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
+
+def _example_net(*path_and_value) -> str:
+    """``examples/net.json`` with the one field at ``path`` set to ``value``."""
+    *path, last, value = path_and_value
+    data = json.loads((EXAMPLES / "net.json").read_text())
+    entry = data
+    for key in path:
+        entry = entry[key]
+    entry[last] = value
+    return json.dumps(data)
+
 SPEC = """
 <interface name=M>
 <cross_effects>
@@ -640,6 +651,36 @@ class TestBadInput:
             ),
             ("simulate", "--campaign", "[]", "a campaign must be a JSON object, got list"),
             ("controller", "--campaign", "3", "a campaign must be a JSON object, got int"),
+            (
+                "plan",
+                "--network",
+                _example_net("nodes", 0, "id", ["n0"]),
+                'node 0 "id" must be a string, got list',
+            ),
+            (
+                "plan",
+                "--network",
+                _example_net("nodes", 1, "labels", 5),
+                'node 1 "labels" must be a list, got int',
+            ),
+            (
+                "plan",
+                "--network",
+                _example_net("links", None),
+                'network "links" must be a list, got NoneType',
+            ),
+            (
+                "plan",
+                "--network",
+                _example_net("nodes", 0, "resources", "cpu", "x"),
+                'node 0 resource "cpu" must be a number, got str',
+            ),
+            (
+                "plan",
+                "--network",
+                _example_net("links", 0, "resources", "lbw", None),
+                'link 0 resource "lbw" must be a number, got NoneType',
+            ),
         ],
         ids=[
             "bad-json", "network-format", "spec-syntax", "spec-formula",
@@ -647,6 +688,8 @@ class TestBadInput:
             "network-not-object", "network-node-without-id", "network-link-without-ends",
             "network-node-resources", "network-link-resources",
             "simulate-campaign-not-object", "controller-campaign-not-object",
+            "network-node-id-list", "network-node-labels-int", "network-links-null",
+            "network-resource-string", "network-resource-null",
         ],
     )
     def test_unparsable_file_is_one_stderr_line(
